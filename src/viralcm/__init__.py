@@ -16,11 +16,7 @@ from .analytic import (
     bernoulli_threshold,
     branching_crosscheck,
     build_genfns,
-    eval_H,
-    eval_H0,
-    eval_Hbar,
     find_root,
-    fractions,
     giant_condition,
     size_biased_law,
     viral_condition,
@@ -37,9 +33,7 @@ from .estimators import (
     ConditionTest,
     EstimationReport,
     EvalConfig,
-    FractionEstimates,
     effectiveness_test,
-    estimate_fractions,
     evaluate_campaign,
     fragmentation_test,
     load_sample_csv,
@@ -56,14 +50,9 @@ from .populations import (
     NodePercolation,
     PoissonDegree,
     PowerLawDegree,
-    conditional_transmitter_pmf,
-    moments,
-    sample_joint,
 )
 from .special import (
     DiscretePmf,
-    pgf_derivative,
-    pgf_eval,
     poisson_pmf,
     polylog,
     stirling2,

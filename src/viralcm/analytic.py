@@ -40,11 +40,7 @@ __all__ = [
     "viral_condition",
     "giant_condition",
     "build_genfns",
-    "eval_H",
-    "eval_Hbar",
-    "eval_H0",
     "find_root",
-    "fractions",
     "analyze",
     "bernoulli_threshold",
     "size_biased_law",
@@ -62,6 +58,8 @@ _SCAN_STEP = 1e-3
 _SCAN_HI = 1.0 - 1e-6
 _SCAN_LO = 1e-6
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class RootBracketingError(RuntimeError):
     """A zero was expected in (0, 1) but no sign change could be certified."""
@@ -69,27 +67,18 @@ class RootBracketingError(RuntimeError):
 
 @dataclass(frozen=True)
 class GenFnBundle:
-    """Generating functions and moments of one (D, D(t)) population.
+    """H, Hbar, H0 and the two pgfs of one (D, D(t)) population.
 
-    All callables take a scalar x in [0, 1].  ``m_dt_xd``, ``m_dt_xdt`` and
-    ``m_dr_xdt`` are the mixed expectations E[D(t) x^D], E[D(t) x^D(t)] and
-    E[D(r) x^D(t)].  Sample-built bundles carry dedicated ``h``/``hbar``/
-    ``h0`` evaluators whose per-observation terms cancel exactly at x = 1.
+    All callables take a scalar x in [0, 1].  ``g_d`` and ``g_dt`` are the
+    generating functions of D and D(t); ``h``, ``hbar`` and ``h0`` are the
+    functions whose zeros give the limiting fractions (module docstring).
     """
 
-    mean_d: float
-    mean_dr: float
-    mean_dt: float
+    h: Callable[[float], float]
+    hbar: Callable[[float], float]
+    h0: Callable[[float], float]
     g_d: Callable[[float], float]
     g_dt: Callable[[float], float]
-    dg_d: Callable[[float], float]
-    m_dt_xd: Callable[[float], float]
-    m_dt_xdt: Callable[[float], float]
-    m_dr_xdt: Callable[[float], float]
-    label: str = ""
-    h: Optional[Callable[[float], float]] = None
-    hbar: Optional[Callable[[float], float]] = None
-    h0: Optional[Callable[[float], float]] = None
 
 
 def viral_condition(mom: JointMoments) -> bool:
@@ -110,30 +99,69 @@ def giant_margin(mom: JointMoments) -> float:
     return mom.mean_d2 - 2.0 * mom.mean_d
 
 
+def _is_critical(margin: float) -> bool:
+    return math.isfinite(margin) and abs(margin) < CRITICAL_MARGIN
+
+
 # ---------------------------------------------------------------------------
 # Bundle builders
 # ---------------------------------------------------------------------------
 
 
 def build_genfns(source) -> GenFnBundle:
-    """Generating-function bundle from a JointDegreeLaw or a DegreeSample."""
+    """Generating-function bundle from a JointDegreeLaw or a DegreeSample.
+
+    Samples and coupon-model laws with materialized atoms go through a
+    weighted (degree, transmitter degree) table; Bernoulli and node
+    percolation through the degree pgf; the power-law coupon model through
+    its Stirling/zeta expansion.
+    """
     if isinstance(source, DegreeSample):
-        return _bundle_from_sample(source)
-    if isinstance(source, JointDegreeLaw):
-        if isinstance(source.degree, PowerLawDegree):
-            return _bundle_powerlaw(source)
-        return _bundle_from_atoms(source)
-    raise TypeError(f"cannot build generating functions from {type(source).__name__}")
+        return _bundle_from_pairs(*_sample_pairs(source))
+    if not isinstance(source, JointDegreeLaw):
+        raise TypeError(f"cannot build generating functions from {type(source).__name__}")
+    if source.transmission.kind != "coupon":
+        return _bundle_from_pgf(source)
+    if isinstance(source.degree, PowerLawDegree):
+        return _bundle_powerlaw_coupon(source)
+    return _bundle_from_pairs(*_pair_table(source))
 
 
-def _bundle_from_sample(sample: DegreeSample) -> GenFnBundle:
-    pairs = np.stack([sample.degree, sample.transmitter_degree], axis=1)
-    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-    d = uniq[:, 0].astype(np.float64)
-    t = uniq[:, 1].astype(np.float64)
-    w = counts.astype(np.float64) / len(sample)
-    mom = sample.moments()
-    d_pos = d >= 1.0
+def _sample_pairs(sample: DegreeSample):
+    """Distinct (d, t) rows of a sample with their relative frequencies."""
+    d, t = sample.degree, sample.transmitter_degree
+    base = int(t.max()) + 1
+    if int(d.max()) * base + base - 1 > _INT64_MAX:
+        raise ValueError(
+            f"degrees too large to group: the pair key degree*{base}+transmitter_degree "
+            f"overflows int64 at degree {int(d.max())}"
+        )
+    keys, counts = np.unique(d * base + t, return_counts=True)
+    return keys // base, keys % base, counts.astype(np.float64) / len(sample)
+
+
+def _pair_table(law: JointDegreeLaw):
+    """(d, t, P{D=d, D(t)=t}) over the degree atoms and their conditional pmfs."""
+    support, weights = law.degree.atoms()
+    tr = law.transmission
+    ds, ts, ws = [], [], []
+    for di, wi in zip(support, weights):
+        cpmf = tr.conditional_pmf(int(di))
+        ds.append(np.full(cpmf.support.size, di, dtype=np.int64))
+        ts.append(cpmf.support)
+        ws.append(wi * cpmf.weights)
+    return np.concatenate(ds), np.concatenate(ts), np.concatenate(ws)
+
+
+def _bundle_from_pairs(d: np.ndarray, t: np.ndarray, w: np.ndarray) -> GenFnBundle:
+    """Bundle of a weighted (d, t, w) table.
+
+    H/Hbar/H0 are summed per row: each row term vanishes exactly at x = 1
+    in float arithmetic, so H(1) = Hbar(1) = H0(1) = 0 identically, not
+    just to rounding.
+    """
+    d = d.astype(np.float64)
+    t = t.astype(np.float64)
 
     def g_d(x):
         return float(np.dot(w, x**d))
@@ -141,21 +169,6 @@ def _bundle_from_sample(sample: DegreeSample) -> GenFnBundle:
     def g_dt(x):
         return float(np.dot(w, x**t))
 
-    def dg_d(x):
-        return float(np.dot(w[d_pos] * d[d_pos], x ** (d[d_pos] - 1.0)))
-
-    def m_dt_xd(x):
-        return float(np.dot(w * t, x**d))
-
-    def m_dt_xdt(x):
-        return float(np.dot(w * t, x**t))
-
-    def m_dr_xdt(x):
-        return float(np.dot(w * (d - t), x**t))
-
-    # Per-group forms of H/Hbar/H0: each group term vanishes exactly at
-    # x = 1 in float arithmetic, so the plug-in estimators satisfy
-    # H(1) = Hbar(1) = 0 identically, not just to rounding.
     def h(x):
         return float(np.dot(w, d * x * x - (d - t) * x - t * x**d))
 
@@ -165,266 +178,135 @@ def _bundle_from_sample(sample: DegreeSample) -> GenFnBundle:
     def h0(x):
         return float(np.dot(w, d * x * x - d * x**d))
 
-    return GenFnBundle(
-        mean_d=mom.mean_d,
-        mean_dr=mom.mean_dr,
-        mean_dt=mom.mean_dt,
-        g_d=g_d,
-        g_dt=g_dt,
-        dg_d=dg_d,
-        m_dt_xd=m_dt_xd,
-        m_dt_xdt=m_dt_xdt,
-        m_dr_xdt=m_dr_xdt,
-        label=f"sample(n={len(sample)})",
-        h=h,
-        hbar=hbar,
-        h0=h0,
-    )
+    return GenFnBundle(h=h, hbar=hbar, h0=h0, g_d=g_d, g_dt=g_dt)
 
 
-def _bundle_from_atoms(law: JointDegreeLaw) -> GenFnBundle:
-    """Bundle for a degree law with a materialized (truncated) support.
+def _bundle_from_pgf(law: JointDegreeLaw) -> GenFnBundle:
+    """Bernoulli and node percolation on any degree law, through G_D and G_D'.
 
-    Mixed expectations are truncated sums over the degree atoms with the
-    conditional transmitter law folded in: closed conditional forms for
-    Bernoulli / node percolation, an occupancy-pmf matrix for the coupon
-    model.
+    Bernoulli thinning makes D(t) given D binomial, so the mixed
+    expectations are G_D' at y = 1 - p(1 - x); node percolation keeps D(t)
+    in {0, D}.  With E[D(t) x^D] = p x G_D'(x) in both models:
+
+        Bernoulli:  E[D(t) x^D(t)] = p x G_D'(y),  E[D(r) x^D(t)] = (1-p) G_D'(y)
+        node perc:  E[D(t) x^D(t)] = p x G_D'(x),  E[D(r) x^D(t)] = (1-p) E[D]
     """
-    support, weights = law.degree.atoms()
-    d = support.astype(np.float64)
-    w = weights
+    deg, tr = law.degree, law.transmission
+    p = tr.p
     mom = law.moments()
-    tr = law.transmission
-    d_pos = support >= 1
+    mean_d, mean_dr = mom.mean_d, mom.mean_dr
+    g_d, dg_d = deg.pgf, deg.pgf_prime
 
-    def g_d(x):
-        return float(np.dot(w, x**d))
+    def h(x):
+        return mean_d * x * x - mean_dr * x - p * x * dg_d(x)
 
-    def dg_d(x):
-        return float(np.dot(w[d_pos] * d[d_pos], x ** (d[d_pos] - 1.0)))
+    def h0(x):
+        return mean_d * x * x - x * dg_d(x)
 
     if tr.kind == "bernoulli":
-        p = tr.p
 
         def g_dt(x):
-            return float(np.dot(w, (1.0 - p + p * x) ** d))
+            return g_d(1.0 - p * (1.0 - x))
 
-        def m_dt_xd(x):
-            return float(np.dot(w, p * d * x**d))
+        def hbar(x):
+            dg_y = dg_d(1.0 - p * (1.0 - x))
+            return mean_d * x * x - p * x * dg_y - (1.0 - p) * dg_y * x
 
-        def m_dt_xdt(x):
-            y = 1.0 - p + p * x
-            return float(np.dot(w[d_pos] * d[d_pos] * p * x, y ** (d[d_pos] - 1.0)))
-
-        def m_dr_xdt(x):
-            y = 1.0 - p + p * x
-            return float(np.dot(w[d_pos] * d[d_pos] * (1.0 - p), y ** (d[d_pos] - 1.0)))
-
-    elif tr.kind == "nodeperc":
-        p = tr.p
+    else:  # node percolation
 
         def g_dt(x):
             return (1.0 - p) + p * g_d(x)
 
-        def m_dt_xd(x):
-            return float(np.dot(w, p * d * x**d))
+        def hbar(x):
+            return mean_d * x * x - p * x * dg_d(x) - (1.0 - p) * mean_d * x
 
-        m_dt_xdt = m_dt_xd
-
-        def m_dr_xdt(x, _mean=mom.mean_d):
-            return (1.0 - p) * _mean
-
-    elif tr.kind == "coupon":
-        K = tr.K
-        karr = np.arange(K + 1, dtype=np.float64)
-        Q = np.zeros((support.size, K + 1))
-        for i, di in enumerate(support):
-            cpmf = tr.conditional_pmf(int(di))
-            Q[i, cpmf.support] = cpmf.weights
-        mt = tr.mean_t(support)
-
-        def g_dt(x):
-            return float(np.dot(w, Q @ x**karr))
-
-        def m_dt_xd(x):
-            return float(np.dot(w * mt, x**d))
-
-        def m_dt_xdt(x):
-            return float(np.dot(w, Q @ (karr * x**karr)))
-
-        def m_dr_xdt(x):
-            qx = Q @ x**karr
-            qkx = Q @ (karr * x**karr)
-            return float(np.dot(w, d * qx - qkx))
-
-    else:  # pragma: no cover - unknown model
-        raise TypeError(f"unsupported transmission model {tr!r}")
-
-    return GenFnBundle(
-        mean_d=mom.mean_d,
-        mean_dr=mom.mean_dr,
-        mean_dt=mom.mean_dt,
-        g_d=g_d,
-        g_dt=g_dt,
-        dg_d=dg_d,
-        m_dt_xd=m_dt_xd,
-        m_dt_xdt=m_dt_xdt,
-        m_dr_xdt=m_dr_xdt,
-        label=f"law({law.degree!r}, {tr!r})",
-    )
+    return GenFnBundle(h=h, hbar=hbar, h0=h0, g_d=g_d, g_dt=g_dt)
 
 
-def _bundle_powerlaw(law: JointDegreeLaw) -> GenFnBundle:
-    """Closed-form bundle for power-law degrees.
+def _coupon_stirling_coeffs(deg: PowerLawDegree, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients a_k = P{D(t)=k} and b_k = E[D 1{D(t)=k}], k = 0..K.
+
+    P{D(t)=k | D=d} = (d)_k {K over k} / d^K with (d)_k = sum_s s1(k, s) d^s
+    reduces every degree average to E[D^(s-K)] and E[D^(s-K+1)], i.e. zeta
+    ratios.
+    """
+    a = np.zeros(K + 1)
+    b = np.zeros(K + 1)
+    for k in range(K + 1):
+        s2 = float(stirling2(K, k))
+        if s2 == 0.0:
+            continue
+        for s in range(k + 1):
+            s1 = float(stirling1_signed(k, s))
+            if s1 == 0.0:
+                continue
+            a[k] += s2 * s1 * deg.neg_moment(K - s)
+            b[k] += s2 * s1 * deg.neg_moment(K - s - 1)
+    return a, b
+
+
+def _bundle_powerlaw_coupon(law: JointDegreeLaw) -> GenFnBundle:
+    """Coupon model on power-law degrees.
 
     A pmf truncated to tail mass 1e-12 would need ~1e8 atoms at beta = 2.45,
-    so the mixed expectations are expressed through the polylogarithm
-    instead: exactly for Bernoulli and node percolation, and through the
-    falling-factorial (Stirling) expansion of the occupancy law for the
-    coupon model, whose degree moments reduce to zeta ratios.
+    so E[x^D(t)], E[D(t) x^D(t)] and E[D(r) x^D(t)] are polynomials in x
+    with the zeta-ratio coefficients of :func:`_coupon_stirling_coeffs`,
+    and E[D(t) x^D] = sum_j (-1)^(j+1) C(K,j) Li_{beta+j-1}(x) / zeta(beta).
     """
     deg: PowerLawDegree = law.degree
-    tr = law.transmission
+    K = law.transmission.K
     mom = law.moments()
-    g_d = deg.pgf
+    mean_d, mean_dr = mom.mean_d, mom.mean_dr
     dg_d = deg.pgf_prime
+    a, b = _coupon_stirling_coeffs(deg, K)
+    karr = np.arange(K + 1, dtype=np.float64)
+    mand = [math.comb(K, j) * (-1.0) ** (j + 1) for j in range(1, K + 1)]
+    zb = zeta(deg.beta)
 
-    if tr.kind == "bernoulli":
-        p = tr.p
+    def g_dt(x):
+        return float(np.dot(a, x**karr))
 
-        def g_dt(x):
-            return deg.pgf(1.0 - p * (1.0 - x))
-
-        def m_dt_xd(x):
-            return p * x * dg_d(x)
-
-        def m_dt_xdt(x):
-            y = 1.0 - p * (1.0 - x)
-            return p * x * dg_d(y)
-
-        def m_dr_xdt(x):
-            y = 1.0 - p * (1.0 - x)
-            return (1.0 - p) * dg_d(y)
-
-    elif tr.kind == "nodeperc":
-        p = tr.p
-
-        def g_dt(x):
-            return (1.0 - p) + p * g_d(x)
-
-        def m_dt_xd(x):
-            return p * x * dg_d(x)
-
-        m_dt_xdt = m_dt_xd
-
-        def m_dr_xdt(x, _mean=mom.mean_d):
-            return (1.0 - p) * _mean
-
-    elif tr.kind == "coupon":
-        K = tr.K
-        if K == 0:
-            g_dt = lambda x: 1.0  # noqa: E731 - degenerate D(t) = 0
-            m_dt_xd = lambda x: 0.0  # noqa: E731
-            m_dt_xdt = lambda x: 0.0  # noqa: E731
-            m_dr_xdt = lambda x, _mean=mom.mean_d: _mean  # noqa: E731
+    def h(x):
+        if x == 0.0:
+            m_dt_xd = 0.0
         else:
-            # P{D(t)=k | D=d} = (d)_k {K over k} / d^K with
-            # (d)_k = sum_s s1(k, s) d^s reduces every degree average to
-            # E[D^(s-K)] and E[D^(s-K+1)], i.e. zeta ratios.
-            a = np.zeros(K + 1)  # E[x^D(t)] polynomial coefficients
-            b = np.zeros(K + 1)  # E[D 1{D(t)=k}] coefficients
-            for k in range(K + 1):
-                s2 = float(stirling2(K, k))
-                if s2 == 0.0:
-                    continue
-                for s in range(k + 1):
-                    s1 = float(stirling1_signed(k, s))
-                    if s1 == 0.0:
-                        continue
-                    a[k] += s2 * s1 * deg.neg_moment(K - s)
-                    b[k] += s2 * s1 * deg.neg_moment(K - s - 1)
-            karr = np.arange(K + 1, dtype=np.float64)
-            mand = [math.comb(K, j) * (-1.0) ** (j + 1) for j in range(1, K + 1)]
-            zb = zeta(deg.beta)
+            m_dt_xd = sum(
+                c * polylog(deg.beta + j - 1.0, x) for j, c in enumerate(mand, start=1)
+            ) / zb
+        return mean_d * x * x - mean_dr * x - m_dt_xd
 
-            def g_dt(x):
-                return float(np.dot(a, x**karr))
+    def hbar(x):
+        xk = x**karr
+        return mean_d * x * x - float(np.dot(a * karr, xk)) - float(np.dot(b - a * karr, xk)) * x
 
-            def m_dt_xd(x):
-                # E[D(t) x^D] = sum_j (-1)^(j+1) C(K,j) Li_{beta+j-1}(x)/zeta(beta)
-                if x == 0.0:
-                    return 0.0
-                return sum(
-                    c * polylog(deg.beta + j - 1.0, x) for j, c in enumerate(mand, start=1)
-                ) / zb
+    def h0(x):
+        return mean_d * x * x - x * dg_d(x)
 
-            def m_dt_xdt(x):
-                return float(np.dot(a * karr, x**karr))
-
-            def m_dr_xdt(x):
-                return float(np.dot(b - a * karr, x**karr))
-
-    else:  # pragma: no cover - unknown model
-        raise TypeError(f"unsupported transmission model {tr!r}")
-
-    return GenFnBundle(
-        mean_d=mom.mean_d,
-        mean_dr=mom.mean_dr,
-        mean_dt=mom.mean_dt,
-        g_d=g_d,
-        g_dt=g_dt,
-        dg_d=dg_d,
-        m_dt_xd=m_dt_xd,
-        m_dt_xdt=m_dt_xdt,
-        m_dr_xdt=m_dr_xdt,
-        label=f"law({deg!r}, {tr!r})",
-    )
+    return GenFnBundle(h=h, hbar=hbar, h0=h0, g_d=deg.pgf, g_dt=g_dt)
 
 
 # ---------------------------------------------------------------------------
-# The three scalar functions and their roots
+# Roots and fractions
 # ---------------------------------------------------------------------------
-
-
-def eval_H(bundle: GenFnBundle, x: float) -> float:
-    """H(x) = E[D] x^2 - E[D(r)] x - E[D(t) x^D]; H(1) = 0."""
-    if bundle.h is not None:
-        return bundle.h(x)
-    return bundle.mean_d * x * x - bundle.mean_dr * x - bundle.m_dt_xd(x)
-
-
-def eval_Hbar(bundle: GenFnBundle, x: float) -> float:
-    """Hbar(x) = E[D] x^2 - E[D(t) x^D(t)] - E[D(r) x^D(t)] x; Hbar(1) = 0."""
-    if bundle.hbar is not None:
-        return bundle.hbar(x)
-    return bundle.mean_d * x * x - bundle.m_dt_xdt(x) - bundle.m_dr_xdt(x) * x
-
-
-def eval_H0(bundle: GenFnBundle, x: float) -> float:
-    """H0(x) = E[D] x^2 - x G_D'(x); H0(1) = 0."""
-    if bundle.h0 is not None:
-        return bundle.h0(x)
-    return bundle.mean_d * x * x - x * bundle.dg_d(x)
 
 
 def find_root(
     f: Callable[[float], float],
     kind: str = "",
     *,
-    step: float = _SCAN_STEP,
-    residual_tol: float = ROOT_RESIDUAL,
     from_high: bool = True,
 ) -> Optional[float]:
     """Certified zero of ``f`` in (0, 1), or ``None`` without a sign change.
 
-    Scans at ``step`` resolution starting from 1 - 1e-6 downward (the zero
-    nearest to 1; pass ``from_high=False`` to scan upward for the smallest
-    zero), then refines the first bracketed sign change with Brent's method
-    until |f(root)| <= ``residual_tol``.  The functions handled here vanish
-    at both endpoints, so only an interior sign change counts.
+    Scans at ``_SCAN_STEP`` resolution starting from 1 - 1e-6 downward (the
+    zero nearest to 1; pass ``from_high=False`` to scan upward for the
+    smallest zero), then refines the first bracketed sign change with
+    Brent's method until |f(root)| <= ``ROOT_RESIDUAL``.  The functions
+    handled here vanish at both endpoints, so only an interior sign change
+    counts.
     """
-    n_steps = int((_SCAN_HI - _SCAN_LO) / step)
-    grid = [_SCAN_HI - j * step for j in range(n_steps + 1)]
+    n_steps = int((_SCAN_HI - _SCAN_LO) / _SCAN_STEP)
+    grid = [_SCAN_HI - j * _SCAN_STEP for j in range(n_steps + 1)]
     tail = [1e-7, 1e-8, 1e-9]
     xs = grid + tail if from_high else tail[::-1] + grid[::-1]
 
@@ -440,10 +322,10 @@ def find_root(
             lo, hi = (x, x_prev) if x < x_prev else (x_prev, x)
             root = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
             res = abs(f(root))
-            if res > residual_tol:
+            if res > ROOT_RESIDUAL:
                 raise RootBracketingError(
                     f"{kind or 'root'} refinement stalled: residual {res:.3g} "
-                    f"exceeds {residual_tol:.3g}"
+                    f"exceeds {ROOT_RESIDUAL:.3g}"
                 )
             return float(root)
         x_prev, f_prev = x, fx
@@ -495,20 +377,39 @@ class AnalyticResult:
         }
 
 
-def fractions(
-    bundle: GenFnBundle,
-    xi: Optional[float],
-    xi_bar: Optional[float],
-    xi0: Optional[float],
-    mom: JointMoments,
-) -> AnalyticResult:
-    """Assemble the limiting fractions from the roots (zeros when absent)."""
+def analyze(source) -> AnalyticResult:
+    """Conditions, roots and limiting fractions of a law or a degree sample.
+
+    A parametric law raises :class:`RootBracketingError` when a condition
+    holds but the corresponding zero cannot be bracketed.  A (noisy)
+    :class:`DegreeSample` reports such roots as absent and their fractions
+    as zero instead.
+    """
+    strict = not isinstance(source, DegreeSample)
+    mom = source.moments()
+    bundle = build_genfns(source)
     mv = viral_margin(mom)
     mg = giant_margin(mom)
-    critical = math.isfinite(mv) and abs(mv) < CRITICAL_MARGIN
+    critical = _is_critical(mv)
+    viral = mv > 0 and not critical
+    giant = mg > 0 and not _is_critical(mg)
+    xi = xi_bar = xi0 = None
+    if viral:
+        xi = find_root(bundle.h, "H")
+        xi_bar = find_root(bundle.hbar, "Hbar")
+        if strict and (xi is None or xi_bar is None):
+            raise RootBracketingError(
+                f"viral condition holds (margin {mv:.3g}) but no zero was bracketed"
+            )
+    if giant:
+        xi0 = find_root(bundle.h0, "H0")
+        if strict and xi0 is None:
+            raise RootBracketingError(
+                f"giant condition holds (margin {mg:.3g}) but no zero was bracketed"
+            )
     return AnalyticResult(
-        viral_condition=(mv > 0) and not critical,
-        giant_condition=(mg > 0) and not (math.isfinite(mg) and abs(mg) < CRITICAL_MARGIN),
+        viral_condition=viral,
+        giant_condition=giant,
         critical=critical,
         margin_viral=mv,
         margin_giant=mg,
@@ -519,35 +420,6 @@ def fractions(
         alpha_bar=1.0 - bundle.g_dt(xi_bar) if xi_bar is not None else 0.0,
         alpha0=1.0 - bundle.g_d(xi0) if xi0 is not None else 0.0,
     )
-
-
-def analyze(source, *, strict: bool = True) -> AnalyticResult:
-    """Full analytic evaluation of a law or a degree sample.
-
-    ``strict=True`` (parametric laws) raises :class:`RootBracketingError`
-    when a condition holds but the corresponding zero cannot be bracketed;
-    ``strict=False`` (noisy samples) reports absent roots as zeros instead.
-    """
-    mom = source.moments()
-    bundle = build_genfns(source)
-    mv = viral_margin(mom)
-    mg = giant_margin(mom)
-    critical = math.isfinite(mv) and abs(mv) < CRITICAL_MARGIN
-    xi = xi_bar = xi0 = None
-    if mv > 0 and not critical:
-        xi = find_root(lambda x: eval_H(bundle, x), "H")
-        xi_bar = find_root(lambda x: eval_Hbar(bundle, x), "Hbar")
-        if strict and (xi is None or xi_bar is None):
-            raise RootBracketingError(
-                f"viral condition holds (margin {mv:.3g}) but no zero was bracketed"
-            )
-    if mg > 0 and not (math.isfinite(mg) and abs(mg) < CRITICAL_MARGIN):
-        xi0 = find_root(lambda x: eval_H0(bundle, x), "H0")
-        if strict and xi0 is None:
-            raise RootBracketingError(
-                f"giant condition holds (margin {mg:.3g}) but no zero was bracketed"
-            )
-    return fractions(bundle, xi, xi_bar, xi0, mom)
 
 
 def bernoulli_threshold(degree_law) -> float:
@@ -598,11 +470,9 @@ def size_biased_law(joint: JointDegreeLaw) -> SizeBiasedLaw:
     mean_trunc = float(np.dot(weights, support))
     if mean_trunc <= 0.0:
         raise ValueError("size-biased law undefined: E[D] = 0")
+    d, t, w = _pair_table(joint)
     p = np.zeros((dmax + 2, dmax + 2))
-    for di, wi in zip(support, weights):
-        cpmf = joint.transmission.conditional_pmf(int(di))
-        for k, q in zip(cpmf.support, cpmf.weights):
-            p[int(di) - int(k), int(k)] += wi * q
+    np.add.at(p, (d - t, t), w)
     v1 = p[1:, :-1] * np.arange(1, dmax + 2)[:, None]  # (v+1) p_{v+1,w}
     w1 = p[:-1, 1:] * np.arange(1, dmax + 2)[None, :]  # (w+1) p_{v,w+1}
     return SizeBiasedLaw((v1 + w1) / mean_trunc)
@@ -644,9 +514,8 @@ def branching_crosscheck(joint: JointDegreeLaw) -> BranchingCheck:
     if not supercritical:
         return BranchingCheck(False, mean_off, 1.0, 0.0)
     bundle = build_genfns(joint)
-    hbar = lambda x: eval_Hbar(bundle, x)  # noqa: E731
-    p_ext = find_root(hbar, "Hbar", from_high=False)
-    xi_bar = find_root(hbar, "Hbar", from_high=True)
+    p_ext = find_root(bundle.hbar, "Hbar", from_high=False)
+    xi_bar = find_root(bundle.hbar, "Hbar", from_high=True)
     if p_ext is None or xi_bar is None:
         raise RootBracketingError("offspring process supercritical but Hbar has no bracketed zero")
     if abs(p_ext - xi_bar) > 1e-9:

@@ -18,7 +18,9 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -27,13 +29,7 @@ import numpy as np
 
 from .analytic import analyze, bernoulli_threshold, branching_crosscheck
 from .diffusion import DEFAULT_FLOOR, DEFAULT_GAMMA, all_reach
-from .estimators import (
-    DEFAULT_Z,
-    EvalConfig,
-    estimate_fractions,
-    evaluate_campaign,
-    load_sample_csv,
-)
+from .estimators import DEFAULT_Z, EvalConfig, evaluate_campaign, load_sample_csv
 from .graph import build, write_edgelist
 from .populations import (
     BernoulliTransmission,
@@ -77,25 +73,6 @@ class RunConfig:
     out: str = "."
     dump_graph: bool = False
 
-    _FIELD_TYPES = {
-        "degree": str,
-        "lam": float,
-        "beta": float,
-        "degree_file": str,
-        "trans": str,
-        "p": float,
-        "K": int,
-        "n": int,
-        "seed": int,
-        "gamma": float,
-        "floor": float,
-        "z": float,
-        "cost_per_pioneer": float,
-        "value_per_influenced": float,
-        "out": str,
-        "dump_graph": bool,
-    }
-
     def validate(self) -> None:
         if self.degree not in ("poisson", "powerlaw", "empirical"):
             raise ValueError(f"degree: unknown law {self.degree!r}")
@@ -117,14 +94,14 @@ class RunConfig:
             raise ValueError("gamma: must lie in (0, 1]")
         if not 0.0 <= self.floor < 1.0:
             raise ValueError("floor: must lie in [0, 1)")
+        if not (math.isfinite(self.z) and self.z >= 0.0):
+            raise ValueError(f"z: must be finite and non-negative, got {self.z}")
 
     # -- file round trip ----------------------------------------------------
 
     def to_file(self, path) -> None:
         with open(path, "w") as fh:
             for f in dataclasses.fields(self):
-                if f.name.startswith("_"):
-                    continue
                 value = getattr(self, f.name)
                 if value is None:
                     continue
@@ -134,6 +111,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
+        types = _field_types(cls)
         cfg = cls()
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -146,9 +124,9 @@ class RunConfig:
                 if key == "grid":
                     setattr(cfg, key, _parse_grid(value))
                     continue
-                if key not in cls._FIELD_TYPES:
+                if key not in types:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                typ = cls._FIELD_TYPES[key]
+                typ = types[key]
                 if typ is bool:
                     setattr(cfg, key, value.lower() in ("1", "true", "yes"))
                 elif typ is str:
@@ -162,6 +140,18 @@ class RunConfig:
         if out["grid"] is not None:
             out["grid"] = list(out["grid"])
         return out
+
+
+def _field_types(cls) -> dict:
+    """Field name -> scalar type of a dataclass, with ``Optional`` unwrapped."""
+    hints = typing.get_type_hints(cls)
+    types = {}
+    for f in dataclasses.fields(cls):
+        typ = hints[f.name]
+        if typing.get_origin(typ) is typing.Union:
+            (typ,) = (a for a in typing.get_args(typ) if a is not type(None))
+        types[f.name] = typ
+    return types
 
 
 def _parse_grid(text: str) -> tuple[float, float, float]:
@@ -273,7 +263,7 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
         sample = law.sample(point.n, rng)
         g = build(sample, rng)
         outcome = all_reach(g, point.gamma, point.floor)
-        est = estimate_fractions(sample)
+        est = analyze(sample)
         # Coupon sweeps leave the closed-form columns empty; the "true"
         # values for that model come from a larger plug-in sample instead
         # (the analytic subcommand still evaluates coupon bundles directly).
@@ -283,8 +273,8 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
                 "param": value,
                 "alpha_sim": outcome.alpha_hat_sim,
                 "alpha_bar_sim": outcome.alpha_bar_hat_sim,
-                "alpha_semianalytic": est.alpha_hat,
-                "alpha_bar_semianalytic": est.alpha_bar_hat,
+                "alpha_semianalytic": est.alpha,
+                "alpha_bar_semianalytic": est.alpha_bar,
                 "alpha_analytic": "" if ana is None else ana.alpha,
                 "alpha_bar_analytic": "" if ana is None else ana.alpha_bar,
             }
@@ -329,6 +319,7 @@ def cmd_analytic(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_evaluate(csv_path: str, cfg: RunConfig) -> list[Path]:
+    cfg.validate()
     sample = load_sample_csv(csv_path)
     report = evaluate_campaign(
         sample,

@@ -281,10 +281,10 @@ def _all_reach_giant(g: EnhancedGraph, gamma: float, floor: float) -> DiffusionO
     giant = int(np.argmax(sizes))
 
     out_ptr, out_idx = _csr_from_edges(cs, cd, n_scc)
-    fwd_mask = _closure_mask(giant, out_ptr, out_idx, n_scc)
+    fwd_mask = _bfs(out_ptr, out_idx, giant, n_scc)
     out_size = int(sizes[fwd_mask].sum())
     in_ptr, in_idx = _csr_from_edges(cd, cs, n_scc)
-    bwd_mask = _closure_mask(giant, in_ptr, in_idx, n_scc)
+    bwd_mask = _bfs(in_ptr, in_idx, giant, n_scc)
     good_mask = bwd_mask[labels]
     threshold = max(gamma * out_size, floor * g.n)
     if out_size >= threshold and out_size >= floor * g.n:
@@ -305,10 +305,6 @@ def _all_reach_giant(g: EnhancedGraph, gamma: float, floor: float) -> DiffusionO
         floor=floor,
         method="giant",
     )
-
-
-def _closure_mask(start, indptr, indices, n) -> np.ndarray:
-    return _bfs(indptr, indices, start, n)
 
 
 def sampled_reach(

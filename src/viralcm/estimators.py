@@ -24,17 +24,15 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import build_genfns, eval_H, eval_Hbar, find_root
+from .analytic import analyze
 from .populations import DegreeSample
 
 __all__ = [
     "ConditionTest",
-    "FractionEstimates",
     "EvalConfig",
     "EstimationReport",
     "fragmentation_test",
     "effectiveness_test",
-    "estimate_fractions",
     "evaluate_campaign",
     "load_sample_csv",
     "write_sample_csv",
@@ -77,38 +75,6 @@ def effectiveness_test(sample: DegreeSample, z: float = DEFAULT_Z) -> ConditionT
     d = sample.degree.astype(np.float64)
     t = sample.transmitter_degree.astype(np.float64)
     return _mean_test(d * t - d - t, z)
-
-
-@dataclass(frozen=True)
-class FractionEstimates:
-    """Plug-in roots and fractions; ``None`` roots mean no sign change."""
-
-    xi_hat: Optional[float]
-    xi_bar_hat: Optional[float]
-    alpha_hat: float
-    alpha_bar_hat: float
-
-    @property
-    def found(self) -> bool:
-        return self.xi_hat is not None and self.xi_bar_hat is not None
-
-
-def estimate_fractions(sample: DegreeSample) -> FractionEstimates:
-    """Zeros of the estimated H and Hbar, plugged into the fraction formulas.
-
-    Never raises on an undersized or subcritical-looking sample: when an
-    estimated function has no certified sign change in (0, 1) the root is
-    reported absent and the fraction as zero.
-    """
-    bundle = build_genfns(sample)
-    xi = find_root(lambda x: eval_H(bundle, x), "H")
-    xi_bar = find_root(lambda x: eval_Hbar(bundle, x), "Hbar")
-    return FractionEstimates(
-        xi_hat=xi,
-        xi_bar_hat=xi_bar,
-        alpha_hat=1.0 - bundle.g_d(xi) if xi is not None else 0.0,
-        alpha_bar_hat=1.0 - bundle.g_dt(xi_bar) if xi_bar is not None else 0.0,
-    )
 
 
 @dataclass(frozen=True)
@@ -187,32 +153,26 @@ def evaluate_campaign(sample: DegreeSample, config: EvalConfig = EvalConfig()) -
         return EstimationReport(verdict="fragmented", **base)
     if not eff.passed:
         return EstimationReport(verdict="ineffective", **base)
-    est = estimate_fractions(sample)
-    if not est.found or est.alpha_bar_hat <= 0.0:
-        return EstimationReport(
-            verdict="inconclusive",
-            xi_hat=est.xi_hat,
-            xi_bar_hat=est.xi_bar_hat,
-            alpha_hat=est.alpha_hat,
-            alpha_bar_hat=est.alpha_bar_hat,
-            **base,
-        )
-    tries = 1.0 / est.alpha_bar_hat
-    curve = [
-        1.0 - (1.0 - est.alpha_bar_hat) ** k for k in range(1, config.success_horizon + 1)
-    ]
+    est = analyze(sample)
+    fractions = dict(
+        xi_hat=est.xi,
+        xi_bar_hat=est.xi_bar,
+        alpha_hat=est.alpha,
+        alpha_bar_hat=est.alpha_bar,
+    )
+    if est.xi is None or est.xi_bar is None or est.alpha_bar <= 0.0:
+        return EstimationReport(verdict="inconclusive", **fractions, **base)
+    tries = 1.0 / est.alpha_bar
+    curve = [1.0 - (1.0 - est.alpha_bar) ** k for k in range(1, config.success_horizon + 1)]
     cost = config.cost_per_pioneer * tries if config.cost_per_pioneer is not None else None
     value = (
-        config.value_per_influenced * est.alpha_hat
+        config.value_per_influenced * est.alpha
         if config.value_per_influenced is not None
         else None
     )
     return EstimationReport(
         verdict="viable",
-        xi_hat=est.xi_hat,
-        xi_bar_hat=est.xi_bar_hat,
-        alpha_hat=est.alpha_hat,
-        alpha_bar_hat=est.alpha_bar_hat,
+        **fractions,
         expected_tries=tries,
         success_after=curve,
         expected_cost_to_viral=cost,

@@ -38,9 +38,6 @@ __all__ = [
     "NodePercolation",
     "CouponCollector",
     "JointDegreeLaw",
-    "conditional_transmitter_pmf",
-    "sample_joint",
-    "moments",
 ]
 
 
@@ -413,11 +410,6 @@ class CouponCollector:
         return f"CouponCollector(K={self.K})"
 
 
-def conditional_transmitter_pmf(model, d: int) -> DiscretePmf:
-    """Law of the transmitter degree given total degree ``d``."""
-    return model.conditional_pmf(d)
-
-
 # ---------------------------------------------------------------------------
 # Joint law
 # ---------------------------------------------------------------------------
@@ -477,13 +469,3 @@ class JointDegreeLaw:
 
     def __repr__(self):
         return f"JointDegreeLaw({self.degree!r}, {self.transmission!r})"
-
-
-def sample_joint(law: JointDegreeLaw, n: int, seed) -> DegreeSample:
-    """Draw ``n`` i.i.d. (D, D(t)) pairs from the joint law."""
-    return law.sample(n, seed)
-
-
-def moments(law: JointDegreeLaw) -> JointMoments:
-    """Analytic moments of the joint law (``inf`` marks divergence)."""
-    return law.moments()

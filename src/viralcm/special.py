@@ -2,8 +2,7 @@
 
 Provides the Riemann zeta function, the polylogarithm on [0, 1], Stirling
 numbers (second kind for occupancy laws, signed first kind for falling-
-factorial expansions), and a finite discrete pmf with generating-function
-evaluation.
+factorial expansions), and a finite discrete pmf.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ __all__ = [
     "stirling2",
     "stirling1_signed",
     "DiscretePmf",
-    "pgf_eval",
-    "pgf_derivative",
     "poisson_pmf",
     "zipf_pmf",
     "zipf_tail_cutoff",
@@ -161,27 +158,6 @@ class DiscretePmf:
 
     def moment(self, order: int) -> float:
         return float(np.dot(self.weights, self.support.astype(np.float64) ** order))
-
-
-def pgf_eval(pmf: DiscretePmf, x):
-    """Probability generating function ``E[x**D]`` for ``x`` in [0, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("pgf_eval requires x in [0, 1]")
-    val = (x[..., None] ** pmf.support) @ pmf.weights
-    return float(val) if val.ndim == 0 else val
-
-
-def pgf_derivative(pmf: DiscretePmf, x):
-    """Derivative ``E[D * x**(D-1)]``; at ``x == 1`` this is the mean."""
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("pgf_derivative requires x in [0, 1]")
-    pos = pmf.support >= 1
-    k = pmf.support[pos]
-    w = pmf.weights[pos]
-    val = (x[..., None] ** (k - 1)) @ (w * k)
-    return float(val) if val.ndim == 0 else val
 
 
 def poisson_pmf(lam: float, tail_mass: float = DEFAULT_TAIL_MASS) -> DiscretePmf:

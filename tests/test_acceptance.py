@@ -16,11 +16,8 @@ from viralcm.analytic import (
     bernoulli_threshold,
     branching_crosscheck,
     build_genfns,
-    eval_H,
-    eval_Hbar,
 )
 from viralcm.diffusion import all_reach, influenced_set, reverse_reach
-from viralcm.estimators import estimate_fractions
 from viralcm.graph import build
 from viralcm.populations import (
     BernoulliTransmission,
@@ -189,8 +186,7 @@ def test_criterion_08_three_track_agreement():
     semi_err, sim_err = [], []
     for seed in range(20):
         s = law.sample(1000, seed=seed)
-        est = estimate_fractions(s)
-        semi_err.append(abs(est.alpha_hat - alpha))
+        semi_err.append(abs(analyze(s).alpha - alpha))
         g = build(s, seed=seed + 2000)
         out = all_reach(g)
         sim_err.append(abs(out.alpha_hat_sim - alpha))
@@ -229,8 +225,8 @@ def test_criterion_10_estimator_zero_at_one():
         d = rng.integers(0, 40, size=n)
         t = rng.integers(0, d + 1)
         bundle = build_genfns(DegreeSample(d, t))
-        ok &= eval_H(bundle, 1.0) == 0.0
-        ok &= eval_Hbar(bundle, 1.0) == 0.0
+        ok &= bundle.h(1.0) == 0.0
+        ok &= bundle.hbar(1.0) == 0.0
     report(10, "plug-in H(1) and Hbar(1) vanish exactly (1000 samples)", ok)
 
 

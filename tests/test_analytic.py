@@ -1,16 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viralcm.analytic import (
+    _coupon_stirling_coeffs,
     analyze,
     bernoulli_threshold,
     branching_crosscheck,
     build_genfns,
-    eval_H,
-    eval_H0,
-    eval_Hbar,
     find_root,
     giant_condition,
     size_biased_law,
@@ -77,10 +78,12 @@ class TestConditions:
 class TestBundles:
     def test_poisson_bernoulli_mixed_pgf(self):
         lam, p = 2.0, 0.8
-        bundle = build_genfns(poisson_bernoulli(lam, p))
+        law = poisson_bernoulli(lam, p)
+        bundle, mom = build_genfns(law), law.moments()
         for x in (0.0, 0.3, 0.7, 1.0):
             oracle = p * lam * x * math.exp(lam * (x - 1.0))
-            assert bundle.m_dt_xd(x) == pytest.approx(oracle, abs=1e-8)
+            m_dt_xd = mom.mean_d * x * x - mom.mean_dr * x - bundle.h(x)
+            assert m_dt_xd == pytest.approx(oracle, abs=1e-8)
 
     def test_single_pair_sample(self):
         bundle = build_genfns(DegreeSample(np.array([3]), np.array([1])))
@@ -89,13 +92,13 @@ class TestBundles:
 
     def test_zipf_full_transmission_mixed_pgf(self):
         beta = 2.45
-        bundle = build_genfns(
-            JointDegreeLaw(PowerLawDegree(beta), BernoulliTransmission(1.0))
-        )
+        law = JointDegreeLaw(PowerLawDegree(beta), BernoulliTransmission(1.0))
+        bundle, mom = build_genfns(law), law.moments()
         for x in (0.3, 0.8):
             k = np.arange(1, 300_001, dtype=np.float64)
             oracle = float(np.sum(k ** (1.0 - beta) * x**k)) / zeta(beta)
-            assert bundle.m_dt_xd(x) == pytest.approx(oracle, abs=1e-8)
+            m_dt_xd = mom.mean_d * x * x - mom.mean_dr * x - bundle.h(x)
+            assert m_dt_xd == pytest.approx(oracle, abs=1e-8)
 
     @pytest.mark.parametrize(
         "law",
@@ -114,18 +117,22 @@ class TestBundles:
         mom = law.moments()
         assert bundle.g_d(1.0) == pytest.approx(1.0, abs=1e-9)
         assert bundle.g_dt(1.0) == pytest.approx(1.0, abs=1e-9)
-        assert bundle.m_dt_xd(1.0) == pytest.approx(mom.mean_dt, abs=1e-8)
-        assert bundle.m_dt_xdt(1.0) == pytest.approx(mom.mean_dt, abs=1e-8)
-        assert bundle.m_dr_xdt(1.0) == pytest.approx(mom.mean_dr, abs=1e-8)
+        # E[D(t) 1^D] from H(1), E[D(t) 1^D(t)] + E[D(r) 1^D(t)] from Hbar(1)
+        m_dt_xd = mom.mean_d - mom.mean_dr - bundle.h(1.0)
+        m_xdt = mom.mean_d - bundle.hbar(1.0)
+        assert m_dt_xd == pytest.approx(mom.mean_dt, abs=1e-8)
+        assert m_xdt == pytest.approx(mom.mean_dt + mom.mean_dr, abs=1e-8)
 
     def test_coupon_zipf_bundle_vs_materialized(self):
-        # Stirling-expansion closed forms against brute conditional sums.
-        # The oracle truncates the degree support, dropping E[D 1{D > m}]
-        # from the receiver-weighted term; its integral bound widens that
-        # tolerance.
+        # Stirling-expansion coefficients against brute conditional sums:
+        # a_k = P{D(t)=k} and b_k = E[D 1{D(t)=k}].  The oracle truncates
+        # the degree support, dropping E[D 1{D > m}] from the receiver-
+        # weighted term; its integral bound widens that tolerance.
         beta, K = 3.2, 3
         law = JointDegreeLaw(PowerLawDegree(beta), CouponCollector(K))
         bundle = build_genfns(law)
+        a, b = _coupon_stirling_coeffs(law.degree, K)
+        k = np.arange(K + 1, dtype=np.float64)
         pmf = law.degree.pmf(tail_mass=1e-10)
         tr = law.transmission
         m = float(pmf.support.max())
@@ -139,8 +146,15 @@ class TestBundles:
                 m2 += w * float(np.dot(cp.weights * cp.support, xk))
                 m3 += w * float(np.dot(cp.weights * (d - cp.support), xk))
             assert bundle.g_dt(x) == pytest.approx(g_dt, abs=1e-7)
-            assert bundle.m_dt_xdt(x) == pytest.approx(m2, abs=1e-7)
-            assert bundle.m_dr_xdt(x) == pytest.approx(m3, abs=1e-7 + tail_d_weight)
+            assert float(np.dot(a, x**k)) == pytest.approx(g_dt, abs=1e-7)
+            assert float(np.dot(a * k, x**k)) == pytest.approx(m2, abs=1e-7)
+            assert float(np.dot(b - a * k, x**k)) == pytest.approx(m3, abs=1e-7 + tail_d_weight)
+
+    def test_pair_key_overflow_rejected(self):
+        # samples group rows by the key degree * (max t + 1) + t
+        big = DegreeSample(np.array([2**62, 1]), np.array([3, 0]))
+        with pytest.raises(ValueError, match="overflows int64"):
+            build_genfns(big)
 
     def test_empty_sample_errors(self):
         with pytest.raises(ValueError):
@@ -160,13 +174,13 @@ class TestEvalH:
     )
     def test_moment_identity_at_one(self, law):
         bundle = build_genfns(law)
-        assert eval_H(bundle, 1.0) == pytest.approx(0.0, abs=1e-9)
-        assert eval_Hbar(bundle, 1.0) == pytest.approx(0.0, abs=1e-9)
-        assert eval_H0(bundle, 1.0) == pytest.approx(0.0, abs=1e-9)
+        assert bundle.h(1.0) == pytest.approx(0.0, abs=1e-9)
+        assert bundle.hbar(1.0) == pytest.approx(0.0, abs=1e-9)
+        assert bundle.h0(1.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_vanishes_at_zero(self):
         bundle = build_genfns(poisson_bernoulli(2.0, 0.8))
-        assert eval_H(bundle, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert bundle.h(0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_poisson_closed_form_at_half(self):
         lam, p, x = 2.0, 0.8, 0.5
@@ -176,13 +190,13 @@ class TestEvalH:
             - (1.0 - p) * lam * x
             - p * lam * x * math.exp(lam * (x - 1.0))
         )
-        assert eval_H(bundle, x) == pytest.approx(oracle, abs=1e-9)
+        assert bundle.h(x) == pytest.approx(oracle, abs=1e-9)
 
 
 class TestFindRoot:
     def test_critical_case_has_no_root(self):
         bundle = build_genfns(poisson_bernoulli(2.0, 0.5))
-        assert find_root(lambda x: eval_H(bundle, x), "H") is None
+        assert find_root(bundle.h, "H") is None
 
     def test_er_giant_component_root(self):
         lam = 2.0
@@ -196,13 +210,13 @@ class TestFindRoot:
     def test_bernoulli_roots_coincide_after_substitution(self):
         lam, p = 2.0, 0.8
         bundle = build_genfns(poisson_bernoulli(lam, p))
-        xi = find_root(lambda x: eval_H(bundle, x), "H")
-        xi_bar = find_root(lambda x: eval_Hbar(bundle, x), "Hbar")
+        xi = find_root(bundle.h, "H")
+        xi_bar = find_root(bundle.hbar, "Hbar")
         assert xi == pytest.approx(1.0 - p * (1.0 - xi_bar), abs=1e-9)
 
     def test_residual_bound_and_determinism(self):
         bundle = build_genfns(poisson_bernoulli(3.0, 0.7))
-        f = lambda x: eval_H(bundle, x)  # noqa: E731
+        f = bundle.h
         r1 = find_root(f, "H")
         r2 = find_root(f, "H")
         assert r1 == r2
@@ -213,6 +227,21 @@ class TestFindRoot:
             res = analyze(poisson_bernoulli(2.0, p))
             for root in (res.xi, res.xi_bar, res.xi0):
                 assert 0.0 < root < 1.0
+
+    @pytest.mark.parametrize("lam,p", [(1.5, 0.68), (2.0, 0.52), (3.0, 0.34)])
+    def test_near_critical_roots_match_mpmath(self, lam, p):
+        # lam * p = 1.02: H is nearly flat at its zero, so an error of one
+        # part in 1e16 in H moves the root by ~1e-13.  Reference zeros of
+        # H(x)/(lam x) = x - (1-p) - p e^{lam(x-1)} and
+        # Hbar(x)/(lam x) = x - e^{lam p (x-1)} at 40 digits.
+        with mpmath.workdps(40):
+            xi = mpmath.findroot(lambda x: x - (1 - p) - p * mpmath.exp(lam * (x - 1)), 0.5)
+            xi_bar = mpmath.findroot(lambda x: x - mpmath.exp(lam * p * (x - 1)), 0.5)
+            alpha = 1 - mpmath.exp(lam * (xi - 1))
+        res = analyze(poisson_bernoulli(lam, p))
+        assert res.xi == pytest.approx(float(xi), abs=2e-14)
+        assert res.xi_bar == pytest.approx(float(xi_bar), abs=2e-14)
+        assert res.alpha == pytest.approx(float(alpha), abs=2e-14)
 
 
 class TestFractions:
@@ -372,7 +401,7 @@ class TestAnalyzeSample:
         # sample whose empirical law is exactly a two-atom pmf
         d = np.array([1] * 30 + [4] * 70)
         t = d.copy()  # full transmission
-        res_sample = analyze(DegreeSample(d, t), strict=False)
+        res_sample = analyze(DegreeSample(d, t))
         pmf = DiscretePmf(np.array([1, 4]), np.array([0.3, 0.7]))
         res_law = analyze(JointDegreeLaw(EmpiricalDegree(pmf), BernoulliTransmission(1.0)))
         assert res_sample.alpha == pytest.approx(res_law.alpha, abs=1e-9)
@@ -383,5 +412,43 @@ class TestAnalyzeSample:
         law = poisson_bernoulli(2.0, 0.55)
         for _ in range(20):
             s = law.sample(50, rng)
-            res = analyze(s, strict=False)
+            res = analyze(s)
             assert 0.0 <= res.alpha <= 1.0
+
+
+def brute_bundle(law, x):
+    """Oracle: H, Hbar, H0, G_D, G_Dt as double sums over atoms x conditional pmf."""
+    h = hbar = h0 = g_d = g_dt = 0.0
+    support, weights = law.degree.atoms()
+    for d, wd in zip(support.tolist(), weights.tolist()):
+        cpmf = law.transmission.conditional_pmf(d)
+        for t, q in zip(cpmf.support.tolist(), cpmf.weights.tolist()):
+            w = wd * q
+            h += w * (d * x * x - (d - t) * x - t * x**d)
+            hbar += w * (d * x * x - t * x**t - (d - t) * x ** (t + 1))
+            h0 += w * (d * x * x - d * x**d)
+            g_d += w * x**d
+            g_dt += w * x**t
+    return h, hbar, h0, g_d, g_dt
+
+
+_degrees = st.one_of(
+    st.floats(0.5, 8.0).map(PoissonDegree),
+    st.lists(st.integers(0, 25), min_size=1, max_size=30).map(EmpiricalDegree.from_degrees),
+)
+_transmissions = st.one_of(
+    st.floats(0.0, 1.0).map(BernoulliTransmission),
+    st.floats(0.0, 1.0).map(NodePercolation),
+    st.integers(0, 6).map(CouponCollector),
+)
+
+
+class TestBundleOracle:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(degree=_degrees, tr=_transmissions, x=st.floats(0.0, 1.0))
+    def test_bundle_matches_definition(self, degree, tr, x):
+        law = JointDegreeLaw(degree, tr)
+        bundle = build_genfns(law)
+        names = ("h", "hbar", "h0", "g_d", "g_dt")
+        for name, oracle in zip(names, brute_bundle(law, x)):
+            assert getattr(bundle, name)(x) == pytest.approx(oracle, abs=1e-10), name

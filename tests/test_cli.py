@@ -25,19 +25,29 @@ def read_sweep(path):
 
 class TestConfig:
     def test_round_trip_lossless(self, tmp_path):
+        # every field away from its default, so a field the file format
+        # drops or mistypes shows up as an inequality
         cfg = RunConfig(
             degree="powerlaw",
-            beta=2.45,
+            lam=3.5,
+            beta=2.7,
+            degree_file="degrees.txt",
             trans="nodeperc",
             p=0.35,
+            K=5,
             n=777,
             seed=123,
             grid=(0.0, 1.0, 0.02),
             gamma=0.4,
             floor=0.02,
             z=1.64,
+            cost_per_pioneer=12.5,
+            value_per_influenced=0.75,
             out=str(tmp_path),
+            dump_graph=True,
         )
+        default = RunConfig()
+        assert all(getattr(cfg, k) != getattr(default, k) for k in cfg.to_dict())
         path = tmp_path / "run.cfg"
         cfg.to_file(path)
         assert RunConfig.from_file(path) == cfg
@@ -397,3 +407,22 @@ class TestExitCodes:
         rc = main(["simulate", "--p", "1.5", "--out", str(tmp_path)])
         assert rc == 2
         assert "p:" in capsys.readouterr().err
+
+    def test_evaluate_rejects_bad_z(self, tmp_path, capsys):
+        csv_path = tmp_path / "pioneers.csv"
+        law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8))
+        write_sample_csv(law.sample(200, seed=1), csv_path)
+        for z in ("nan", "inf", "-1"):
+            rc = main(["evaluate", str(csv_path), "--z", z, "--out", str(tmp_path)])
+            assert rc == 2
+            assert "z:" in capsys.readouterr().err
+        assert not (tmp_path / "evaluation.json").exists()
+
+    def test_evaluate_validates_config(self, tmp_path, capsys):
+        csv_path = tmp_path / "pioneers.csv"
+        law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8))
+        write_sample_csv(law.sample(200, seed=1), csv_path)
+        rc = main(["evaluate", str(csv_path), "--gamma", "7", "--n", "0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "n:" in capsys.readouterr().err
+        assert not (tmp_path / "evaluation.json").exists()

@@ -15,9 +15,6 @@ from viralcm.populations import (
     NodePercolation,
     PoissonDegree,
     PowerLawDegree,
-    conditional_transmitter_pmf,
-    moments,
-    sample_joint,
 )
 from viralcm.special import zeta
 
@@ -33,19 +30,19 @@ def enumerate_coupon_pmf(d, K):
 
 class TestConditionalPmf:
     def test_bernoulli_p0_is_point_mass(self):
-        pmf = conditional_transmitter_pmf(BernoulliTransmission(0.0), 5)
+        pmf = BernoulliTransmission(0.0).conditional_pmf(5)
         assert pmf.support.tolist() == [0, 1, 2, 3, 4, 5]
         assert pmf.weights[0] == pytest.approx(1.0)
         assert pmf.weights[1:].sum() == pytest.approx(0.0, abs=1e-15)
 
     def test_node_percolation_two_point(self):
-        pmf = conditional_transmitter_pmf(NodePercolation(0.3), 4)
+        pmf = NodePercolation(0.3).conditional_pmf(4)
         assert pmf.support.tolist() == [0, 4]
         assert pmf.weights.tolist() == pytest.approx([0.7, 0.3])
 
     def test_coupon_k3_d2_vs_enumeration(self):
         # 2 of the 8 selection sequences hit a single friend
-        pmf = conditional_transmitter_pmf(CouponCollector(3), 2)
+        pmf = CouponCollector(3).conditional_pmf(2)
         assert pmf.support.tolist() == [1, 2]
         assert pmf.weights[0] == float(Fraction(2, 8))
         assert pmf.weights[1] == float(Fraction(6, 8))
@@ -53,7 +50,7 @@ class TestConditionalPmf:
     def test_coupon_matches_enumeration_exactly(self):
         for d in range(1, 7):
             for K in range(0, 9):
-                pmf = conditional_transmitter_pmf(CouponCollector(K), d)
+                pmf = CouponCollector(K).conditional_pmf(d)
                 oracle = enumerate_coupon_pmf(d, K) if K else {0: Fraction(1)}
                 got = dict(zip(pmf.support.tolist(), pmf.weights.tolist()))
                 assert set(got) == set(oracle)
@@ -63,7 +60,7 @@ class TestConditionalPmf:
                     assert got[k] == frac.numerator / frac.denominator
 
     def test_coupon_isolated_node(self):
-        pmf = conditional_transmitter_pmf(CouponCollector(4), 0)
+        pmf = CouponCollector(4).conditional_pmf(0)
         assert pmf.support.tolist() == [0]
         assert pmf.weights.tolist() == [1.0]
 
@@ -78,14 +75,14 @@ class TestConditionalPmf:
     )
     def test_sums_to_one_up_to_d50(self, model):
         for d in range(0, 51):
-            pmf = conditional_transmitter_pmf(model, d)
+            pmf = model.conditional_pmf(d)
             assert abs(pmf.weights.sum() - 1.0) <= 1e-9
             assert pmf.support.max() <= d
 
     def test_bernoulli_conditional_mean(self):
         p = 0.37
         for d in range(0, 51):
-            pmf = conditional_transmitter_pmf(BernoulliTransmission(p), d)
+            pmf = BernoulliTransmission(p).conditional_pmf(d)
             assert float(np.dot(pmf.support, pmf.weights)) == pytest.approx(
                 p * d, abs=1e-12
             )
@@ -102,25 +99,25 @@ class TestConditionalPmf:
 class TestSampling:
     def test_poisson_bernoulli_mean_within_clt(self):
         law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8))
-        s = sample_joint(law, 10**5, seed=1)
+        s = law.sample(10**5, seed=1)
         # sd of the mean = sqrt(lambda/n); 3 sigma ~ 0.0134
         assert s.degree.mean() == pytest.approx(2.0, abs=0.05)
 
     def test_transmitter_never_exceeds_degree(self):
         for tr in (BernoulliTransmission(0.5), NodePercolation(0.5), CouponCollector(3)):
             law = JointDegreeLaw(PoissonDegree(2.0), tr)
-            s = sample_joint(law, 10**5, seed=2)
+            s = law.sample(10**5, seed=2)
             assert int(np.sum(s.transmitter_degree > s.degree)) == 0
 
     def test_powerlaw_mean_heavy_tail(self):
         law = JointDegreeLaw(PowerLawDegree(2.45), BernoulliTransmission(1.0))
-        s = sample_joint(law, 10**5, seed=3)
+        s = law.sample(10**5, seed=3)
         assert s.degree.mean() == pytest.approx(zeta(1.45) / zeta(2.45), rel=0.10)
 
     def test_deterministic_given_seed(self):
         law = JointDegreeLaw(PowerLawDegree(2.45), CouponCollector(3))
-        a = sample_joint(law, 2000, seed=7)
-        b = sample_joint(law, 2000, seed=7)
+        a = law.sample(2000, seed=7)
+        b = law.sample(2000, seed=7)
         assert np.array_equal(a.degree, b.degree)
         assert np.array_equal(a.transmitter_degree, b.transmitter_degree)
 
@@ -131,10 +128,10 @@ class TestSampling:
     def test_conditional_frequencies_chi2(self, tr):
         # two independent routes: mechanism simulation vs the pmf formula
         law = JointDegreeLaw(PoissonDegree(3.0), tr)
-        s = sample_joint(law, 10**5, seed=4)
+        s = law.sample(10**5, seed=4)
         d0 = 4
         t_at = s.transmitter_degree[s.degree == d0]
-        pmf = conditional_transmitter_pmf(tr, d0)
+        pmf = tr.conditional_pmf(d0)
         observed = np.array([np.sum(t_at == k) for k in pmf.support])
         expected = pmf.weights * t_at.size
         keep = expected > 5
@@ -164,7 +161,7 @@ class TestMoments:
     def test_poisson_bernoulli_identities(self):
         lam, p = 2.0, 0.8
         law = JointDegreeLaw(PoissonDegree(lam), BernoulliTransmission(p))
-        mom = moments(law)
+        mom = law.moments()
         assert mom.mean_d == pytest.approx(lam, abs=1e-10)
         assert mom.mean_d2 == pytest.approx(lam * lam + lam, abs=1e-10)
         assert mom.mean_dt_d == pytest.approx(p * (lam * lam + lam), abs=1e-10)
@@ -175,21 +172,21 @@ class TestMoments:
 
     def test_zero_transmission(self):
         law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.0))
-        mom = moments(law)
+        mom = law.moments()
         assert mom.mean_dt == 0.0
         assert mom.mean_dt_d == 0.0
         assert mom.mean_dr == pytest.approx(2.0)
 
     def test_powerlaw_divergence_flag(self):
         law = JointDegreeLaw(PowerLawDegree(2.5), BernoulliTransmission(0.5))
-        mom = moments(law)
+        mom = law.moments()
         assert math.isinf(mom.mean_d2)
         assert mom.d2_divergent
         assert math.isinf(mom.mean_dt_d)
 
     def test_powerlaw_finite_second_moment(self):
         law = JointDegreeLaw(PowerLawDegree(3.5), BernoulliTransmission(0.5))
-        mom = moments(law)
+        mom = law.moments()
         assert mom.mean_d2 == pytest.approx(zeta(1.5) / zeta(3.5), abs=1e-10)
 
     def test_coupon_powerlaw_vs_truncated_sum(self):
@@ -198,7 +195,7 @@ class TestMoments:
         # the degree-weighted moment, so the tolerance carries that bound.
         beta, K = 3.2, 4
         law = JointDegreeLaw(PowerLawDegree(beta), CouponCollector(K))
-        mom = moments(law)
+        mom = law.moments()
         pmf = law.degree.pmf(tail_mass=1e-10)
         mt = law.transmission.mean_t(pmf.support)
         m = float(pmf.support.max())
@@ -210,8 +207,8 @@ class TestMoments:
 
     def test_coupon_poisson_moments_vs_sampling(self):
         law = JointDegreeLaw(PoissonDegree(2.0), CouponCollector(2))
-        mom = moments(law)
-        s = sample_joint(law, 4 * 10**5, seed=5)
+        mom = law.moments()
+        s = law.sample(4 * 10**5, seed=5)
         assert mom.mean_dt == pytest.approx(float(s.transmitter_degree.mean()), abs=0.01)
         assert mom.mean_dt_d == pytest.approx(
             float((s.degree * s.transmitter_degree).mean()), abs=0.05
@@ -255,4 +252,4 @@ class TestValidation:
     def test_sample_requires_positive_n(self):
         law = JointDegreeLaw(PoissonDegree(1.0), BernoulliTransmission(0.5))
         with pytest.raises(ValueError):
-            sample_joint(law, 0, seed=0)
+            law.sample(0, seed=0)

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from viralcm.populations import EmpiricalDegree
 from viralcm.special import (
     DiscretePmf,
-    pgf_derivative,
-    pgf_eval,
     poisson_pmf,
     polylog,
     stirling2,
@@ -158,53 +157,47 @@ class TestDiscretePmf:
 class TestPgfEval:
     def test_normalization_at_one(self):
         pmf = poisson_pmf(2.0)
-        assert pgf_eval(pmf, 1.0) == pytest.approx(1.0, abs=1e-9)
+        assert EmpiricalDegree(pmf).pgf(1.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_poisson_closed_form(self):
         pmf = poisson_pmf(2.0)
-        assert pgf_eval(pmf, 0.3) == pytest.approx(math.exp(2.0 * (0.3 - 1.0)), abs=1e-8)
+        assert EmpiricalDegree(pmf).pgf(0.3) == pytest.approx(
+            math.exp(2.0 * (0.3 - 1.0)), abs=1e-8
+        )
 
     def test_zipf_matches_polylog_ratio(self):
         beta = 2.45
-        pmf = zipf_pmf(beta, tail_mass=1e-9)
+        law = EmpiricalDegree(zipf_pmf(beta, tail_mass=1e-9))
         for x in (0.3, 0.7, 0.95):
-            assert pgf_eval(pmf, x) == pytest.approx(
-                polylog(beta, x) / zeta(beta), abs=1e-8
-            )
+            assert law.pgf(x) == pytest.approx(polylog(beta, x) / zeta(beta), abs=1e-8)
 
     def test_monotone_and_convex(self):
-        pmf = poisson_pmf(3.0)
+        law = EmpiricalDegree(poisson_pmf(3.0))
         xs = np.linspace(0.0, 1.0, 100)
-        vals = pgf_eval(pmf, xs)
+        vals = np.array([law.pgf(x) for x in xs])
         diffs = np.diff(vals)
         assert np.all(diffs >= -1e-12)
         assert np.all(np.diff(diffs) >= -1e-12)  # convexity
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            pgf_eval(poisson_pmf(1.0), 1.5)
 
 
 class TestPgfDerivative:
     def test_mean_at_one(self):
         pmf = poisson_pmf(2.0)
-        assert pgf_derivative(pmf, 1.0) == pytest.approx(pmf.mean(), abs=1e-10)
+        assert EmpiricalDegree(pmf).pgf_prime(1.0) == pytest.approx(pmf.mean(), abs=1e-10)
 
     def test_poisson_closed_form(self):
-        pmf = poisson_pmf(2.0)
+        law = EmpiricalDegree(poisson_pmf(2.0))
         for x in (0.0, 0.4, 0.9):
-            assert pgf_derivative(pmf, x) == pytest.approx(
-                2.0 * math.exp(2.0 * (x - 1.0)), abs=1e-8
-            )
+            assert law.pgf_prime(x) == pytest.approx(2.0 * math.exp(2.0 * (x - 1.0)), abs=1e-8)
 
     def test_zipf_term_by_term_oracle(self):
         beta = 2.45
-        pmf = zipf_pmf(beta, tail_mass=1e-9)
+        law = EmpiricalDegree(zipf_pmf(beta, tail_mass=1e-9))
         z = zeta(beta)
         for x in (0.2, 0.5, 0.8):
             k = np.arange(1, 200_001, dtype=np.float64)
             oracle = float(np.sum(k ** (1.0 - beta) * x ** (k - 1.0))) / z
-            assert pgf_derivative(pmf, x) == pytest.approx(oracle, abs=1e-8)
+            assert law.pgf_prime(x) == pytest.approx(oracle, abs=1e-8)
 
 
 class TestZipfPmf:
