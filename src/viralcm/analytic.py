@@ -16,11 +16,14 @@ population law and for the plug-in estimators built from a degree sample.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.optimize import brentq
 
 from .populations import (
@@ -29,7 +32,7 @@ from .populations import (
     JointMoments,
     PowerLawDegree,
 )
-from .special import polylog, stirling1_signed, stirling2, zeta
+from .special import polylog, stirling1_signed, stirling2, weighted_sum, zeta
 
 __all__ = [
     "GenFnBundle",
@@ -54,9 +57,17 @@ CRITICAL_MARGIN = 1e-9
 #: Required residual at a returned root.
 ROOT_RESIDUAL = 1e-12
 
-_SCAN_STEP = 1e-3
+#: Root-scan abscissae, ascending: 1e-9, 1e-8, 1e-7; the steps of 1e-3 down
+#: from ``_SCAN_HI``; then ten per decade of 1 - x (uniform in -log(1 - x))
+#: from 1 - 10**-6.1 to 1 - 1e-12.
 _SCAN_HI = 1.0 - 1e-6
-_SCAN_LO = 1e-6
+_SCAN_GRID = np.concatenate(
+    [
+        [1e-9, 1e-8, 1e-7],
+        _SCAN_HI - np.arange(999, -1, -1) * 1e-3,
+        1.0 - 10.0 ** -(6.0 + np.arange(1, 61) / 10.0),
+    ]
+)
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -69,9 +80,11 @@ class RootBracketingError(RuntimeError):
 class GenFnBundle:
     """H, Hbar, H0 and the two pgfs of one (D, D(t)) population.
 
-    All callables take a scalar x in [0, 1].  ``g_d`` and ``g_dt`` are the
-    generating functions of D and D(t); ``h``, ``hbar`` and ``h0`` are the
-    functions whose zeros give the limiting fractions (module docstring).
+    All callables take a scalar x in [0, 1] or an array of abscissae; an
+    array result equals the scalar results elementwise.  ``g_d`` and
+    ``g_dt`` are the generating functions of D and D(t); ``h``, ``hbar``
+    and ``h0`` are the functions whose zeros give the limiting fractions
+    (module docstring).
     """
 
     h: Callable[[float], float]
@@ -162,23 +175,15 @@ def _bundle_from_pairs(d: np.ndarray, t: np.ndarray, w: np.ndarray) -> GenFnBund
     """
     d = d.astype(np.float64)
     t = t.astype(np.float64)
-
-    def g_d(x):
-        return float(np.dot(w, x**d))
-
-    def g_dt(x):
-        return float(np.dot(w, x**t))
-
-    def h(x):
-        return float(np.dot(w, d * x * x - (d - t) * x - t * x**d))
-
-    def hbar(x):
-        return float(np.dot(w, d * x * x - t * x**t - (d - t) * x ** (t + 1.0)))
-
-    def h0(x):
-        return float(np.dot(w, d * x * x - d * x**d))
-
-    return GenFnBundle(h=h, hbar=hbar, h0=h0, g_d=g_d, g_dt=g_dt)
+    return GenFnBundle(
+        h=partial(weighted_sum, w=w, terms=lambda c: d * c * c - (d - t) * c - t * c**d),
+        hbar=partial(
+            weighted_sum, w=w, terms=lambda c: d * c * c - t * c**t - (d - t) * c ** (t + 1.0)
+        ),
+        h0=partial(weighted_sum, w=w, terms=lambda c: d * c * c - d * c**d),
+        g_d=partial(weighted_sum, w=w, terms=lambda c: c**d),
+        g_dt=partial(weighted_sum, w=w, terms=lambda c: c**t),
+    )
 
 
 def _bundle_from_pgf(law: JointDegreeLaw) -> GenFnBundle:
@@ -190,6 +195,8 @@ def _bundle_from_pgf(law: JointDegreeLaw) -> GenFnBundle:
 
         Bernoulli:  E[D(t) x^D(t)] = p x G_D'(y),  E[D(r) x^D(t)] = (1-p) G_D'(y)
         node perc:  E[D(t) x^D(t)] = p x G_D'(x),  E[D(r) x^D(t)] = (1-p) E[D]
+
+    so the Bernoulli Hbar is E[D] x^2 - x G_D'(y).
     """
     deg, tr = law.degree, law.transmission
     p = tr.p
@@ -209,8 +216,7 @@ def _bundle_from_pgf(law: JointDegreeLaw) -> GenFnBundle:
             return g_d(1.0 - p * (1.0 - x))
 
         def hbar(x):
-            dg_y = dg_d(1.0 - p * (1.0 - x))
-            return mean_d * x * x - p * x * dg_y - (1.0 - p) * dg_y * x
+            return mean_d * x * x - x * dg_d(1.0 - p * (1.0 - x))
 
     else:  # node percolation
 
@@ -264,20 +270,14 @@ def _bundle_powerlaw_coupon(law: JointDegreeLaw) -> GenFnBundle:
     zb = zeta(deg.beta)
 
     def g_dt(x):
-        return float(np.dot(a, x**karr))
+        return polyval(x, a)
 
     def h(x):
-        if x == 0.0:
-            m_dt_xd = 0.0
-        else:
-            m_dt_xd = sum(
-                c * polylog(deg.beta + j - 1.0, x) for j, c in enumerate(mand, start=1)
-            ) / zb
+        m_dt_xd = sum(c * polylog(deg.beta + j - 1.0, x) for j, c in enumerate(mand, start=1)) / zb
         return mean_d * x * x - mean_dr * x - m_dt_xd
 
     def hbar(x):
-        xk = x**karr
-        return mean_d * x * x - float(np.dot(a * karr, xk)) - float(np.dot(b - a * karr, xk)) * x
+        return mean_d * x * x - polyval(x, a * karr) - polyval(x, b - a * karr) * x
 
     def h0(x):
         return mean_d * x * x - x * dg_d(x)
@@ -298,38 +298,32 @@ def find_root(
 ) -> Optional[float]:
     """Certified zero of ``f`` in (0, 1), or ``None`` without a sign change.
 
-    Scans at ``_SCAN_STEP`` resolution starting from 1 - 1e-6 downward (the
-    zero nearest to 1; pass ``from_high=False`` to scan upward for the
-    smallest zero), then refines the first bracketed sign change with
-    Brent's method until |f(root)| <= ``ROOT_RESIDUAL``.  The functions
-    handled here vanish at both endpoints, so only an interior sign change
-    counts.
+    Evaluates ``f`` once, on the whole ``_SCAN_GRID`` (up to 1 - 1e-12),
+    takes the sign change nearest to 1 (``from_high=False``: nearest to 0,
+    for the smallest zero) and refines it with Brent's method on scalar
+    calls until |f(root)| <= ``ROOT_RESIDUAL``; a grid value of exactly 0
+    ends the bracket and is returned.  The functions handled here vanish at
+    both endpoints, so only an interior sign change counts.  Above
+    ``_SCAN_HI`` they are differences of O(1) terms that cancel toward the
+    zero at 1, so a value there counts only if it exceeds ``ROOT_RESIDUAL``
+    in magnitude: smaller ones can be rounding noise, whose sign changes
+    would pass for roots.
     """
-    n_steps = int((_SCAN_HI - _SCAN_LO) / _SCAN_STEP)
-    grid = [_SCAN_HI - j * _SCAN_STEP for j in range(n_steps + 1)]
-    tail = [1e-7, 1e-8, 1e-9]
-    xs = grid + tail if from_high else tail[::-1] + grid[::-1]
-
-    x_prev = xs[0]
-    f_prev = f(x_prev)
-    if f_prev == 0.0:
-        return x_prev
-    for x in xs[1:]:
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (f_prev > 0) != (fx > 0):
-            lo, hi = (x, x_prev) if x < x_prev else (x_prev, x)
-            root = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-            res = abs(f(root))
-            if res > ROOT_RESIDUAL:
-                raise RootBracketingError(
-                    f"{kind or 'root'} refinement stalled: residual {res:.3g} "
-                    f"exceeds {ROOT_RESIDUAL:.3g}"
-                )
-            return float(root)
-        x_prev, f_prev = x, fx
-    return None
+    fx = np.asarray(f(_SCAN_GRID))
+    kept = np.flatnonzero((_SCAN_GRID <= _SCAN_HI) | (np.abs(fx) > ROOT_RESIDUAL))
+    sign = np.sign(fx[kept])
+    flips = np.flatnonzero(sign[1:] != sign[:-1])
+    if flips.size == 0:
+        return None
+    j = flips[-1] if from_high else flips[0]
+    lo, hi = _SCAN_GRID[kept[j]], _SCAN_GRID[kept[j + 1]]
+    root = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    res = abs(f(root))
+    if res > ROOT_RESIDUAL:
+        raise RootBracketingError(
+            f"{kind or 'root'} refinement stalled: residual {res:.3g} exceeds {ROOT_RESIDUAL:.3g}"
+        )
+    return float(root)
 
 
 @dataclass(frozen=True)
@@ -355,26 +349,11 @@ class AnalyticResult:
     alpha0: float
 
     def to_dict(self) -> dict:
-        def _num(v):
-            if v is None:
-                return None
-            if math.isinf(v):
-                return "divergent"
-            return v
-
-        return {
-            "viral_condition": self.viral_condition,
-            "giant_condition": self.giant_condition,
-            "critical": self.critical,
-            "margin_viral": _num(self.margin_viral),
-            "margin_giant": _num(self.margin_giant),
-            "xi": self.xi,
-            "xi_bar": self.xi_bar,
-            "xi0": self.xi0,
-            "alpha": self.alpha,
-            "alpha_bar": self.alpha_bar,
-            "alpha0": self.alpha0,
-        }
+        out = dataclasses.asdict(self)
+        for key in ("margin_viral", "margin_giant"):
+            if math.isinf(out[key]):
+                out[key] = "divergent"
+        return out
 
 
 def analyze(source) -> AnalyticResult:
@@ -416,9 +395,9 @@ def analyze(source) -> AnalyticResult:
         xi=xi,
         xi_bar=xi_bar,
         xi0=xi0,
-        alpha=1.0 - bundle.g_d(xi) if xi is not None else 0.0,
-        alpha_bar=1.0 - bundle.g_dt(xi_bar) if xi_bar is not None else 0.0,
-        alpha0=1.0 - bundle.g_d(xi0) if xi0 is not None else 0.0,
+        alpha=1.0 - float(bundle.g_d(xi)) if xi is not None else 0.0,
+        alpha_bar=1.0 - float(bundle.g_dt(xi_bar)) if xi_bar is not None else 0.0,
+        alpha0=1.0 - float(bundle.g_d(xi0)) if xi0 is not None else 0.0,
     )
 
 
@@ -522,4 +501,4 @@ def branching_crosscheck(joint: JointDegreeLaw) -> BranchingCheck:
         raise RuntimeError(
             f"Hbar zero not unique in (0,1): smallest {p_ext}, nearest-to-1 {xi_bar}"
         )
-    return BranchingCheck(True, mean_off, p_ext, 1.0 - bundle.g_dt(p_ext))
+    return BranchingCheck(True, mean_off, p_ext, 1.0 - float(bundle.g_dt(p_ext)))

@@ -73,21 +73,24 @@ class RunConfig:
     out: str = "."
     dump_graph: bool = False
 
-    def validate(self) -> None:
-        if self.degree not in ("poisson", "powerlaw", "empirical"):
-            raise ValueError(f"degree: unknown law {self.degree!r}")
-        if self.degree == "poisson" and self.lam <= 0:
-            raise ValueError("lam: Poisson mean must be positive")
-        if self.degree == "powerlaw" and self.beta <= 2:
-            raise ValueError("beta: power-law exponent must exceed 2")
-        if self.degree == "empirical" and not self.degree_file:
-            raise ValueError("degree_file: required for the empirical degree law")
-        if self.trans not in ("bernoulli", "nodeperc", "coupon"):
-            raise ValueError(f"trans: unknown transmission model {self.trans!r}")
-        if self.trans in ("bernoulli", "nodeperc") and not 0.0 <= self.p <= 1.0:
-            raise ValueError("p: transmission probability must lie in [0, 1]")
-        if self.trans == "coupon" and self.K < 0:
-            raise ValueError("K: message count must be non-negative")
+    def validate(self, *, law: bool = True) -> None:
+        """Reject a malformed field, naming it; ``law=False`` skips the fields
+        of the degree law and transmission model (``evaluate`` builds none)."""
+        if law:
+            if self.degree not in ("poisson", "powerlaw", "empirical"):
+                raise ValueError(f"degree: unknown law {self.degree!r}")
+            if self.degree == "poisson" and self.lam <= 0:
+                raise ValueError("lam: Poisson mean must be positive")
+            if self.degree == "powerlaw" and self.beta <= 2:
+                raise ValueError("beta: power-law exponent must exceed 2")
+            if self.degree == "empirical" and not self.degree_file:
+                raise ValueError("degree_file: required for the empirical degree law")
+            if self.trans not in ("bernoulli", "nodeperc", "coupon"):
+                raise ValueError(f"trans: unknown transmission model {self.trans!r}")
+            if self.trans in ("bernoulli", "nodeperc") and not 0.0 <= self.p <= 1.0:
+                raise ValueError("p: transmission probability must lie in [0, 1]")
+            if self.trans == "coupon" and self.K < 0:
+                raise ValueError("K: message count must be non-negative")
         if self.n < 1:
             raise ValueError("n: need at least one node")
         if not 0.0 < self.gamma <= 1.0:
@@ -96,6 +99,10 @@ class RunConfig:
             raise ValueError("floor: must lie in [0, 1)")
         if not (math.isfinite(self.z) and self.z >= 0.0):
             raise ValueError(f"z: must be finite and non-negative, got {self.z}")
+        for name in ("cost_per_pioneer", "value_per_influenced"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name}: must be finite, got {value}")
 
     # -- file round trip ----------------------------------------------------
 
@@ -319,7 +326,7 @@ def cmd_analytic(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_evaluate(csv_path: str, cfg: RunConfig) -> list[Path]:
-    cfg.validate()
+    cfg.validate(law=False)
     sample = load_sample_csv(csv_path)
     report = evaluate_campaign(
         sample,

@@ -317,8 +317,9 @@ def sampled_reach(
     """Estimate the fractions from ``m`` uniformly sampled pioneers.
 
     Each sampled pioneer's reach is exact (one traversal); the good-pioneer
-    fraction estimate carries a 95% binomial (normal-approximation)
-    confidence interval.  Useful beyond the exact mode's memory range.
+    fraction estimate carries a 95% Wilson score interval, which keeps a
+    positive width when none or all of the sampled pioneers are good.
+    Useful beyond the exact mode's memory range.
     """
     if m < 1:
         raise ValueError("need at least one sampled pioneer")
@@ -331,7 +332,11 @@ def sampled_reach(
     good = classify_good_pioneers(sizes, gamma, floor, n=g.n)
     k, mm = good.size, sizes.size
     phat = k / mm
-    half = 1.96 * math.sqrt(max(phat * (1.0 - phat), 1e-12) / mm)
+    z2 = 1.96**2 / mm
+    center = (phat + z2 / 2.0) / (1.0 + z2)
+    half = 1.96 * math.sqrt(phat * (1.0 - phat) / mm + z2 / (4.0 * mm)) / (1.0 + z2)
+    # the interval contains phat and lies in [0, 1]; the clamps absorb rounding
+    lo, hi = max(0.0, min(phat, center - half)), min(1.0, max(phat, center + half))
     return DiffusionOutcome(
         n=g.n,
         reach_sizes=None,
@@ -341,5 +346,5 @@ def sampled_reach(
         gamma=gamma,
         floor=floor,
         method="sampled",
-        alpha_bar_ci=(max(0.0, phat - half), min(1.0, phat + half)),
+        alpha_bar_ci=(lo, hi),
     )

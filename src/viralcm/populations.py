@@ -4,8 +4,9 @@ A population is described by the joint distribution of a member's total
 degree D and transmitter degree D(t) <= D: a named degree law (Poisson,
 power law, or empirical) composed with a transmission model giving the
 conditional law of D(t) given D.  The module supplies exact conditional
-pmfs, analytic moments (with ``inf`` marking divergence), and i.i.d.
-samplers driven by an explicit seed.
+pmfs, analytic moments (with ``inf`` marking divergence), generating
+functions ``pgf``/``pgf_prime`` of a scalar or an array of abscissae, and
+i.i.d. samplers driven by an explicit seed.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .special import (
     zipf_pmf,
     zipf_tail_cutoff,
     polylog,
+    weighted_sum,
 )
 
 __all__ = [
@@ -130,11 +132,11 @@ class PoissonDegree:
     def mean_square(self) -> float:
         return self.lam * self.lam + self.lam
 
-    def pgf(self, x: float) -> float:
-        return math.exp(self.lam * (x - 1.0))
+    def pgf(self, x):
+        return np.exp(self.lam * (x - 1.0))
 
-    def pgf_prime(self, x: float) -> float:
-        return self.lam * math.exp(self.lam * (x - 1.0))
+    def pgf_prime(self, x):
+        return self.lam * np.exp(self.lam * (x - 1.0))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.poisson(self.lam, n).astype(np.int64)
@@ -183,13 +185,15 @@ class PowerLawDegree:
             return math.inf
         return zeta(self.beta - 2.0) / self._zeta
 
-    def pgf(self, x: float) -> float:
+    def pgf(self, x):
         return polylog(self.beta, x) / self._zeta
 
-    def pgf_prime(self, x: float) -> float:
-        if x == 0.0:
-            return 1.0 / self._zeta  # P{D=1}
-        return polylog(self.beta - 1.0, x) / (x * self._zeta)
+    def pgf_prime(self, x):
+        """``Li_(beta-1)(x) / (x zeta(beta))``, and P{D=1} at x = 0."""
+        x = np.asarray(x, dtype=np.float64)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = np.where(x == 0.0, 1.0, polylog(self.beta - 1.0, x) / x) / self._zeta
+        return out if out.ndim else float(out)
 
     def neg_moment(self, r: int) -> float:
         """E[D**-r] for integer r >= -1 (r = -1 is the mean)."""
@@ -265,14 +269,14 @@ class EmpiricalDegree:
     def mean_square(self) -> float:
         return self._pmf_obj.moment(2)
 
-    def pgf(self, x: float) -> float:
-        return float(np.dot(self._pmf_obj.weights, np.asarray(x) ** self._pmf_obj.support))
-
-    def pgf_prime(self, x: float) -> float:
+    def pgf(self, x):
         k = self._pmf_obj.support
-        w = self._pmf_obj.weights
-        pos = k >= 1
-        return float(np.dot(w[pos] * k[pos], np.asarray(x) ** (k[pos] - 1)))
+        return weighted_sum(x, self._pmf_obj.weights, lambda col: col**k)
+
+    def pgf_prime(self, x):
+        pos = self._pmf_obj.support >= 1
+        k = self._pmf_obj.support[pos]
+        return weighted_sum(x, self._pmf_obj.weights[pos] * k, lambda col: col ** (k - 1))
 
     @cached_property
     def _cdf(self) -> np.ndarray:

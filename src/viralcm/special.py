@@ -1,23 +1,25 @@
-"""Scalar special functions backing the closed-form network analysis.
+"""Special functions backing the closed-form network analysis.
 
-Provides the Riemann zeta function, the polylogarithm on [0, 1], Stirling
-numbers (second kind for occupancy laws, signed first kind for falling-
-factorial expansions), and a finite discrete pmf.
+Provides the Riemann zeta function, the polylogarithm on [0, 1] (scalar or
+array argument), weighted row sums over a pmf-like table, Stirling numbers
+(second kind for occupancy laws, signed first kind for falling-factorial
+expansions), and a finite discrete pmf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy import special as _sp
 from scipy import stats as _st
 
 __all__ = [
     "zeta",
     "polylog",
+    "weighted_sum",
     "stirling2",
     "stirling1_signed",
     "DiscretePmf",
@@ -37,51 +39,88 @@ def zeta(beta: float) -> float:
     return float(_sp.zeta(beta, 1.0))
 
 
-def polylog(beta: float, x: float, tol: float = 1e-10) -> float:
+#: ``polylog`` sums the direct series up to this x, Wood's expansion above.
+_WOOD_SWITCH = 0.5
+
+
+def polylog(beta: float, x):
     """Polylogarithm ``Li_beta(x) = sum_{k>=1} k**-beta * x**k`` on [0, 1].
 
-    Direct series summed in chunks with compensated accumulation
-    (``math.fsum`` over chunk totals).  Summation stops once the running
-    term is below 1e-16 of the partial sum and a geometric tail bound
-    certifies absolute error below ``tol``.  At ``x == 1`` this is
-    ``zeta(beta)`` and requires ``beta > 1``.
-
-    Root scans revisit the same abscissae for several generating
-    functions, so results are memoized (the function is pure).
+    ``x`` is a scalar (a float is returned) or an array (an array of its
+    shape, equal elementwise to the scalar results).  Up to x = 1/2 the
+    direct series is complete to rounding after 60 terms (2**-59 < 2e-18);
+    above, Wood's expansion in log(x) takes 40 (:func:`_wood_expansion`).
+    The relative error is within 4e-15 of ``mpmath.polylog`` (tested for
+    orders 1.2 to 5.45, integers and orders 1e-8 off them included, at x
+    up to 1 - 1e-12).  At ``x == 1`` this is ``zeta(beta)``, for beta > 1.
     """
-    if not 0.0 <= x <= 1.0:
+    xa = np.asarray(x, dtype=np.float64)
+    if not np.all((xa >= 0.0) & (xa <= 1.0)):
         raise ValueError(f"polylog requires x in [0, 1] (got x={x})")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return zeta(beta)
-    return _polylog_series(beta, x, tol)
+    flat = xa.reshape(-1)
+    out = np.empty_like(flat)
+    at_one = flat == 1.0
+    wood = (flat > _WOOD_SWITCH) & ~at_one
+    direct = flat <= _WOOD_SWITCH
+    if at_one.any():
+        out[at_one] = zeta(beta)
+    if direct.any():
+        out[direct] = _direct_series(beta, flat[direct])
+    if wood.any():
+        out[wood] = _wood_expansion(beta, np.log(flat[wood]))
+    out = out.reshape(xa.shape)
+    return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=1 << 16)
-def _polylog_series(beta: float, x: float, tol: float) -> float:
-    partials: list[float] = []
-    total = 0.0
-    k0 = 1
-    chunk = 1 << 14
-    while True:
-        k = np.arange(k0, k0 + chunk, dtype=np.float64)
-        terms = k ** (-beta) * x**k
-        s = float(terms.sum())
-        partials.append(s)
-        total += s
-        last = float(terms[-1])
-        # For beta >= 0 the term ratio is bounded by x; for beta < 0 it is
-        # bounded by x * ((k+1)/k)**-beta evaluated at the chunk end.
-        ratio = x if beta >= 0 else x * ((k0 + chunk) / (k0 + chunk - 1.0)) ** (-beta)
-        if ratio < 1.0:
-            tail_bound = last * ratio / (1.0 - ratio)
-            if last <= 1e-16 * abs(total) + 1e-300 and tail_bound <= tol:
-                return math.fsum(partials)
-        k0 += chunk
-        chunk = min(2 * chunk, 1 << 20)
-        if k0 > 1 << 36:  # unreachable for x <= 1 - 1e-12
-            raise RuntimeError(f"polylog series did not converge (beta={beta}, x={x})")
+def _direct_series(s: float, x):
+    return polyval(x, np.concatenate(([0.0], np.arange(1.0, 61.0) ** -s)))
+
+
+def _wood_expansion(s: float, mu: np.ndarray) -> np.ndarray:
+    """``Li_s(e^mu)`` for ``-log 2 <= mu < 0``, after D. C. Wood, "The
+    computation of polylogarithms", Univ. of Kent TR 15-92 (1992)::
+
+        Li_s(e^mu) = Gamma(1-s) (-mu)^(s-1) + sum_k zeta(s-k) mu^k / k!
+
+    With n the integer nearest to s, m = n - 1 and eps = s - n, the Gamma
+    term and the pole term zeta(1+eps) mu^m / m! sum to
+    ``mu^m / m! (C - A log(-mu) expm1(eps log(-mu)) / (eps log(-mu)))``,
+    where A = m! Gamma(1-eps) / (1+eps)_m and C = zeta(1+eps) - A/eps are
+    regular at eps = 0 (A = 1, C = H_m, the harmonic number).  C is fixed
+    by matching the direct series at the switch point x = 1/2, so the two
+    poles never cancel numerically.
+    """
+    n = math.floor(s + 0.5)
+    k = np.arange(max(40, n + 1))
+    with np.errstate(divide="ignore"):
+        coef = _sp.zeta(s - k) / _sp.gamma(k + 1.0)
+    if n < 1:  # no pole of zeta(s - k) among k >= 0
+        return polyval(mu, coef) + _sp.gamma(1.0 - s) * (-mu) ** (s - 1.0)
+    m, eps = n - 1, s - n
+    coef[m] = 0.0
+    a = _sp.gamma(1.0 - eps) / _sp.poch(1.0 + eps, m) * math.factorial(m)
+    mu = np.append(mu, math.log(_WOOD_SWITCH))  # the last entry fixes C
+    log_neg_mu = np.log(-mu)
+    pair = mu**m / math.factorial(m)
+    out = polyval(mu, coef) - pair * a * log_neg_mu * _sp.exprel(eps * log_neg_mu)
+    return out[:-1] + pair[:-1] * (_direct_series(s, _WOOD_SWITCH) - out[-1]) / pair[-1]
+
+
+def weighted_sum(x, w: np.ndarray, terms):
+    """``sum_j w[j] * terms(x)[j]`` at a scalar x (a float) or at each entry of an array.
+
+    ``terms`` maps a (b, 1) column of abscissae to the (b, len(w)) table of
+    row terms, built in blocks of at most 2**18 entries.  Each row is summed
+    alone, so an array result equals the scalar results elementwise.
+    """
+    xa = np.asarray(x, dtype=np.float64)
+    col = xa.reshape(-1, 1)
+    out = np.empty(col.shape[0])
+    step = max(1, (1 << 18) // max(w.size, 1))
+    for i in range(0, col.shape[0], step):
+        out[i : i + step] = np.sum(terms(col[i : i + step]) * w, axis=1)
+    out = out.reshape(xa.shape)
+    return out if out.ndim else float(out)
 
 
 _S2_ROWS: list[list[int]] = [[1]]  # row n holds {n over k} for k = 0..n

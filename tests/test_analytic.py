@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viralcm.analytic import (
+    _SCAN_GRID,
     _coupon_stirling_coeffs,
     analyze,
     bernoulli_threshold,
@@ -122,6 +123,27 @@ class TestBundles:
         m_xdt = mom.mean_d - bundle.hbar(1.0)
         assert m_dt_xd == pytest.approx(mom.mean_dt, abs=1e-8)
         assert m_xdt == pytest.approx(mom.mean_dt + mom.mean_dr, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            poisson_bernoulli(2.0, 0.8),
+            JointDegreeLaw(PoissonDegree(3.0), NodePercolation(0.6)),
+            JointDegreeLaw(PoissonDegree(2.0), CouponCollector(3)),
+            JointDegreeLaw(PowerLawDegree(2.45), BernoulliTransmission(0.3)),
+            JointDegreeLaw(PowerLawDegree(3.0), NodePercolation(0.7)),
+            JointDegreeLaw(PowerLawDegree(2.8), CouponCollector(4)),
+            JointDegreeLaw(EmpiricalDegree.from_degrees([0, 1, 2, 5, 9]), NodePercolation(0.6)),
+            JointDegreeLaw(PoissonDegree(3.0), BernoulliTransmission(0.6)).sample(2000, seed=3),
+        ],
+    )
+    def test_array_calls_equal_scalar_calls(self, source):
+        # find_root scans with one array call and refines with scalar
+        # calls; the two must agree bit for bit so the bracket's signs hold.
+        bundle = build_genfns(source)
+        xs = np.concatenate([_SCAN_GRID[::25], _SCAN_GRID[-60:], [0.0, 1.0]])
+        for f in (bundle.h, bundle.hbar, bundle.h0, bundle.g_d, bundle.g_dt):
+            assert np.array_equal(f(xs), [f(float(x)) for x in xs])
 
     def test_coupon_zipf_bundle_vs_materialized(self):
         # Stirling-expansion coefficients against brute conditional sums:
@@ -242,6 +264,50 @@ class TestFindRoot:
         assert res.xi == pytest.approx(float(xi), abs=2e-14)
         assert res.xi_bar == pytest.approx(float(xi_bar), abs=2e-14)
         assert res.alpha == pytest.approx(float(alpha), abs=2e-14)
+
+
+    def test_rounding_noise_near_one_is_not_a_root(self):
+        # lam p = 1 + 1e-5: 1 - xi_bar = 2e-5, and near x = 1 - 1e-12 Hbar is
+        # ~1e-17, below its rounding noise; those signs must not bracket.
+        lam, p = 3.0, (1.0 + 1e-5) / 3.0
+        with mpmath.workdps(40):
+            xi_bar = mpmath.findroot(lambda x: x - mpmath.exp(lam * p * (x - 1)), (0.99996, 0.99999))
+        res = analyze(poisson_bernoulli(lam, p))
+        assert res.xi_bar == pytest.approx(float(xi_bar), abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "factor,h_bracket,hbar_bracket",
+        [(1.05, (2e-7, 5e-8), (6e-7, 1.2e-7)), (1.03, (2e-8, 4e-9), (5e-8, 1e-8))],
+    )
+    def test_near_critical_powerlaw_roots_near_one(self, factor, h_bracket, hbar_bracket):
+        # beta = 3.2 just above the Bernoulli threshold: 1 - xi is 1.06e-7
+        # at 1.05 p_c and 9.05e-9 at 1.03 p_c, closer to 1 than 1 - 1e-6.
+        # The brackets are given in 1 - x.  Reference zeros at 50 digits of
+        # H(x) = E[D] x^2 - (1-p) E[D] x - p Li_{beta-1}(x) / zeta(beta) and
+        # Hbar(x) = E[D] x^2 - x G_D'(y), y = 1 - p (1 - x).
+        beta = 3.2
+        p = factor * bernoulli_threshold(PowerLawDegree(beta))
+        res = analyze(JointDegreeLaw(PowerLawDegree(beta), BernoulliTransmission(p)))
+        with mpmath.workdps(50):
+            b, pm = mpmath.mpf(beta), mpmath.mpf(p)
+            zb = mpmath.zeta(b)
+            mean_d = mpmath.zeta(b - 1) / zb
+
+            def h(x):
+                return mean_d * x * x - (1 - pm) * mean_d * x - pm * mpmath.polylog(b - 1, x) / zb
+
+            def hbar(x):
+                y = 1 - pm * (1 - x)
+                return mean_d * x * x - x * mpmath.polylog(b - 1, y) / (y * zb)
+
+            xi = mpmath.findroot(h, tuple(1 - mpmath.mpf(u) for u in h_bracket), solver="anderson")
+            xi_bar = mpmath.findroot(
+                hbar, tuple(1 - mpmath.mpf(u) for u in hbar_bracket), solver="anderson"
+            )
+            alpha = 1 - mpmath.polylog(b, xi) / zb
+        assert res.xi == pytest.approx(float(xi), abs=1e-12)
+        assert res.xi_bar == pytest.approx(float(xi_bar), abs=1e-12)
+        assert res.alpha == pytest.approx(float(alpha), abs=1e-12)
 
 
 class TestFractions:

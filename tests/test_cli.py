@@ -382,6 +382,16 @@ class TestAnalytic:
             out.alpha_bar_hat_sim, abs=0.02
         )
 
+    def test_powerlaw_root_closer_to_one_than_1e_6(self, tmp_path):
+        # beta = 3.2 at 1.05 times the Bernoulli threshold: 1 - xi = 1.06e-7
+        argv = ["analytic", "--degree", "powerlaw", "--beta", "3.2", "--trans", "bernoulli"]
+        rc = main(argv + ["--p", "0.38163", "--out", str(tmp_path)])
+        assert rc == 0
+        result = json.loads((tmp_path / "analysis.json").read_text())["result"]
+        assert result["viral_condition"]
+        assert 0.0 < 1.0 - result["xi"] < 1e-6
+        assert result["alpha"] > 0.0
+
 
 class TestEvaluate:
     def test_well_formed_csv(self, tmp_path):
@@ -425,4 +435,23 @@ class TestExitCodes:
         rc = main(["evaluate", str(csv_path), "--gamma", "7", "--n", "0", "--out", str(tmp_path)])
         assert rc == 2
         assert "n:" in capsys.readouterr().err
+        assert not (tmp_path / "evaluation.json").exists()
+
+    def test_evaluate_ignores_degree_law_fields(self, tmp_path):
+        # evaluate reads its population from the CSV and builds no law
+        csv_path = tmp_path / "pioneers.csv"
+        law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8))
+        write_sample_csv(law.sample(1000, seed=1), csv_path)
+        rc = main(["evaluate", str(csv_path), "--degree", "empirical", "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "evaluation.json").exists()
+
+    def test_evaluate_rejects_non_finite_cost(self, tmp_path, capsys):
+        csv_path = tmp_path / "pioneers.csv"
+        law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8))
+        write_sample_csv(law.sample(200, seed=1), csv_path)
+        for flag in ("--cost-per-pioneer", "--value-per-influenced"):
+            rc = main(["evaluate", str(csv_path), flag, "nan", "--out", str(tmp_path)])
+            assert rc == 2
+            assert flag[2:].replace("-", "_") + ":" in capsys.readouterr().err
         assert not (tmp_path / "evaluation.json").exists()

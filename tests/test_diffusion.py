@@ -163,6 +163,17 @@ class TestAllReach:
         assert sampled.alpha_hat_sim == pytest.approx(exact.alpha_hat_sim, abs=0.02)
         assert sampled.method == "sampled"
 
+    @pytest.mark.parametrize("floor,phat", [(0.0, 1.0), (0.9, 0.0)])
+    def test_sampled_interval_positive_width_at_extremes(self, floor, phat):
+        # no arcs: every reach is 1, so all pioneers are good at floor 0
+        # and none is at floor 0.9 (1 < 0.9 * n)
+        g = graph_from_arcs(50, [])
+        out = sampled_reach(g, m=20, seed=0, gamma=1.0, floor=floor)
+        lo, hi = out.alpha_bar_ci
+        assert out.alpha_bar_hat_sim == phat
+        assert 0.0 <= lo <= phat <= hi <= 1.0
+        assert hi - lo > 0.05
+
     def test_monotone_in_added_arc(self):
         rng = np.random.default_rng(9)
         for _ in range(20):

@@ -1,15 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from viralcm.populations import EmpiricalDegree
 from viralcm.special import (
+    _WOOD_SWITCH,
     DiscretePmf,
     poisson_pmf,
     polylog,
     stirling2,
     stirling1_signed,
+    weighted_sum,
     zeta,
     zipf_pmf,
 )
@@ -81,7 +84,7 @@ class TestPolylog:
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_accurate_near_one(self):
-        # adaptive chunking must still certify 1e-10 when the series is long
+        # Wood's expansion against a 2e5-term direct sum with its tail bound
         partial, tail = brute_polylog(1.45, 0.999, terms=200_000)
         assert polylog(1.45, 0.999) == pytest.approx(partial + tail / 2, abs=1e-9)
 
@@ -93,6 +96,61 @@ class TestPolylog:
     def test_beta_at_most_one_rejected_at_x_one(self):
         with pytest.raises(ValueError):
             polylog(0.9, 1.0)
+
+
+ORACLE_BETAS = [1.2, 1.45, 2.0, 2.2, 2.45, 3.0, 3.2, 4.45, 5.45]
+ORACLE_BETAS += [2 - 1e-5, 2 + 1e-5, 3 - 1e-8, 3 + 1e-8]
+ORACLE_XS = [
+    1e-3,
+    0.2,
+    math.exp(-1.0),
+    float(np.nextafter(_WOOD_SWITCH, 0.0)),
+    _WOOD_SWITCH,
+    float(np.nextafter(_WOOD_SWITCH, 1.0)),
+    0.9,
+    1 - 1e-3,
+    1 - 1e-6,
+    1 - 1e-9,
+    1 - 1e-12,
+]
+
+
+class TestPolylogOracle:
+    @pytest.mark.parametrize("beta", ORACLE_BETAS)
+    def test_relative_error_against_mpmath(self, beta):
+        # Both sides of the direct-series/Wood switch, integer orders (the
+        # harmonic-number term) and orders within 1e-5 and 1e-8 of an
+        # integer (the paired Gamma and zeta poles), up to x = 1 - 1e-12.
+        with mpmath.workdps(40):
+            for x in ORACLE_XS:
+                ref = mpmath.polylog(beta, mpmath.mpf(x))
+                rel = abs((mpmath.mpf(polylog(beta, x)) - ref) / ref)
+                assert rel <= 4e-15, (beta, x, float(rel))
+
+    @pytest.mark.parametrize("beta", ORACLE_BETAS)
+    def test_array_equals_scalar_bit_for_bit(self, beta):
+        xs = np.array(ORACLE_XS + [0.0, 1.0])
+        got = polylog(beta, xs[None, :])
+        assert got.shape == (1, xs.size)
+        assert np.array_equal(got[0], [polylog(beta, float(x)) for x in xs])
+        assert isinstance(polylog(beta, 0.7), float)
+
+    def test_array_domain_error(self):
+        with pytest.raises(ValueError):
+            polylog(2.0, np.array([0.5, np.nan]))
+
+
+class TestWeightedSum:
+    def test_blocks_match_dot_and_scalar_calls(self):
+        # 3000 weights split a 400-point grid into blocks of 87 abscissae
+        rng = np.random.default_rng(0)
+        k = rng.integers(0, 60, 3000).astype(np.float64)
+        w = rng.random(3000)
+        xs = np.linspace(0.0, 1.0, 400)
+        got = weighted_sum(xs, w, lambda col: col**k)
+        assert np.allclose(got, [np.dot(w, x**k) for x in xs], rtol=1e-13, atol=0.0)
+        assert np.array_equal(got, [weighted_sum(float(x), w, lambda col: col**k) for x in xs])
+        assert isinstance(weighted_sum(0.5, w, lambda col: col**k), float)
 
 
 class TestStirling:
