@@ -24,7 +24,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.optimize import brentq
 
 from .populations import (
     DegreeSample,
@@ -73,7 +72,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class RootBracketingError(RuntimeError):
-    """A zero was expected in (0, 1) but no sign change could be certified."""
+    """A zero was expected in (0, 1) but no sign change or refinement could certify it."""
 
 
 @dataclass(frozen=True)
@@ -301,7 +300,8 @@ def find_root(
     Evaluates ``f`` once, on the whole ``_SCAN_GRID`` (up to 1 - 1e-12),
     takes the sign change nearest to 1 (``from_high=False``: nearest to 0,
     for the smallest zero) and refines it with Brent's method on scalar
-    calls until |f(root)| <= ``ROOT_RESIDUAL``; a grid value of exactly 0
+    calls (:func:`_brentq`, a port of scipy's ``brentq``) until
+    |f(root)| <= ``ROOT_RESIDUAL``; a grid value of exactly 0
     ends the bracket and is returned.  The functions handled here vanish at
     both endpoints, so only an interior sign change counts.  Above
     ``_SCAN_HI`` they are differences of O(1) terms that cancel toward the
@@ -317,13 +317,70 @@ def find_root(
         return None
     j = flips[-1] if from_high else flips[0]
     lo, hi = _SCAN_GRID[kept[j]], _SCAN_GRID[kept[j + 1]]
-    root = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    root = _brentq(f, lo, hi)
     res = abs(f(root))
     if res > ROOT_RESIDUAL:
         raise RootBracketingError(
             f"{kind or 'root'} refinement stalled: residual {res:.3g} exceeds {ROOT_RESIDUAL:.3g}"
         )
     return float(root)
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
+    """Zero of ``f`` in the bracket [xa, xb] by Brent's method.
+
+    A line-for-line port of scipy's ``optimize/Zeros/brentq.c`` (after
+    Brent, "Algorithms for Minimization without Derivatives", 1973), called
+    as ``brentq(f, xa, xb, xtol=1e-15, rtol=8.9e-16, maxiter=200)``: it
+    takes the same steps and returns the same float.  Like scipy it raises
+    ``ValueError`` on a NaN value of ``f`` or a bracket without a sign
+    change; running out of iterations raises :class:`RootBracketingError`.
+    """
+    xtol, rtol = 1e-15, 8.9e-16
+
+    def fval(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fval(xpre), fval(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(200):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fval(xcur)
+    raise RootBracketingError(f"Brent refinement did not converge in 200 iterations (at x={xcur})")
 
 
 @dataclass(frozen=True)

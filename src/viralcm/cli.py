@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import analyze, bernoulli_threshold, branching_crosscheck
+from .analytic import RootBracketingError, analyze, bernoulli_threshold, branching_crosscheck
 from .diffusion import DEFAULT_FLOOR, DEFAULT_GAMMA, all_reach
 from .estimators import DEFAULT_Z, EvalConfig, evaluate_campaign, load_sample_csv
 from .graph import build, write_edgelist
@@ -410,7 +410,7 @@ def main(argv=None) -> int:
             written = cmd_analytic(cfg)
         else:
             written = cmd_evaluate(args.csv, cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RootBracketingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for path in written:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy import special as _sp
-from scipy import stats as _st
 
 __all__ = [
     "zeta",
@@ -203,9 +202,13 @@ def poisson_pmf(lam: float, tail_mass: float = DEFAULT_TAIL_MASS) -> DiscretePmf
     """Poisson(``lam``) truncated so the dropped tail mass is <= ``tail_mass``."""
     if lam <= 0:
         raise ValueError("poisson_pmf requires lam > 0")
-    hi = int(_st.poisson.isf(tail_mass / 10.0, lam)) + 2
+    # smallest k with P{X <= k} >= q, by the rule of scipy.stats.poisson.ppf
+    q = 1.0 - tail_mass / 10.0
+    top = math.ceil(_sp.pdtrik(q, lam))
+    below = max(top - 1, 0)
+    hi = (below if _sp.pdtr(below, lam) >= q else top) + 2
     support = np.arange(hi + 1)
-    return DiscretePmf(support, _st.poisson.pmf(support, lam))
+    return DiscretePmf(support, np.exp(_sp.xlogy(support, lam) - _sp.gammaln(support + 1) - lam))
 
 
 def zipf_tail_cutoff(beta: float, tail_mass: float) -> int:

@@ -3,11 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from viralcm import analytic
 from viralcm.analytic import (
     _SCAN_GRID,
+    RootBracketingError,
     _coupon_stirling_coeffs,
     analyze,
     bernoulli_threshold,
@@ -518,3 +521,102 @@ class TestBundleOracle:
         names = ("h", "hbar", "h0", "g_d", "g_dt")
         for name, oracle in zip(names, brute_bundle(law, x)):
             assert getattr(bundle, name)(x) == pytest.approx(oracle, abs=1e-10), name
+
+
+def scipy_brentq(f, a, b):
+    return brentq(f, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+
+
+_law_grid = [
+    JointDegreeLaw(deg, tr)
+    for deg in (
+        PoissonDegree(1.5),
+        PoissonDegree(3.0),
+        EmpiricalDegree.from_degrees([1, 2, 2, 3, 5, 8, 13]),
+        PowerLawDegree(2.45),
+        PowerLawDegree(3.2),
+    )
+    for tr in (
+        [BernoulliTransmission(p) for p in (0.3, 0.55, 0.8, 1.0)]
+        + [NodePercolation(p) for p in (0.3, 0.7)]
+        + [CouponCollector(K) for K in (2, 4)]
+    )
+]
+
+
+class TestBrentPort:
+    """``_brentq`` against ``scipy.optimize.brentq`` at the same settings."""
+
+    def test_find_root_brackets_match_scipy(self, monkeypatch):
+        # every bracket find_root refines on the law grid, with H, Hbar and
+        # H0 and both scan directions
+        port = analytic._brentq
+        seen = []
+
+        def checked(f, a, b):
+            got = port(f, a, b)
+            want = scipy_brentq(f, a, b)
+            assert got.hex() == float(want).hex(), (a, b)
+            seen.append((a, b))
+            return got
+
+        monkeypatch.setattr(analytic, "_brentq", checked)
+        for law in _law_grid:
+            analyze(law)
+            branching_crosscheck(law)
+        assert len(seen) >= 100
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        roots=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=7),
+        scale=st.floats(0.01, 100.0),
+        a=st.floats(-3.0, 3.0),
+        width=st.floats(1e-6, 6.0),
+    )
+    def test_polynomials_match_scipy(self, roots, scale, a, width):
+        def f(x):
+            return scale * math.prod(x - r for r in roots)
+
+        b = a + width
+        assume(f(a) * f(b) < 0)
+        iterates = ([], [])
+
+        def logged(i):
+            return lambda x: iterates[i].append(x) or f(x)
+
+        # rounding noise at a multiple root can keep both from converging
+        try:
+            got = analytic._brentq(logged(0), a, b).hex()
+        except RootBracketingError:
+            got = "no convergence"
+        try:
+            want = float(scipy_brentq(logged(1), a, b)).hex()
+        except RuntimeError:
+            want = "no convergence"
+        assert got == want
+        assert iterates[0] == iterates[1]
+
+    def test_zero_endpoint_is_returned(self):
+        assert analytic._brentq(lambda x: x - 0.25, 0.25, 1.0) == 0.25
+        assert analytic._brentq(lambda x: x - 1.0, 0.25, 1.0) == 1.0
+
+    def test_same_sign_bracket_raises(self):
+        for solve in (scipy_brentq, analytic._brentq):
+            with pytest.raises(ValueError, match="different signs"):
+                solve(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_nan_value_raises(self):
+        for solve in (scipy_brentq, analytic._brentq):
+            with pytest.raises(ValueError, match="NaN"):
+                solve(lambda x: math.nan if x > 0.3 else -1.0, 0.0, 1.0)
+
+    def test_running_out_of_iterations_raises(self):
+        # a step has no slope to interpolate, so every step bisects, and a
+        # bracket 2e300 wide needs about 1000 halvings to reach 1e-15
+        def step(x):
+            return 1.0 if x > 0.125 else -1.0
+
+        with pytest.raises(RuntimeError, match="converge"):
+            scipy_brentq(step, -1e300, 1e300)
+        with pytest.raises(RootBracketingError):
+            analytic._brentq(step, -1e300, 1e300)

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import viralcm
 from viralcm.cli import RunConfig, main
 from viralcm.estimators import write_sample_csv
 from viralcm.populations import (
@@ -455,3 +460,50 @@ class TestExitCodes:
             assert rc == 2
             assert flag[2:].replace("-", "_") + ":" in capsys.readouterr().err
         assert not (tmp_path / "evaluation.json").exists()
+
+    def test_unresolvable_root_exits_2(self, tmp_path, capsys):
+        # 1.001 times the Bernoulli threshold of beta = 3.2: 1 - xi ~ 3e-16
+        # is below float64 resolution, so no zero can be bracketed
+        argv = ["analytic", "--degree", "powerlaw", "--beta", "3.2", "--trans", "bernoulli"]
+        rc = main(argv + ["--p", "0.3638184695577714", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "analysis.json").exists()
+
+
+_IMPORT_SET_SCRIPT = """
+import json
+import sys
+from pathlib import Path
+
+import viralcm
+from viralcm.cli import main
+from viralcm.estimators import write_sample_csv
+from viralcm.populations import BernoulliTransmission, JointDegreeLaw, PoissonDegree
+
+out = Path(sys.argv[1])
+law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8))
+write_sample_csv(law.sample(500, seed=1), out / "pioneers.csv")
+for argv in (
+    ["analytic", "--degree", "poisson", "--lambda", "2", "--trans", "bernoulli", "--p", "0.8"],
+    ["analytic", "--degree", "powerlaw", "--beta", "2.45", "--trans", "coupon", "--K", "3"],
+    ["evaluate", str(out / "pioneers.csv")],
+):
+    assert main(argv + ["--out", str(out)]) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.optimize")))))
+"""
+
+
+class TestImportSet:
+    def test_no_scipy_stats_or_optimize(self, tmp_path):
+        # a fresh interpreter: this test session may have loaded both already
+        src = str(Path(viralcm.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_SET_SCRIPT, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []

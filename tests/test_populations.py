@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -94,6 +95,33 @@ class TestConditionalPmf:
             assert float(np.dot(pmf.support, pmf.weights)) == pytest.approx(
                 float(model.mean_t(d)), abs=1e-12
             )
+
+
+class TestBernoulliPmfOracle:
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.1, 0.3, 0.5, 0.55, 0.8, 0.99, 1.0])
+    def test_matches_mpmath_binomial(self, p):
+        # Binomial(d, p) at 40 digits from exact binomial coefficients, with
+        # p the exact double; relative error 1e-12 wherever the pmf is at
+        # least 1e-200, for d up to 200 and at d = 1000
+        with mpmath.workdps(40):
+            pm = mpmath.mpf(p)
+            p_pow = [pm**k for k in range(1001)]
+            q_pow = [(1 - pm) ** k for k in range(1001)]
+            tiny = mpmath.mpf("1e-200")
+            for d in [*range(0, 201), 1000]:
+                got = BernoulliTransmission(p).conditional_pmf(d).weights
+                for k in range(d + 1):
+                    ref = math.comb(d, k) * p_pow[k] * q_pow[d - k]
+                    if ref >= tiny:
+                        assert abs(got[k] - ref) <= 1e-12 * ref, (d, k)
+                    else:
+                        assert got[k] <= 1e-199, (d, k)
+
+    def test_large_degree_stays_finite(self):
+        # C(d, k) alone overflows a double beyond d ~ 1030
+        pmf = BernoulliTransmission(0.3).conditional_pmf(5000)
+        assert np.all(np.isfinite(pmf.weights))
+        assert abs(pmf.weights.sum() - 1.0) <= 1e-9
 
 
 class TestSampling:

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
 from viralcm.populations import EmpiricalDegree
 from viralcm.special import (
@@ -210,6 +211,19 @@ class TestDiscretePmf:
     def test_truncated_laws_normalize_within_1e9(self):
         for pmf in (poisson_pmf(2.0), poisson_pmf(6.0), zipf_pmf(3.2, tail_mass=1e-12)):
             assert abs(pmf.weights.sum() - 1.0) <= 1e-9
+
+
+class TestPoissonPmfOracle:
+    def test_matches_scipy_stats_exactly(self):
+        # the truncation point is scipy's isf of a tenth of the tail mass;
+        # at the last four means ceil(pdtrik) overshoots that quantile by one
+        edge = [1e-6, 1e-3, 100.0, 250.0, 1.328102, 3.199953, 33.734868, 294.792297]
+        for lam in np.concatenate([np.linspace(0.01, 60.0, 600), edge]):
+            pmf = poisson_pmf(lam)
+            top = int(stats.poisson.isf(1e-12 / 10.0, lam)) + 2
+            support = np.arange(top + 1)
+            assert np.array_equal(pmf.support, support), lam
+            assert np.array_equal(pmf.weights, stats.poisson.pmf(support, lam)), lam
 
 
 class TestPgfEval:
