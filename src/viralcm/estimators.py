@@ -17,8 +17,9 @@ multiplier (default z = 2.33, about 99%).
 
 from __future__ import annotations
 
-import csv
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +42,20 @@ __all__ = [
 DEFAULT_Z = 2.33
 
 CSV_HEADER = ["degree", "transmitter_degree"]
+
+_BOM = b"\xef\xbb\xbf"
+#: The only bytes a data line may hold.  numpy's integer parser also takes
+#: spaces, tabs and signs, so a file holding any other byte is not parsed
+#: by numpy but checked line by line.
+_DATA_BYTES = b"0123456789,\r\n"
+_DATA_ROW = re.compile(rb"([0-9]+),([0-9]+)")
+_INT64_MAX = np.iinfo(np.int64).max
+#: Bytes read at a time by the data-byte check.
+_READ_BYTES = 1 << 18
+#: Longest first line read as the header.
+_HEADER_BYTES = 1 << 10
+#: Rows formatted per ``write`` call by ``write_sample_csv``.
+_WRITE_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -184,47 +199,73 @@ def evaluate_campaign(sample: DegreeSample, config: EvalConfig = EvalConfig()) -
 def load_sample_csv(path) -> DegreeSample:
     """Read pioneer rows from a "degree,transmitter_degree" CSV.
 
-    Malformed rows (non-integers, negatives, transmitter degree exceeding
-    the degree) are all reported with their 1-based line numbers.
+    The accepted grammar, in bytes: an optional UTF-8 byte-order mark; a
+    header line whose comma-separated names, stripped of spaces, are
+    ``degree`` and ``transmitter_degree``; then data lines
+    ``[0-9]+,[0-9]+`` whose values fit in int64.  Every line ends in LF or
+    CRLF; the last line's end is optional.  Empty lines are skipped.  Any
+    other data line (a sign, a space, a quote, a non-ASCII digit, a value
+    beyond int64) is rejected, as is a transmitter degree exceeding the
+    degree; every rejected line is reported with its 1-based line number.
+
+    A file of digits, commas and line ends only is parsed by ``np.loadtxt``;
+    Python reads single lines only to describe the rejected ones.
     """
-    degrees: list[int] = []
-    transmitters: list[int] = []
-    errors: list[str] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != CSV_HEADER:
-            raise ValueError(
-                f"{path}: expected header '{','.join(CSV_HEADER)}', got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                errors.append(f"line {lineno}: expected 2 fields, got {len(row)}")
-                continue
-            try:
-                d, t = int(row[0]), int(row[1])
-            except ValueError:
-                errors.append(f"line {lineno}: non-integer value in {row}")
-                continue
-            if d < 0 or t < 0:
-                errors.append(f"line {lineno}: negative degree in {row}")
-            elif t > d:
-                errors.append(f"line {lineno}: transmitter_degree {t} exceeds degree {d}")
-            else:
-                degrees.append(d)
-                transmitters.append(t)
-    if errors:
-        raise ValueError(f"{path}: rejected rows:\n" + "\n".join(errors))
-    if not degrees:
-        raise ValueError(f"{path}: no data rows")
-    return DegreeSample(np.array(degrees), np.array(transmitters))
+    with open(path, "rb") as fh:
+        header = fh.readline(_HEADER_BYTES).removeprefix(_BOM)
+        header = header.removesuffix(b"\n").removesuffix(b"\r")
+        if b"\r" in header:
+            raise ValueError(f"{path}: lone CR line ends are not supported; use LF or CRLF")
+        names = header.decode("utf-8", "replace").split(",")
+        if [c.strip() for c in names] != CSV_HEADER:
+            got = header[:60].decode("utf-8", "replace")
+            raise ValueError(f"{path}: expected header '{','.join(CSV_HEADER)}', got {got!r}")
+        start = fh.tell()
+        rows = None
+        chunks = iter(lambda: fh.read(_READ_BYTES), b"")
+        if not any(chunk.translate(None, _DATA_BYTES) for chunk in chunks):
+            fh.seek(start)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                try:
+                    rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+                except ValueError:
+                    pass
+        if rows is not None and not rows.size:
+            raise ValueError(f"{path}: no data rows")
+        if rows is None or rows.shape[1] != 2 or (rows[:, 1] > rows[:, 0]).any():
+            fh.seek(start)
+            raise ValueError(f"{path}: rejected rows:\n" + "\n".join(_rejected_rows(fh)))
+    return DegreeSample(rows[:, 0], rows[:, 1])
+
+
+def _rejected_rows(fh) -> list[str]:
+    """One message per data line of ``fh`` outside the grammar, the first
+    line being line 2."""
+    errors = []
+    for lineno, line in enumerate(fh, start=2):
+        line = line.removesuffix(b"\n").removesuffix(b"\r")
+        got = line[:40].decode("utf-8", "replace")
+        row = _DATA_ROW.fullmatch(line)
+        if row is None:
+            if line:
+                errors.append(f"line {lineno}: expected two fields of digits 0-9, got {got!r}")
+            continue
+        # 20 significant digits already exceed int64, and int() refuses
+        # strings of more than a few thousand digits
+        d, t = (int(f.lstrip(b"0")[:20] or b"0") for f in row.groups())
+        if max(d, t) > _INT64_MAX:
+            errors.append(f"line {lineno}: value beyond int64 in {got!r}")
+        elif t > d:
+            errors.append(f"line {lineno}: transmitter_degree {t} exceeds degree {d}")
+    return errors
 
 
 def write_sample_csv(sample: DegreeSample, path) -> None:
+    """Write ``sample`` in the loader's grammar, with CRLF line ends."""
+    d, t = sample.degree, sample.transmitter_degree
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for d, t in zip(sample.degree, sample.transmitter_degree):
-            writer.writerow([int(d), int(t)])
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        for lo in range(0, d.size, _WRITE_ROWS):
+            hi = lo + _WRITE_ROWS
+            fh.write("".join(map("{},{}\r\n".format, d[lo:hi].tolist(), t[lo:hi].tolist())))

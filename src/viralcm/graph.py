@@ -21,6 +21,9 @@ from .populations import DegreeSample
 
 __all__ = ["EnhancedGraph", "build", "degree_checksums", "write_edgelist"]
 
+#: Arcs formatted per ``write`` call by ``write_edgelist``.
+_WRITE_ARCS = 1 << 16
+
 
 @dataclass
 class EnhancedGraph:
@@ -129,7 +132,9 @@ def degree_checksums(g: EnhancedGraph) -> dict:
 def write_edgelist(g: EnhancedGraph, path) -> None:
     """Dump the influence digraph: a JSON header line, then one arc per line."""
     header = json.dumps({"n": g.n, "seed": g.seed, "parity_fixed": g.parity_fixed}, sort_keys=True)
+    src, dst = g.arc_src, g.arc_dst
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for u, v in zip(g.arc_src, g.arc_dst):
-            fh.write(f"{u} {v}\n")
+        for lo in range(0, src.size, _WRITE_ARCS):
+            hi = lo + _WRITE_ARCS
+            fh.write("".join(map("{} {}\n".format, src[lo:hi].tolist(), dst[lo:hi].tolist())))

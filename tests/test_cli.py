@@ -423,6 +423,14 @@ class TestExitCodes:
         assert rc == 2
         assert "p:" in capsys.readouterr().err
 
+    def test_evaluate_out_of_range_integer_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("degree,transmitter_degree\n3,1\n99999999999999999999,1\n")
+        rc = main(["evaluate", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "line 3: value beyond int64" in capsys.readouterr().err
+        assert not (tmp_path / "evaluation.json").exists()
+
     def test_evaluate_rejects_bad_z(self, tmp_path, capsys):
         csv_path = tmp_path / "pioneers.csv"
         law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8))

@@ -1,6 +1,14 @@
+import csv
+import re
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from viralcm import estimators
 from viralcm.analytic import analyze, build_genfns
 from viralcm.estimators import (
     EvalConfig,
@@ -196,6 +204,98 @@ class TestEvaluateCampaign:
         assert d["n_samples"] == 500
 
 
+def reference_load_sample_csv(path) -> DegreeSample:
+    """The row-by-row ``csv``/``int()`` loader that the numpy loader replaced."""
+    degrees: list[int] = []
+    transmitters: list[int] = []
+    errors: list[str] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header] != estimators.CSV_HEADER:
+            raise ValueError(
+                f"{path}: expected header '{','.join(estimators.CSV_HEADER)}', got {header}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != 2:
+                errors.append(f"line {lineno}: expected 2 fields, got {len(row)}")
+                continue
+            try:
+                d, t = int(row[0]), int(row[1])
+            except ValueError:
+                errors.append(f"line {lineno}: non-integer value in {row}")
+                continue
+            if d < 0 or t < 0:
+                errors.append(f"line {lineno}: negative degree in {row}")
+            elif t > d:
+                errors.append(f"line {lineno}: transmitter_degree {t} exceeds degree {d}")
+            else:
+                degrees.append(d)
+                transmitters.append(t)
+    if errors:
+        raise ValueError(f"{path}: rejected rows:\n" + "\n".join(errors))
+    if not degrees:
+        raise ValueError(f"{path}: no data rows")
+    return DegreeSample(np.array(degrees), np.array(transmitters))
+
+
+def reference_write_sample_csv(sample: DegreeSample, path) -> None:
+    """The per-row ``csv.writer`` writer that the numpy writer replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(estimators.CSV_HEADER)
+        for d, t in zip(sample.degree, sample.transmitter_degree):
+            writer.writerow([int(d), int(t)])
+
+
+def load_outcome(loader, path):
+    """("ok", degrees, transmitters) or ("rejected", the reported line numbers)."""
+    try:
+        s = loader(path)
+    except ValueError as exc:
+        return ("rejected", [int(n) for n in re.findall(r"^line (\d+):", str(exc), re.M)])
+    return ("ok", s.degree.tolist(), s.transmitter_degree.tolist())
+
+
+def rejected_lines(path) -> list[int]:
+    outcome = load_outcome(load_sample_csv, path)
+    assert outcome[0] == "rejected"
+    return outcome[1]
+
+
+INT64_MAX = np.iinfo(np.int64).max
+
+#: Lines both loaders reject.
+MALFORMED_LINES = ["x,1", "3,y", "1.5,1", "1e3,1", "-1,0", "0,-1", ",3", "3,", "3", "3,1,2", "abc"]
+
+
+@st.composite
+def pioneer_lines(draw):
+    kind = draw(st.sampled_from(["valid", "valid", "valid", "exceeds", "blank", "malformed"]))
+    if kind == "blank":
+        return ""
+    if kind == "malformed":
+        return draw(st.sampled_from(MALFORMED_LINES))
+    a, b = sorted(draw(st.lists(st.integers(0, INT64_MAX - 1), min_size=2, max_size=2)))
+    if kind == "exceeds" and a == b:
+        b += 1
+    d, t = (b, a) if kind == "valid" else (a, b)
+    zeros = "0" * draw(st.integers(0, 3))
+    return f"{zeros}{d},{t}"
+
+
+@st.composite
+def pioneer_files(draw):
+    """Header and lines in the grammar both loaders share, CRLF and LF mixed."""
+    lines = ["degree,transmitter_degree"] + draw(st.lists(pioneer_lines(), max_size=30))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
 class TestCsvInterface:
     def test_round_trip(self, tmp_path):
         s = poisson_bernoulli().sample(100, seed=9)
@@ -226,3 +326,161 @@ class TestCsvInterface:
         path.write_text("degree,transmitter_degree\n3,1\n\n2,0\n")
         loaded = load_sample_csv(path)
         assert len(loaded) == 2
+
+    def test_bom_and_crlf(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_bytes("\ufeffdegree,transmitter_degree\r\n3,1\r\n\r\n2,0\r\n".encode("utf-8"))
+        loaded = load_sample_csv(path)
+        assert loaded.degree.tolist() == [3, 2]
+        assert loaded.transmitter_degree.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("body", ["", "\n\r\n\n"])
+    def test_header_only_file_has_no_data_rows(self, tmp_path, body):
+        path = tmp_path / "empty.csv"
+        path.write_text("degree,transmitter_degree\n" + body, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data rows"):
+                load_sample_csv(path)
+
+    def test_writer_bytes_match_csv_writer(self, tmp_path):
+        s = poisson_bernoulli(lam=30.0).sample(3000, seed=4)
+        write_sample_csv(s, tmp_path / "new.csv")
+        reference_write_sample_csv(s, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_value_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            f"degree,transmitter_degree\n{INT64_MAX},1\n{INT64_MAX + 1},1\n99999999999999999999,1\n"
+        )
+        with pytest.raises(ValueError, match="line 3: value beyond int64"):
+            load_sample_csv(path)
+        assert rejected_lines(path) == [3, 4]
+        path.write_text(f"degree,transmitter_degree\n{'9' * 5000},1\n1,0\n0{INT64_MAX:0>30},1\n")
+        assert rejected_lines(path) == [2]
+        path.write_text(f"degree,transmitter_degree\n{INT64_MAX},{INT64_MAX}\n")
+        assert load_sample_csv(path).degree.tolist() == [INT64_MAX]
+
+    def test_every_problem_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("degree,transmitter_degree\n3\n-1,0\n2,5\n")
+        with pytest.raises(ValueError) as exc:
+            load_sample_csv(path)
+        msg = str(exc.value)
+        assert "line 2: expected two fields of digits 0-9, got '3'" in msg
+        assert "line 3: expected two fields of digits 0-9, got '-1,0'" in msg
+        assert "line 4: transmitter_degree 5 exceeds degree 2" in msg
+
+    def test_cr_only_line_ends_rejected(self, tmp_path):
+        # csv read a lone CR as a line end; the grammar takes LF or CRLF only
+        path = tmp_path / "mac.csv"
+        path.write_bytes(b"degree,transmitter_degree\r3,1\r2,1\r")
+        assert load_outcome(reference_load_sample_csv, path)[0] == "ok"
+        with pytest.raises(ValueError, match="lone CR line ends are not supported"):
+            load_sample_csv(path)
+
+    def test_lone_cr_messages_stay_short(self, tmp_path):
+        rows = b"\r".join(b"%d,1" % (i % 50 + 1) for i in range(100_000))
+        path = tmp_path / "mac.csv"
+        path.write_bytes(b"degree,transmitter_degree\r" + rows)
+        with pytest.raises(ValueError) as exc:
+            load_sample_csv(path)
+        assert len(str(exc.value)) < 200
+        path.write_bytes(b"degree,transmitter_degree\n" + rows)
+        with pytest.raises(ValueError, match="line 2: expected two fields") as exc:
+            load_sample_csv(path)
+        assert len(str(exc.value)) < 200
+
+    def test_quoted_header_rejected(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('"degree","transmitter_degree"\n3,1\n')
+        assert load_outcome(reference_load_sample_csv, path)[0] == "ok"
+        with pytest.raises(ValueError, match="expected header"):
+            load_sample_csv(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param(" 3,1", id="leading-space"),
+            pytest.param("3, 1", id="space-after-comma"),
+            pytest.param("3,1 ", id="trailing-space"),
+            pytest.param("3\t,1", id="tab"),
+            pytest.param("+3,1", id="plus-sign"),
+            pytest.param("1_000,1", id="digit-separator"),
+            pytest.param('"3","1"', id="quoted-fields"),
+            pytest.param("\u0663,\u0661", id="non-ascii-digits"),
+            pytest.param("   ", id="whitespace-only-line"),
+            pytest.param(",", id="empty-fields-line"),
+        ],
+    )
+    def test_forms_dropped_from_the_grammar(self, tmp_path, line):
+        # int() and csv accepted (or skipped) each of these lines
+        path = tmp_path / "dropped.csv"
+        path.write_text(f"degree,transmitter_degree\n3,1\n{line}\n2,1\n", encoding="utf-8")
+        assert load_outcome(reference_load_sample_csv, path)[0] == "ok"
+        assert rejected_lines(path) == [3]
+
+
+def grammar_outcome(data: bytes):
+    """``load_outcome`` for a file whose header line ends in LF, by the
+    documented grammar, line by line."""
+    degrees, transmitters, bad = [], [], []
+    for lineno, line in enumerate(data.split(b"\n")[1:], start=2):
+        line = line.removesuffix(b"\r")
+        row = re.fullmatch(rb"([0-9]+),([0-9]+)", line)
+        if row and int(row[2]) <= int(row[1]) <= INT64_MAX:
+            degrees.append(int(row[1]))
+            transmitters.append(int(row[2]))
+        elif line:
+            bad.append(lineno)
+    if bad or not degrees:
+        return ("rejected", bad)
+    return ("ok", degrees, transmitters)
+
+
+#: Byte runs that break lines in ways the generated valid lines do not.
+BYTE_NOISE = st.lists(
+    st.sampled_from([b"0", b"7", b"9", b",", b"\r", b"\n", b" ", b"\t", b"+", b"-", b'"', b"\xc2\xa0"]),
+    max_size=6,
+).map(b"".join)
+
+
+@st.composite
+def noisy_files(draw):
+    header = b"degree,transmitter_degree" + draw(st.sampled_from([b"\n", b"\r\n"]))
+    lines = pioneer_lines().map(lambda line: line.encode() + b"\n")
+    parts = st.one_of(lines, lines, BYTE_NOISE, st.just(b"99999999999999999999,1\n"))
+    return header + b"".join(draw(st.lists(parts, max_size=20)))
+
+
+class TestLoaderOracle:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=pioneer_files(), read=st.integers(1, 48))
+    def test_matches_reference_loader(self, tmp_path, text, read):
+        path = tmp_path / "pioneers.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(estimators, "_READ_BYTES", read):
+            got = load_outcome(load_sample_csv, path)
+        assert got == load_outcome(reference_load_sample_csv, path)
+
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=noisy_files(), read=st.integers(1, 48))
+    def test_matches_grammar(self, tmp_path, data, read):
+        # stray CRs, spaces, signs and quotes must not slip through np.loadtxt
+        path = tmp_path / "pioneers.csv"
+        path.write_bytes(data)
+        with mock.patch.object(estimators, "_READ_BYTES", read):
+            assert load_outcome(load_sample_csv, path) == grammar_outcome(data)
+
+    @pytest.mark.parametrize("bad", [b"5,6", b"5, 6", b"5,6,"])
+    def test_bad_row_deep_in_a_long_file(self, tmp_path, bad):
+        s = poisson_bernoulli(lam=30.0).sample(2000, seed=2)
+        path = tmp_path / "pioneers.csv"
+        write_sample_csv(s, path)
+        lines = path.read_bytes().split(b"\r\n")
+        lines[777] = bad
+        path.write_bytes(b"\r\n".join(lines))
+        for read in (1, 7, 64, 1 << 18):
+            with mock.patch.object(estimators, "_READ_BYTES", read):
+                assert rejected_lines(path) == [778]

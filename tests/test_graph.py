@@ -13,6 +13,15 @@ from viralcm.populations import (
 )
 
 
+def reference_write_edgelist(g, path) -> None:
+    """The one-``write``-per-arc dump that the numpy writer replaced."""
+    header = json.dumps({"n": g.n, "seed": g.seed, "parity_fixed": g.parity_fixed}, sort_keys=True)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for u, v in zip(g.arc_src, g.arc_dst):
+            fh.write(f"{u} {v}\n")
+
+
 def sample_of(pairs):
     d, t = zip(*pairs)
     return DegreeSample(np.array(d), np.array(t))
@@ -125,3 +134,10 @@ class TestEdgelistDump:
         header = json.loads(lines[0])
         assert header == {"n": 2, "seed": 0, "parity_fixed": False}
         assert lines[1:] == ["0 1"]
+
+    def test_bytes_match_per_arc_writer(self, tmp_path):
+        law = JointDegreeLaw(PoissonDegree(3.0), BernoulliTransmission(0.7))
+        g = build(law.sample(150_000, seed=8), seed=9)
+        write_edgelist(g, tmp_path / "new.txt")
+        reference_write_edgelist(g, tmp_path / "ref.txt")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
