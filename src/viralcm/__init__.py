@@ -39,7 +39,7 @@ from .estimators import (
     load_sample_csv,
     write_sample_csv,
 )
-from .graph import EnhancedGraph, build, degree_checksums, write_edgelist
+from .graph import EnhancedGraph, build, write_edgelist
 from .populations import (
     BernoulliTransmission,
     CouponCollector,

@@ -271,10 +271,7 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
         g = build(sample, rng)
         outcome = all_reach(g, point.gamma, point.floor)
         est = analyze(sample)
-        # Coupon sweeps leave the closed-form columns empty; the "true"
-        # values for that model come from a larger plug-in sample instead
-        # (the analytic subcommand still evaluates coupon bundles directly).
-        ana = None if point.trans == "coupon" else analyze(law)
+        ana = analyze(law)
         rows.append(
             {
                 "param": value,
@@ -282,8 +279,8 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
                 "alpha_bar_sim": outcome.alpha_bar_hat_sim,
                 "alpha_semianalytic": est.alpha,
                 "alpha_bar_semianalytic": est.alpha_bar,
-                "alpha_analytic": "" if ana is None else ana.alpha,
-                "alpha_bar_analytic": "" if ana is None else ana.alpha_bar,
+                "alpha_analytic": ana.alpha,
+                "alpha_bar_analytic": ana.alpha_bar,
             }
         )
 

@@ -75,7 +75,7 @@ def influenced_set(g: EnhancedGraph, pioneer: int) -> np.ndarray:
     """Nodes reached by a campaign started at ``pioneer`` (itself included)."""
     if not 0 <= pioneer < g.n:
         raise ValueError(f"pioneer {pioneer} outside 0..{g.n - 1}")
-    indptr, indices = g.out_adjacency()
+    indptr, indices = _csr_from_edges(g.arc_src, g.arc_dst, g.n)
     return np.nonzero(_bfs(indptr, indices, pioneer, g.n))[0]
 
 
@@ -83,7 +83,7 @@ def reverse_reach(g: EnhancedGraph, target: int) -> np.ndarray:
     """Pioneers whose campaign would reach ``target`` (itself included)."""
     if not 0 <= target < g.n:
         raise ValueError(f"target {target} outside 0..{g.n - 1}")
-    indptr, indices = g.in_adjacency()
+    indptr, indices = _csr_from_edges(g.arc_dst, g.arc_src, g.n)
     return np.nonzero(_bfs(indptr, indices, target, g.n))[0]
 
 
@@ -170,12 +170,13 @@ class DiffusionOutcome:
 
 
 def classify_good_pioneers(
-    outcome_or_sizes,
+    sizes,
     gamma: float = DEFAULT_GAMMA,
     floor: float = DEFAULT_FLOOR,
-    n: Optional[int] = None,
+    *,
+    n: int,
 ) -> np.ndarray:
-    """Nodes v with reach >= max(gamma * max reach, floor * n).
+    """Nodes v with reach ``sizes[v]`` >= max(gamma * max reach, floor * n).
 
     The limit theory calls a pioneer good when it reaches a positive
     fraction of the population; at finite n this rule makes the cutoff
@@ -187,15 +188,7 @@ def classify_good_pioneers(
         raise ValueError("gamma must lie in (0, 1]")
     if not 0.0 <= floor < 1.0:
         raise ValueError("floor must lie in [0, 1)")
-    if isinstance(outcome_or_sizes, DiffusionOutcome):
-        sizes = outcome_or_sizes.reach_sizes
-        if sizes is None:
-            raise ValueError("outcome has no per-node reach sizes (approximate mode)")
-        n = outcome_or_sizes.n
-    else:
-        sizes = np.asarray(outcome_or_sizes)
-        if n is None:
-            raise ValueError("n required when passing raw reach sizes")
+    sizes = np.asarray(sizes)
     threshold = max(gamma * float(sizes.max()), floor * n)
     return np.nonzero(sizes >= threshold)[0]
 
@@ -234,10 +227,7 @@ def _all_reach_exact(g: EnhancedGraph, gamma: float, floor: float) -> DiffusionO
 
     # Union the successor bitsets in reverse topological order, freeing a
     # successor's set once its last predecessor consumed it.
-    refcount = np.zeros(n_scc, dtype=np.int64)
-    for c in order:
-        for v in out_idx[out_ptr[c] : out_ptr[c + 1]]:
-            refcount[v] += 1
+    refcount = np.bincount(cd, minlength=n_scc)
     reach_scc = np.zeros(n_scc, dtype=np.int64)
     masks: list[Optional[int]] = [None] * n_scc
     for c in reversed(order):
@@ -323,9 +313,8 @@ def sampled_reach(
     """
     if m < 1:
         raise ValueError("need at least one sampled pioneer")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    pioneers = rng.choice(g.n, size=min(m, g.n), replace=False)
-    indptr, indices = g.out_adjacency()
+    pioneers = np.random.default_rng(seed).choice(g.n, size=min(m, g.n), replace=False)
+    indptr, indices = _csr_from_edges(g.arc_src, g.arc_dst, g.n)
     sizes = np.array(
         [int(_bfs(indptr, indices, int(v), g.n).sum()) for v in pioneers], dtype=np.int64
     )

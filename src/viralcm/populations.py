@@ -42,10 +42,15 @@ __all__ = [
 ]
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+def _int64_column(values) -> np.ndarray:
+    """``values`` as int64; a non-integral or beyond-int64 value is a ValueError."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "bi":
+        if a.dtype.kind not in "ufO" or not np.all(np.mod(a, 1) == 0):
+            raise ValueError("degrees must be integers")
+        if a.size and (a.max() >= 2**63 or a.min() < -(2**63)):
+            raise ValueError(f"degrees must lie within the int64 bounds [{-(2**63)}, {2**63 - 1}]")
+    return a.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -56,8 +61,8 @@ class DegreeSample:
     transmitter_degree: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.degree, dtype=np.int64)
-        t = np.asarray(self.transmitter_degree, dtype=np.int64)
+        d = _int64_column(self.degree)
+        t = _int64_column(self.transmitter_degree)
         if d.ndim != 1 or t.shape != d.shape:
             raise ValueError("degree and transmitter_degree must be 1-d arrays of equal length")
         if d.size == 0:
@@ -443,7 +448,7 @@ class JointDegreeLaw:
         """n i.i.d. (D, D(t)) pairs; deterministic for a given seed."""
         if n < 1:
             raise ValueError("sample size must be positive")
-        rng = _as_rng(seed)
+        rng = np.random.default_rng(seed)
         d = self.degree.sample(n, rng)
         t = self.transmission.sample_given(d, rng)
         return DegreeSample(d, t)

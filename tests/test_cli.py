@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import viralcm
+from viralcm.analytic import analyze
 from viralcm.cli import RunConfig, main
 from viralcm.estimators import write_sample_csv
 from viralcm.populations import (
     BernoulliTransmission,
+    CouponCollector,
     JointDegreeLaw,
     PoissonDegree,
 )
@@ -261,7 +263,7 @@ class TestSweep:
         assert float(rows[0]["alpha_analytic"]) == 0.0  # p = 0 exactly
         assert all(float(r["alpha_analytic"]) > 0.0 for r in rows[1:])
 
-    def test_coupon_analytic_columns_empty(self, tmp_path):
+    def test_coupon_analytic_columns_match_closed_form(self, tmp_path):
         rc = main(
             [
                 "sweep",
@@ -282,8 +284,20 @@ class TestSweep:
         assert rc == 0
         rows = read_sweep(tmp_path / "sweep.csv")
         assert [r["param"] for r in rows] == ["1", "2", "3", "4"]
-        assert all(r["alpha_analytic"] == "" for r in rows)
-        assert all(r["alpha_semianalytic"] != "" for r in rows)
+        for row in rows:
+            ana = analyze(JointDegreeLaw(PoissonDegree(2.0), CouponCollector(int(row["param"]))))
+            assert float(row["alpha_analytic"]) == ana.alpha
+            assert float(row["alpha_bar_analytic"]) == ana.alpha_bar
+        # the simulated and plug-in columns, as written before the
+        # closed-form columns were filled for coupon sweeps
+        tracks = ["alpha_sim", "alpha_bar_sim", "alpha_semianalytic", "alpha_bar_semianalytic"]
+        assert [[r[k] for k in tracks] for r in rows] == [
+            ["0.01564102564102564", "0.26", "0.0", "0.0"],
+            ["0.19543859649122805", "0.19", "0.0", "0.0"],
+            ["0.42346224677716393", "0.6033333333333334"]
+            + ["0.44670497029273215", "0.6660984172523159"],
+            ["0.6150837138508372", "0.73", "0.5583530589114497", "0.7033057985436442"],
+        ]
 
     def test_sanity_envelope(self, tmp_path):
         # where all three tracks exist, the plug-in estimate stays within

@@ -1,8 +1,10 @@
+import networkx as nx
 import numpy as np
 import pytest
 
 from viralcm.analytic import branching_crosscheck
 from viralcm.diffusion import (
+    _condensation,
     all_reach,
     classify_good_pioneers,
     influenced_set,
@@ -20,17 +22,11 @@ from viralcm.populations import (
 
 
 def graph_from_arcs(n, arcs, seed=None):
-    """Fabricate a graph record directly from raw arcs (reach code only
-    consults n and the arc arrays)."""
+    """Fabricate a graph record directly from raw arcs."""
     src = np.array([a for a, _ in arcs], dtype=np.int64)
     dst = np.array([b for _, b in arcs], dtype=np.int64)
     return EnhancedGraph(
         n=n,
-        receiver_counts=np.zeros(n, dtype=np.int64),
-        transmitter_counts=np.zeros(n, dtype=np.int64),
-        half_edge_owner=np.empty(0, dtype=np.int64),
-        half_edge_transmitter=np.empty(0, dtype=bool),
-        matching=np.empty((0, 2), dtype=np.int64),
         arc_src=src,
         arc_dst=dst,
         parity_fixed=False,
@@ -258,3 +254,43 @@ class TestCouponAsymmetry:
             g = build(s, seed=seed + 50)
             out = all_reach(g)
             assert out.alpha_bar_hat_sim > out.alpha_hat_sim
+
+
+def nx_digraph(g):
+    G = nx.DiGraph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(zip(g.arc_src.tolist(), g.arc_dst.tolist()))
+    return G
+
+
+# (n, Bernoulli p) on Poisson(2): sub-, near- and supercritical (p_c = 1/2)
+ORACLE_GRAPHS = [(100, 0.9), (300, 0.4), (700, 0.55), (2000, 0.52), (2000, 0.8)]
+
+
+class TestNetworkxOracle:
+    @pytest.mark.parametrize("n, p", ORACLE_GRAPHS)
+    def test_condensation_partition(self, n, p):
+        law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(p))
+        g = build(law.sample(n, seed=n), seed=n + 1)
+        n_scc, labels, sizes, _, _ = _condensation(g)
+        ours = {frozenset(np.nonzero(labels == c)[0].tolist()) for c in range(n_scc)}
+        assert ours == {frozenset(c) for c in nx.strongly_connected_components(nx_digraph(g))}
+        assert sorted(sizes.tolist()) == sorted(len(c) for c in ours)
+
+    @pytest.mark.parametrize("n, p", ORACLE_GRAPHS)
+    def test_exact_reach_sizes(self, n, p):
+        law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(p))
+        g = build(law.sample(n, seed=n), seed=n + 1)
+        G = nx_digraph(g)
+        expected = [len(nx.descendants(G, v)) + 1 for v in range(n)]
+        assert all_reach(g, method="exact").reach_sizes.tolist() == expected
+
+    def test_giant_good_set_is_backward_closure_of_largest_scc(self):
+        law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.7))
+        g = build(law.sample(10**4, seed=14), seed=15)
+        out = all_reach(g, method="giant")
+        G = nx_digraph(g)
+        giant = max(nx.strongly_connected_components(G), key=len)
+        v = next(iter(giant))
+        assert set(out.good_pioneers.tolist()) == nx.ancestors(G, v) | giant
+        assert out.alpha_hat_sim == (len(nx.descendants(G, v)) + 1) / g.n

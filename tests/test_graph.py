@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from viralcm.graph import build, degree_checksums, write_edgelist
+from viralcm.graph import _match, build, write_edgelist
 from viralcm.populations import (
     BernoulliTransmission,
     DegreeSample,
@@ -27,6 +27,11 @@ def sample_of(pairs):
     return DegreeSample(np.array(d), np.array(t))
 
 
+def match(sample, seed):
+    """The matching ``build(sample, seed)`` draws its arcs from."""
+    return _match(sample, np.random.default_rng(seed))
+
+
 class TestBuildSmallCases:
     def test_forced_single_edge(self):
         g = build(sample_of([(1, 1), (1, 0)]), seed=0)
@@ -37,7 +42,7 @@ class TestBuildSmallCases:
         g = build(sample_of([(2, 2)]), seed=0)
         # both half-edges are transmitters, so the single self-edge
         # contributes two self-loop arcs
-        assert g.matching.shape == (1, 2)
+        assert match(sample_of([(2, 2)]), 0).pairs.shape == (1, 2)
         assert g.arc_count == 2
         assert np.all(g.arc_src == 0) and np.all(g.arc_dst == 0)
 
@@ -52,6 +57,19 @@ class TestBuildSmallCases:
                 pass  # the repair stub is a receiver; transmitter count unchanged
             assert g.arc_count == expected
 
+    def test_out_degree_equals_transmitter_degree(self):
+        # per node, not just in total: each of a node's first t half-edges
+        # transmits, and a parity-repair stub never does
+        rng = np.random.default_rng(16)
+        repaired = 0
+        for _ in range(20):
+            d = rng.integers(0, 6, size=30)
+            t = rng.integers(0, d + 1)
+            g = build(DegreeSample(d, t), seed=int(rng.integers(2**31)))
+            repaired += g.parity_fixed
+            assert np.bincount(g.arc_src, minlength=30).tolist() == t.tolist()
+        assert repaired > 0
+
     def test_arc_rate_matches_mean_transmitter_degree(self):
         law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8))
         s = law.sample(1000, seed=4)
@@ -63,27 +81,28 @@ class TestBuildSmallCases:
 class TestChecksums:
     def test_totals_match_sample(self):
         s = sample_of([(3, 1), (2, 2), (1, 0)])
-        g = build(s, seed=1)
-        sums = degree_checksums(g)
-        assert sums["sum_D"] == 6
-        assert sums["sum_Dt"] == 3
-        assert sums["half_edges"] == 2 * sums["edges"]
-        assert not sums["parity_fixed"]
+        m = match(s, 1)
+        assert m.owner.size == 6
+        assert int(m.transmitter.sum()) == 3
+        assert m.owner.size == 2 * m.pairs.shape[0]
+        assert not m.parity_fixed
+        assert not build(s, seed=1).parity_fixed
 
     def test_parity_repair_flagged(self):
-        g = build(sample_of([(1, 1), (1, 0), (1, 1)]), seed=2)
-        sums = degree_checksums(g)
-        assert sums["parity_fixed"]
-        assert sums["sum_D"] == 4  # one receiver stub added
-        assert sums["sum_Dt"] == 2
-        assert sums["half_edges"] % 2 == 0
+        s = sample_of([(1, 1), (1, 0), (1, 1)])
+        m = match(s, 2)
+        assert m.parity_fixed
+        assert m.owner.size == 4  # one receiver stub added
+        assert int(m.transmitter.sum()) == 2
+        assert m.owner.size % 2 == 0
+        assert build(s, seed=2).parity_fixed
 
     def test_rebuild_same_seed_identical(self):
         law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.5))
         s = law.sample(200, seed=6)
         g1 = build(s, seed=7)
         g2 = build(s, seed=7)
-        assert np.array_equal(g1.matching, g2.matching)
+        assert np.array_equal(match(s, 7).pairs, match(s, 7).pairs)
         assert np.array_equal(g1.arc_src, g2.arc_src)
         assert np.array_equal(g1.arc_dst, g2.arc_dst)
 
@@ -92,17 +111,17 @@ class TestMatchingProperties:
     def test_perfect_matching(self):
         law = JointDegreeLaw(PoissonDegree(3.0), BernoulliTransmission(0.5))
         s = law.sample(500, seed=8)
-        g = build(s, seed=9)
-        flat = g.matching.ravel()
-        assert np.array_equal(np.sort(flat), np.arange(g.half_edge_owner.size))
+        m = match(s, 9)
+        flat = m.pairs.ravel()
+        assert np.array_equal(np.sort(flat), np.arange(m.owner.size))
 
     def test_uniform_over_matchings(self):
         # four half-edges admit exactly three perfect matchings
         s = sample_of([(1, 1)] * 4)
         counts = Counter()
         for seed in range(2000):
-            g = build(s, seed=seed)
-            key = tuple(sorted(tuple(sorted(pair)) for pair in g.matching.tolist()))
+            pairs = match(s, seed).pairs
+            key = tuple(sorted(tuple(sorted(pair)) for pair in pairs.tolist()))
             counts[key] += 1
         assert len(counts) == 3
         for c in counts.values():
@@ -114,15 +133,32 @@ class TestMatchingProperties:
             n = int(rng.integers(2, 21))
             d = rng.integers(0, 5, size=n)
             t = rng.integers(0, d + 1)
-            g = build(DegreeSample(d, t), seed=int(rng.integers(2**31)))
+            seed = int(rng.integers(2**31))
+            g = build(DegreeSample(d, t), seed=seed)
+            m = match(DegreeSample(d, t), seed)
             arcs = Counter()
-            for a, b in g.matching.tolist():
-                if g.half_edge_transmitter[a]:
-                    arcs[(int(g.half_edge_owner[a]), int(g.half_edge_owner[b]))] += 1
-                if g.half_edge_transmitter[b]:
-                    arcs[(int(g.half_edge_owner[b]), int(g.half_edge_owner[a]))] += 1
+            for a, b in m.pairs.tolist():
+                if m.transmitter[a]:
+                    arcs[(int(m.owner[a]), int(m.owner[b]))] += 1
+                if m.transmitter[b]:
+                    arcs[(int(m.owner[b]), int(m.owner[a]))] += 1
             got = Counter(zip(g.arc_src.tolist(), g.arc_dst.tolist()))
             assert arcs == got
+
+    def test_build_keeps_exactly_the_arcs_of_its_matching(self):
+        # the step's pairs under a seed induce build's arcs under that
+        # seed, in order, whether the seed is an int or a Generator; the
+        # half-edges themselves are not kept
+        law = JointDegreeLaw(PoissonDegree(3.0), BernoulliTransmission(0.6))
+        s = law.sample(3001, seed=11)
+        m = match(s, 12)
+        transmits = np.concatenate([m.transmitter[m.pairs[:, 0]], m.transmitter[m.pairs[:, 1]]])
+        ends = np.concatenate([m.pairs, m.pairs[:, ::-1]])[transmits]
+        for g in (build(s, seed=12), build(s, np.random.default_rng(12))):
+            assert np.array_equal(g.arc_src, m.owner[ends[:, 0]])
+            assert np.array_equal(g.arc_dst, m.owner[ends[:, 1]])
+            assert g.parity_fixed == m.parity_fixed
+        assert set(vars(g)) == {"n", "arc_src", "arc_dst", "parity_fixed", "seed"}
 
 
 class TestEdgelistDump:

@@ -252,6 +252,21 @@ class TestDegreeSample:
         with pytest.raises(ValueError):
             DegreeSample(np.array([], dtype=int), np.array([], dtype=int))
 
+    def test_rejects_value_beyond_int64(self):
+        with pytest.raises(ValueError, match="int64"):
+            DegreeSample([3, 10**20], [1, 1])
+
+    def test_rejects_non_integral_value(self):
+        with pytest.raises(ValueError, match="integers"):
+            DegreeSample([3.5, 2], [1, 1])
+
+    def test_integer_arrays_unchanged(self):
+        for dtype in (np.int64, np.int32, np.uint64):
+            s = DegreeSample(np.array([3, 2], dtype=dtype), np.array([1, 2], dtype=dtype))
+            assert s.degree.dtype == s.transmitter_degree.dtype == np.int64
+            assert s.degree.tolist() == [3, 2] and s.transmitter_degree.tolist() == [1, 2]
+        assert DegreeSample([3.0, 2], [1, 1]).degree.tolist() == [3, 2]
+
     def test_moments_match_numpy(self):
         s = DegreeSample(np.array([3, 1, 4]), np.array([1, 0, 2]))
         mom = s.moments()
