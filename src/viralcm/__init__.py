@@ -27,7 +27,6 @@ from .diffusion import (
     classify_good_pioneers,
     influenced_set,
     reverse_reach,
-    sampled_reach,
 )
 from .estimators import (
     ConditionTest,

@@ -210,6 +210,7 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
     rng = np.random.default_rng(cfg.seed)
     sample = law.sample(cfg.n, rng)
     g = build(sample, rng)
+    del sample
     g.seed = cfg.seed
     outcome = all_reach(g, cfg.gamma, cfg.floor)
 
@@ -230,7 +231,7 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
         writer = csv.writer(fh)
         writer.writerow(["reach_fraction", "count"])
-        for frac, count in outcome.reach_histogram:
+        for frac, count in payload["histogram"]:
             writer.writerow([f"{frac:.10g}", count])
     written = [outcome_path, hist_path]
 

@@ -5,18 +5,16 @@ half-edges) and the reverse acknowledgement dynamic reveal exactly the
 uniform matching, so component membership reduces to reachability in the
 static influence digraph: the set a pioneer influences is its forward
 closure, and the pioneers that can influence a target form the target's
-backward closure.  Exact reach sizes for every node come from one pass
-over the condensation of strongly connected components with bitset unions;
-for very large graphs a giant-component approximation avoids the per-node
-sets.
+backward closure.  Exact reach sizes for every node, at every n, come from
+one pass over the condensation of strongly connected components: the
+components upstream of the largest one share its forward closure, chains
+of single-successor components add up by pointer jumping, and only the
+components with several successors enumerate their closures.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -30,31 +28,33 @@ __all__ = [
     "reverse_reach",
     "all_reach",
     "classify_good_pioneers",
-    "sampled_reach",
 ]
 
 DEFAULT_GAMMA = 0.5
 DEFAULT_FLOOR = 0.01
 
-#: Above this node count ``all_reach`` switches to the giant-component
-#: approximation (per-node bitsets would need O(n^2/8) bytes).
-EXACT_LIMIT = 30_000
+#: Components whose closures ``_closure_sums`` enumerates together: a larger
+#: block makes fewer numpy calls, a smaller one holds fewer (source, target)
+#: pairs at once.
+_CLOSURE_BLOCK = 1 << 12
 
 
-def _frontier_neighbors(indptr, indices, frontier):
+def _unique(keys: np.ndarray) -> np.ndarray:
+    # sort plus a neighbour mask: numpy 2.4's hash-based np.unique is ~40x
+    # slower on int64 keys
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def _gather(indptr, indices, frontier):
+    """Successors of every frontier node, and how many each one has."""
     counts = indptr[frontier + 1] - indptr[frontier]
-    if counts.sum() == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.repeat(indptr[frontier], counts) + _ranges(counts)
-    return indices[offsets]
-
-
-def _ranges(counts):
-    # [0..c0-1, 0..c1-1, ...] without a Python loop
-    total = int(counts.sum())
-    out = np.arange(total, dtype=np.int64)
-    out -= np.repeat(np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-    return out
+    starts = np.cumsum(counts) - counts
+    offsets = np.arange(int(counts.sum()), dtype=np.int64)
+    offsets += np.repeat(indptr[frontier] - starts, counts)
+    return indices[offsets], counts
 
 
 def _bfs(indptr, indices, start: int, n: int) -> np.ndarray:
@@ -62,11 +62,8 @@ def _bfs(indptr, indices, start: int, n: int) -> np.ndarray:
     visited[start] = True
     frontier = np.array([start], dtype=np.int64)
     while frontier.size:
-        neigh = _frontier_neighbors(indptr, indices, frontier)
-        neigh = neigh[~visited[neigh]]
-        if neigh.size == 0:
-            break
-        frontier = np.unique(neigh)
+        neigh = _gather(indptr, indices, frontier)[0]
+        frontier = _unique(neigh[~visited[neigh]])
         visited[frontier] = True
     return visited
 
@@ -93,14 +90,12 @@ def _condensation(g: EnhancedGraph):
         (np.ones(g.arc_count, dtype=bool), (g.arc_src, g.arc_dst)), shape=(g.n, g.n)
     )
     n_scc, labels = connected_components(adj, directed=True, connection="strong")
+    del adj
     sizes = np.bincount(labels, minlength=n_scc).astype(np.int64)
     cs, cd = labels[g.arc_src], labels[g.arc_dst]
     keep = cs != cd
-    cs, cd = cs[keep].astype(np.int64), cd[keep].astype(np.int64)
-    if cs.size:
-        keys = np.unique(cs * n_scc + cd)
-        cs, cd = keys // n_scc, keys % n_scc
-    return n_scc, labels, sizes, cs, cd
+    keys = _unique(cs[keep].astype(np.int64) * n_scc + cd[keep])
+    return n_scc, labels, sizes, keys // n_scc, keys % n_scc
 
 
 def _csr_from_edges(src, dst, n):
@@ -109,64 +104,41 @@ def _csr_from_edges(src, dst, n):
     return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64), dst[order]
 
 
-def _topo_order(dst, n, out_ptr, out_idx):
-    indeg = np.bincount(dst, minlength=n)
-    q = deque(np.nonzero(indeg == 0)[0].tolist())
-    order = []
-    while q:
-        u = q.popleft()
-        order.append(u)
-        for v in out_idx[out_ptr[u] : out_ptr[u + 1]]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                q.append(int(v))
-    return order
-
-
 @dataclass(frozen=True)
 class DiffusionOutcome:
     """Reach statistics of one realized graph.
 
-    ``reach_sizes[v]`` is the exact size of the set node v influences
-    (``None`` in the approximate large-n mode).  ``good_pioneers`` holds the
-    nodes passing the classification rule; ``alpha_hat_sim`` is the mean
-    relative reach over that set (the upper concentration cluster) and
-    ``alpha_bar_hat_sim`` its relative size.
+    ``reach_sizes[v]`` is the exact size of the set node v influences.
+    ``good_pioneers`` holds the nodes passing the classification rule;
+    ``alpha_hat_sim`` is the mean relative reach over that set (the upper
+    concentration cluster) and ``alpha_bar_hat_sim`` its relative size.
     """
 
     n: int
-    reach_sizes: Optional[np.ndarray]
+    reach_sizes: np.ndarray
     good_pioneers: np.ndarray
     alpha_hat_sim: float
     alpha_bar_hat_sim: float
     gamma: float
     floor: float
-    method: str
-    #: 95% binomial interval for alpha_bar_hat_sim; only set by sampled mode.
-    alpha_bar_ci: Optional[tuple[float, float]] = None
 
     @property
     def reach_histogram(self) -> list[tuple[float, int]]:
-        """Sorted (reach_size / n, count) pairs; empty in approximate mode."""
-        if self.reach_sizes is None:
-            return []
+        """Sorted (reach_size / n, count) pairs."""
         vals, counts = np.unique(self.reach_sizes, return_counts=True)
         return [(float(v) / self.n, int(c)) for v, c in zip(vals, counts)]
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "n": self.n,
             "alpha_hat_sim": self.alpha_hat_sim,
             "alpha_bar_hat_sim": self.alpha_bar_hat_sim,
             "good_pioneer_count": int(self.good_pioneers.size),
             "gamma": self.gamma,
             "floor": self.floor,
-            "method": self.method,
+            "method": "exact",
             "histogram": [[v, c] for v, c in self.reach_histogram],
         }
-        if self.alpha_bar_ci is not None:
-            out["alpha_bar_ci"] = list(self.alpha_bar_ci)
-        return out
 
 
 def classify_good_pioneers(
@@ -197,51 +169,12 @@ def all_reach(
     g: EnhancedGraph,
     gamma: float = DEFAULT_GAMMA,
     floor: float = DEFAULT_FLOOR,
-    method: str = "auto",
 ) -> DiffusionOutcome:
-    """Reach statistics for every pioneer.
+    """Exact reach size of every pioneer, the good pioneers and both fractions.
 
-    ``method``: "exact" computes every reach size via bitset unions on the
-    condensation (matches per-node BFS exactly); "giant" only resolves the
-    forward/backward closures of the largest strongly connected component,
-    which is what the two fractions need at large n; "auto" picks "exact"
-    up to ``EXACT_LIMIT`` nodes.
+    Reach sizes equal a per-node traversal on every graph.
     """
-    if method == "auto":
-        method = "exact" if g.n <= EXACT_LIMIT else "giant"
-    if method == "exact":
-        return _all_reach_exact(g, gamma, floor)
-    if method == "giant":
-        return _all_reach_giant(g, gamma, floor)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _all_reach_exact(g: EnhancedGraph, gamma: float, floor: float) -> DiffusionOutcome:
-    n_scc, labels, _sizes, cs, cd = _condensation(g)
-    out_ptr, out_idx = _csr_from_edges(cs, cd, n_scc)
-    order = _topo_order(cd, n_scc, out_ptr, out_idx)
-
-    member = [0] * n_scc
-    for node, lab in enumerate(labels.tolist()):
-        member[lab] |= 1 << node
-
-    # Union the successor bitsets in reverse topological order, freeing a
-    # successor's set once its last predecessor consumed it.
-    refcount = np.bincount(cd, minlength=n_scc)
-    reach_scc = np.zeros(n_scc, dtype=np.int64)
-    masks: list[Optional[int]] = [None] * n_scc
-    for c in reversed(order):
-        mask = member[c]
-        for v in out_idx[out_ptr[c] : out_ptr[c + 1]]:
-            mask |= masks[v]
-            refcount[v] -= 1
-            if refcount[v] == 0:
-                masks[v] = None
-        masks[c] = mask
-        reach_scc[c] = mask.bit_count()
-    del masks
-
-    reach_sizes = reach_scc[labels]
+    reach_sizes = _reach_sizes(g)
     good = classify_good_pioneers(reach_sizes, gamma, floor, n=g.n)
     alpha_bar = good.size / g.n
     alpha = float(reach_sizes[good].mean()) / g.n if good.size else 0.0
@@ -253,87 +186,82 @@ def _all_reach_exact(g: EnhancedGraph, gamma: float, floor: float) -> DiffusionO
         alpha_bar_hat_sim=alpha_bar,
         gamma=gamma,
         floor=floor,
-        method="exact",
     )
 
 
-def _all_reach_giant(g: EnhancedGraph, gamma: float, floor: float) -> DiffusionOutcome:
-    """Approximate outcome keyed to the largest strongly connected component.
+def _reach_sizes(g: EnhancedGraph) -> np.ndarray:
+    """Per-node reach sizes from the condensation.
 
-    Good pioneers are the backward closure of the largest SCC whenever the
-    forward closure passes the classification floor; nodes outside have
-    sublinear reach in super- and subcritical regimes alike.  Reach sizes
-    of good pioneers differ from the forward-closure size only by the
-    O(1) fluff on their paths into the component, so ``alpha_hat_sim``
-    uses the closure size.
+    With g the largest SCC, F the SCCs g reaches (g included) and B the SCCs
+    that reach g, every SCC in B reaches all of F, so its reach is |F| plus
+    what it reaches outside F, and its arcs into F can be dropped.  On the
+    remaining DAG each SCC carries two closure sums, over all nodes and over
+    nodes outside F; an SCC in B uses the second.  No path from an SCC
+    outside B meets a dropped arc, so its full sum is its exact reach.
     """
     n_scc, labels, sizes, cs, cd = _condensation(g)
     giant = int(np.argmax(sizes))
+    ptr, idx = _csr_from_edges(cs, cd, n_scc)
+    fwd = _bfs(ptr, idx, giant, n_scc)
+    ptr, idx = _csr_from_edges(cd, cs, n_scc)
+    bwd = _bfs(ptr, idx, giant, n_scc)
+    keep = ~(bwd[cs] & fwd[cd])
+    ptr, idx = _csr_from_edges(cs[keep], cd[keep], n_scc)
+    del cs, cd, keep
+    outside = np.where(fwd, 0, sizes)
+    fwd_size = int(sizes[fwd].sum())
+    del fwd
 
-    out_ptr, out_idx = _csr_from_edges(cs, cd, n_scc)
-    fwd_mask = _bfs(out_ptr, out_idx, giant, n_scc)
-    out_size = int(sizes[fwd_mask].sum())
-    in_ptr, in_idx = _csr_from_edges(cd, cs, n_scc)
-    bwd_mask = _bfs(in_ptr, in_idx, giant, n_scc)
-    good_mask = bwd_mask[labels]
-    threshold = max(gamma * out_size, floor * g.n)
-    if out_size >= threshold and out_size >= floor * g.n:
-        good = np.nonzero(good_mask)[0]
-        alpha = out_size / g.n
-        alpha_bar = good.size / g.n
-    else:
-        good = np.empty(0, dtype=np.int64)
-        alpha = 0.0
-        alpha_bar = 0.0
-    return DiffusionOutcome(
-        n=g.n,
-        reach_sizes=None,
-        good_pioneers=good,
-        alpha_hat_sim=alpha,
-        alpha_bar_hat_sim=alpha_bar,
-        gamma=gamma,
-        floor=floor,
-        method="giant",
-    )
+    tot, out = _closure_sums(ptr, idx, sizes, outside)
+    reach = np.where(bwd, fwd_size + out, tot)
+    return reach[labels]
 
 
-def sampled_reach(
-    g: EnhancedGraph,
-    m: int,
-    seed,
-    gamma: float = DEFAULT_GAMMA,
-    floor: float = DEFAULT_FLOOR,
-) -> DiffusionOutcome:
-    """Estimate the fractions from ``m`` uniformly sampled pioneers.
+def _closure_sums(ptr, idx, sizes, outside):
+    """Sums of ``sizes`` and ``outside`` over each DAG node's closure."""
+    n = sizes.size
+    outdeg = np.diff(ptr)
+    tot = np.zeros(n, dtype=np.int64)
+    out = np.zeros(n, dtype=np.int64)
 
-    Each sampled pioneer's reach is exact (one traversal); the good-pioneer
-    fraction estimate carries a 95% Wilson score interval, which keeps a
-    positive width when none or all of the sampled pioneers are good.
-    Useful beyond the exact mode's memory range.
-    """
-    if m < 1:
-        raise ValueError("need at least one sampled pioneer")
-    pioneers = np.random.default_rng(seed).choice(g.n, size=min(m, g.n), replace=False)
-    indptr, indices = _csr_from_edges(g.arc_src, g.arc_dst, g.n)
-    sizes = np.array(
-        [int(_bfs(indptr, indices, int(v), g.n).sum()) for v in pioneers], dtype=np.int64
-    )
-    good = classify_good_pioneers(sizes, gamma, floor, n=g.n)
-    k, mm = good.size, sizes.size
-    phat = k / mm
-    z2 = 1.96**2 / mm
-    center = (phat + z2 / 2.0) / (1.0 + z2)
-    half = 1.96 * math.sqrt(phat * (1.0 - phat) / mm + z2 / (4.0 * mm)) / (1.0 + z2)
-    # the interval contains phat and lies in [0, 1]; the clamps absorb rounding
-    lo, hi = max(0.0, min(phat, center - half)), min(1.0, max(phat, center + half))
-    return DiffusionOutcome(
-        n=g.n,
-        reach_sizes=None,
-        good_pioneers=pioneers[good],
-        alpha_hat_sim=float(sizes[good].mean()) / g.n if k else 0.0,
-        alpha_bar_hat_sim=phat,
-        gamma=gamma,
-        floor=floor,
-        method="sampled",
-        alpha_bar_ci=(lo, hi),
-    )
+    # A node with two or more successors enumerates its closure as
+    # (block row, node) pairs, one successor level at a time; the graph is
+    # acyclic, so the levels run out.  Each level is deduplicated but not
+    # checked against earlier ones: a node at several depths (an
+    # unequal-length diamond) recurs until the final dedup, which on
+    # configuration-model graphs costs a few percent of extra pairs and is
+    # far cheaper than merging a visited set at every level.
+    multi = np.nonzero(outdeg > 1)[0]
+    for lo in range(0, multi.size, _CLOSURE_BLOCK):
+        block = multi[lo : lo + _CLOSURE_BLOCK]
+        rows, nodes = np.arange(block.size, dtype=np.int64), block
+        levels = [rows * n + block]
+        while nodes.size:
+            neigh, counts = _gather(ptr, idx, nodes)
+            levels.append(_unique(np.repeat(rows, counts) * n + neigh))
+            rows, nodes = np.divmod(levels[-1], n)
+        rows, nodes = np.divmod(_unique(np.concatenate(levels)), n)
+        del levels
+        starts = np.searchsorted(rows, np.arange(block.size))
+        tot[block] = np.add.reduceat(sizes[nodes], starts)
+        out[block] = np.add.reduceat(outside[nodes], starts)
+
+    # The sums end at a node with no successor (its own size) or with
+    # several; a chain of single-successor nodes adds its own sizes on top,
+    # summed by pointer jumping.
+    end = outdeg == 0
+    tot[end], out[end] = sizes[end], outside[end]
+    single = outdeg == 1
+    acc_tot, acc_out = np.where(single, sizes, 0), np.where(single, outside, 0)
+    nxt = np.arange(n, dtype=np.int64)
+    nxt[single] = idx[ptr[:-1][single]]
+    active = np.nonzero(single & single[nxt])[0]
+    while active.size:
+        step = nxt[active]
+        acc_tot[active] += acc_tot[step]
+        acc_out[active] += acc_out[step]
+        nxt[active] = nxt[step]
+        active = active[single[nxt[active]]]
+    acc_tot += tot[nxt]
+    acc_out += out[nxt]
+    return acc_tot, acc_out

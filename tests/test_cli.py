@@ -395,7 +395,7 @@ class TestAnalytic:
         law = JointDegreeLaw(PoissonDegree(2.0), CouponCollector(3))
         s = law.sample(10**5, seed=11)
         g = build(s, seed=12)
-        out = all_reach(g, method="giant")
+        out = all_reach(g)
         assert payload["result"]["alpha"] == pytest.approx(out.alpha_hat_sim, abs=0.02)
         assert payload["result"]["alpha_bar"] == pytest.approx(
             out.alpha_bar_hat_sim, abs=0.02

@@ -9,7 +9,6 @@ from viralcm.diffusion import (
     classify_good_pioneers,
     influenced_set,
     reverse_reach,
-    sampled_reach,
 )
 from viralcm.graph import EnhancedGraph, build
 from viralcm.populations import (
@@ -100,14 +99,22 @@ class TestAllReach:
             d = rng.poisson(2.0, n)
             t = rng.binomial(d, 0.7)
             g = build(DegreeSample(d, t), seed=int(rng.integers(2**31)))
-            out = all_reach(g, method="exact")
+            out = all_reach(g)
             naive = np.array([influenced_set(g, v).size for v in range(n)])
             assert np.array_equal(out.reach_sizes, naive)
 
     def test_deterministic_tiny_graph(self):
-        g = graph_from_arcs(4, [(0, 1), (1, 2), (3, 3)])
-        out = all_reach(g, method="exact")
-        assert out.reach_sizes.tolist() == [3, 2, 1, 1]
+        cases = [
+            (4, [(0, 1), (1, 2), (3, 3)], [3, 2, 1, 1]),
+            # unequal-length diamond (3 is reached at depths 1 and 3) beside a
+            # larger 2-cycle, so that 0 enumerates its closure
+            (6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 4)], [4, 3, 2, 1, 2, 2]),
+            # 3 reaches the largest SCC {0, 1, 2} and, through 5 outside
+            # both closures, the node 4 downstream of it: counted once
+            (6, [(0, 1), (1, 2), (2, 0), (3, 0), (0, 4), (3, 5), (5, 4)], [4, 4, 4, 6, 1, 2]),
+        ]
+        for n, arcs, expected in cases:
+            assert all_reach(graph_from_arcs(n, arcs)).reach_sizes.tolist() == expected
 
     def test_supercritical_matches_analytic(self):
         from viralcm.analytic import analyze
@@ -138,49 +145,28 @@ class TestAllReach:
         out = all_reach(g)
         assert sum(c for _, c in out.reach_histogram) == g.n
 
-    def test_giant_mode_agrees_with_exact(self):
-        law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8))
-        s = law.sample(5000, seed=7)
-        g = build(s, seed=8)
-        exact = all_reach(g, method="exact")
-        giant = all_reach(g, method="giant")
-        assert giant.alpha_hat_sim == pytest.approx(exact.alpha_hat_sim, abs=0.01)
-        assert giant.alpha_bar_hat_sim == pytest.approx(exact.alpha_bar_hat_sim, abs=0.01)
-        assert giant.reach_sizes is None
-
-    def test_sampled_mode_interval_covers_exact(self):
-        law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8))
-        s = law.sample(5000, seed=14)
-        g = build(s, seed=15)
-        exact = all_reach(g, method="exact")
-        sampled = sampled_reach(g, m=400, seed=16)
-        lo, hi = sampled.alpha_bar_ci
-        assert lo - 0.02 <= exact.alpha_bar_hat_sim <= hi + 0.02
-        assert sampled.alpha_hat_sim == pytest.approx(exact.alpha_hat_sim, abs=0.02)
-        assert sampled.method == "sampled"
-
-    @pytest.mark.parametrize("floor,phat", [(0.0, 1.0), (0.9, 0.0)])
-    def test_sampled_interval_positive_width_at_extremes(self, floor, phat):
-        # no arcs: every reach is 1, so all pioneers are good at floor 0
-        # and none is at floor 0.9 (1 < 0.9 * n)
-        g = graph_from_arcs(50, [])
-        out = sampled_reach(g, m=20, seed=0, gamma=1.0, floor=floor)
-        lo, hi = out.alpha_bar_ci
-        assert out.alpha_bar_hat_sim == phat
-        assert 0.0 <= lo <= phat <= hi <= 1.0
-        assert hi - lo > 0.05
+    def test_exact_at_forty_thousand_nodes(self):
+        law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.7))
+        g = build(law.sample(40_000, seed=17), seed=18)
+        out = all_reach(g)
+        for v in np.random.default_rng(19).choice(g.n, size=300, replace=False).tolist():
+            assert out.reach_sizes[v] == influenced_set(g, v).size
+        assert sum(c for _, c in out.reach_histogram) == g.n
+        good = classify_good_pioneers(out.reach_sizes, n=g.n)
+        assert np.array_equal(out.good_pioneers, good) and good.size > 0
+        assert out.alpha_hat_sim == float(out.reach_sizes[good].mean()) / g.n
 
     def test_monotone_in_added_arc(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             g = random_graph(rng)
-            before = all_reach(g, method="exact").reach_sizes
+            before = all_reach(g).reach_sizes
             u, v = int(rng.integers(g.n)), int(rng.integers(g.n))
             g2 = graph_from_arcs(
                 g.n,
                 list(zip(g.arc_src.tolist(), g.arc_dst.tolist())) + [(u, v)],
             )
-            after = all_reach(g2, method="exact").reach_sizes
+            after = all_reach(g2).reach_sizes
             assert np.all(after >= before)
 
 
@@ -283,14 +269,17 @@ class TestNetworkxOracle:
         g = build(law.sample(n, seed=n), seed=n + 1)
         G = nx_digraph(g)
         expected = [len(nx.descendants(G, v)) + 1 for v in range(n)]
-        assert all_reach(g, method="exact").reach_sizes.tolist() == expected
+        assert all_reach(g).reach_sizes.tolist() == expected
 
     def test_giant_good_set_is_backward_closure_of_largest_scc(self):
         law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.7))
         g = build(law.sample(10**4, seed=14), seed=15)
-        out = all_reach(g, method="giant")
+        out = all_reach(g)
         G = nx_digraph(g)
+        for v in np.random.default_rng(16).choice(g.n, size=200, replace=False).tolist():
+            assert out.reach_sizes[v] == len(nx.descendants(G, v)) + 1
         giant = max(nx.strongly_connected_components(G), key=len)
         v = next(iter(giant))
-        assert set(out.good_pioneers.tolist()) == nx.ancestors(G, v) | giant
-        assert out.alpha_hat_sim == (len(nx.descendants(G, v)) + 1) / g.n
+        upstream = nx.ancestors(G, v) | giant
+        assert out.reach_sizes[list(upstream)].min() >= len(nx.descendants(G, v)) + 1
+        assert set(out.good_pioneers.tolist()) == upstream
