@@ -11,14 +11,12 @@ from .analytic import (
     BranchingCheck,
     GenFnBundle,
     RootBracketingError,
-    SizeBiasedLaw,
     analyze,
     bernoulli_threshold,
     branching_crosscheck,
     build_genfns,
     find_root,
     giant_condition,
-    size_biased_law,
     viral_condition,
 )
 from .diffusion import (

@@ -36,7 +36,6 @@ from .special import polylog, stirling1_signed, stirling2, weighted_sum, zeta
 __all__ = [
     "GenFnBundle",
     "AnalyticResult",
-    "SizeBiasedLaw",
     "BranchingCheck",
     "RootBracketingError",
     "viral_condition",
@@ -45,7 +44,6 @@ __all__ = [
     "find_root",
     "analyze",
     "bernoulli_threshold",
-    "size_biased_law",
     "branching_crosscheck",
 ]
 
@@ -289,25 +287,20 @@ def _bundle_powerlaw_coupon(law: JointDegreeLaw) -> GenFnBundle:
 # ---------------------------------------------------------------------------
 
 
-def find_root(
-    f: Callable[[float], float],
-    kind: str = "",
-    *,
-    from_high: bool = True,
-) -> Optional[float]:
-    """Certified zero of ``f`` in (0, 1), or ``None`` without a sign change.
+def find_root(f: Callable[[float], float], kind: str = "") -> Optional[float]:
+    """Certified unique zero of ``f`` in (0, 1), or ``None`` without a sign change.
 
     Evaluates ``f`` once, on the whole ``_SCAN_GRID`` (up to 1 - 1e-12),
-    takes the sign change nearest to 1 (``from_high=False``: nearest to 0,
-    for the smallest zero) and refines it with Brent's method on scalar
-    calls (:func:`_brentq`, a port of scipy's ``brentq``) until
-    |f(root)| <= ``ROOT_RESIDUAL``; a grid value of exactly 0
-    ends the bracket and is returned.  The functions handled here vanish at
-    both endpoints, so only an interior sign change counts.  Above
-    ``_SCAN_HI`` they are differences of O(1) terms that cancel toward the
-    zero at 1, so a value there counts only if it exceeds ``ROOT_RESIDUAL``
-    in magnitude: smaller ones can be rounding noise, whose sign changes
-    would pass for roots.
+    and refines its one sign change with Brent's method on scalar calls
+    (:func:`_brentq`, a port of scipy's ``brentq``) until
+    |f(root)| <= ``ROOT_RESIDUAL``; a grid value of exactly 0 ends the
+    bracket and is returned.  The functions handled here vanish at both
+    endpoints, so only an interior sign change counts.  Above ``_SCAN_HI``
+    they are differences of O(1) terms that cancel toward the zero at 1, so
+    a value there counts only if it exceeds ``ROOT_RESIDUAL`` in magnitude:
+    smaller ones can be rounding noise, whose sign changes would pass for
+    roots.  More than one sign change contradicts the uniqueness of the
+    zero and raises :class:`RootBracketingError`.
     """
     fx = np.asarray(f(_SCAN_GRID))
     kept = np.flatnonzero((_SCAN_GRID <= _SCAN_HI) | (np.abs(fx) > ROOT_RESIDUAL))
@@ -315,7 +308,11 @@ def find_root(
     flips = np.flatnonzero(sign[1:] != sign[:-1])
     if flips.size == 0:
         return None
-    j = flips[-1] if from_high else flips[0]
+    if flips.size > 1:
+        raise RootBracketingError(
+            f"{kind or 'root'} zero not unique: {flips.size} sign changes on the root scan"
+        )
+    j = flips[0]
     lo, hi = _SCAN_GRID[kept[j]], _SCAN_GRID[kept[j + 1]]
     root = _brentq(f, lo, hi)
     res = abs(f(root))
@@ -471,47 +468,8 @@ def bernoulli_threshold(degree_law) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Size-biased law and branching cross-check
+# Branching cross-check
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SizeBiasedLaw:
-    """Joint law of the (receiver, transmitter) degrees of a reached friend.
-
-    ``matrix[v, w]`` is P{Dr~ = v, Dt~ = w} where the tilde law re-weights
-    the population joint pmf p_{v,w} as
-    ((v+1) p_{v+1,w} + (w+1) p_{v,w+1}) / E[D].
-    """
-
-    matrix: np.ndarray
-
-    @property
-    def mean_transmitter(self) -> float:
-        w = np.arange(self.matrix.shape[1], dtype=np.float64)
-        return float(self.matrix.sum(axis=0) @ w)
-
-    def total(self) -> float:
-        return float(self.matrix.sum())
-
-
-def size_biased_law(joint: JointDegreeLaw) -> SizeBiasedLaw:
-    """Materialize the size-biased joint law (finite-support degree laws).
-
-    Raises ``ValueError`` for laws without materialized atoms (power law)
-    or with zero mean degree.
-    """
-    support, weights = joint.degree.atoms()
-    dmax = int(support.max())
-    mean_trunc = float(np.dot(weights, support))
-    if mean_trunc <= 0.0:
-        raise ValueError("size-biased law undefined: E[D] = 0")
-    d, t, w = _pair_table(joint)
-    p = np.zeros((dmax + 2, dmax + 2))
-    np.add.at(p, (d - t, t), w)
-    v1 = p[1:, :-1] * np.arange(1, dmax + 2)[:, None]  # (v+1) p_{v+1,w}
-    w1 = p[:-1, 1:] * np.arange(1, dmax + 2)[None, :]  # (w+1) p_{v,w+1}
-    return SizeBiasedLaw((v1 + w1) / mean_trunc)
 
 
 @dataclass(frozen=True)
@@ -527,35 +485,26 @@ class BranchingCheck:
 def branching_crosscheck(joint: JointDegreeLaw) -> BranchingCheck:
     """Extinction analysis of the offspring approximation.
 
-    The offspring count of a reached friend is the size-biased transmitter
-    degree; the process survives iff its mean exceeds one (equivalent to
-    the viral condition), the extinction probability is the smallest zero
-    of Hbar in (0, 1), and 1 - G_Dt(p_ext) reproduces alpha_bar.  The
-    smallest zero is located by an upward scan and checked against the
-    downward (nearest-to-1) zero; a mismatch would contradict uniqueness
-    and raises.
+    The offspring count of a reached friend is its size-biased transmitter
+    degree, with mean (E[D(t) D] - E[D(t)]) / E[D] (``inf`` when E[D(t) D]
+    diverges).  The process survives iff that mean exceeds one, which is the
+    viral condition, decided with the same critical margin as
+    :func:`analyze`; the extinction probability is the zero of Hbar in
+    (0, 1), which :func:`find_root` certifies unique, and 1 - G_Dt(p_ext)
+    reproduces alpha_bar.  Raises ``ValueError`` when E[D] = 0.
     """
     mom = joint.moments()
-    try:
-        mean_off = size_biased_law(joint).mean_transmitter
-    except ValueError:
-        # Heavy-tailed laws: E[Dt~] = (E[Dt D] - E[Dt]) / E[D], possibly inf.
-        mean_off = (
-            math.inf
-            if math.isinf(mom.mean_dt_d)
-            else (mom.mean_dt_d - mom.mean_dt) / mom.mean_d
-        )
-    margin = (mean_off - 1.0) * mom.mean_d if math.isfinite(mean_off) else math.inf
-    supercritical = margin > CRITICAL_MARGIN
-    if not supercritical:
+    if mom.mean_d == 0.0:
+        raise ValueError("offspring process undefined: E[D] = 0")
+    if math.isinf(mom.mean_dt_d):
+        mean_off = math.inf
+    else:
+        mean_off = (mom.mean_dt_d - mom.mean_dt) / mom.mean_d
+    margin = viral_margin(mom)
+    if margin <= 0 or _is_critical(margin):
         return BranchingCheck(False, mean_off, 1.0, 0.0)
     bundle = build_genfns(joint)
-    p_ext = find_root(bundle.hbar, "Hbar", from_high=False)
-    xi_bar = find_root(bundle.hbar, "Hbar", from_high=True)
-    if p_ext is None or xi_bar is None:
+    p_ext = find_root(bundle.hbar, "Hbar")
+    if p_ext is None:
         raise RootBracketingError("offspring process supercritical but Hbar has no bracketed zero")
-    if abs(p_ext - xi_bar) > 1e-9:
-        raise RuntimeError(
-            f"Hbar zero not unique in (0,1): smallest {p_ext}, nearest-to-1 {xi_bar}"
-        )
     return BranchingCheck(True, mean_off, p_ext, 1.0 - float(bundle.g_dt(p_ext)))

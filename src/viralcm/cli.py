@@ -79,10 +79,10 @@ class RunConfig:
         if law:
             if self.degree not in ("poisson", "powerlaw", "empirical"):
                 raise ValueError(f"degree: unknown law {self.degree!r}")
-            if self.degree == "poisson" and self.lam <= 0:
-                raise ValueError("lam: Poisson mean must be positive")
-            if self.degree == "powerlaw" and self.beta <= 2:
-                raise ValueError("beta: power-law exponent must exceed 2")
+            if self.degree == "poisson" and not (math.isfinite(self.lam) and self.lam > 0):
+                raise ValueError(f"lam: Poisson mean must be finite and positive, got {self.lam}")
+            if self.degree == "powerlaw" and not (math.isfinite(self.beta) and self.beta > 2):
+                raise ValueError(f"beta: exponent must be finite and > 2, got {self.beta}")
             if self.degree == "empirical" and not self.degree_file:
                 raise ValueError("degree_file: required for the empirical degree law")
             if self.trans not in ("bernoulli", "nodeperc", "coupon"):
@@ -135,7 +135,12 @@ class RunConfig:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
                 typ = types[key]
                 if typ is bool:
-                    setattr(cfg, key, value.lower() in ("1", "true", "yes"))
+                    if value.lower() not in _BOOLS:
+                        raise ValueError(
+                            f"{path}:{lineno}: {key}: expected one of {'/'.join(_BOOLS)}, "
+                            f"got {value!r}"
+                        )
+                    setattr(cfg, key, _BOOLS[value.lower()])
                 elif typ is str:
                     setattr(cfg, key, value.strip("'\""))
                 else:
@@ -147,6 +152,10 @@ class RunConfig:
         if out["grid"] is not None:
             out["grid"] = list(out["grid"])
         return out
+
+
+#: Accepted spellings of a boolean config value, in any case.
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _field_types(cls) -> dict:

@@ -116,8 +116,8 @@ class PoissonDegree:
     kind = "poisson"
 
     def __init__(self, lam: float):
-        if lam <= 0:
-            raise ValueError("Poisson degree requires lam > 0")
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError(f"Poisson degree requires a finite lam > 0, got {lam}")
         self.lam = float(lam)
 
     @cached_property
@@ -164,8 +164,8 @@ class PowerLawDegree:
     _TABLE = 1 << 20
 
     def __init__(self, beta: float):
-        if beta <= 2.0:
-            raise ValueError("power-law degree requires beta > 2 (finite mean)")
+        if not (math.isfinite(beta) and beta > 2.0):
+            raise ValueError(f"power-law degree requires a finite beta > 2, got {beta}")
         self.beta = float(beta)
         self._zeta = zeta(beta)
 
@@ -253,14 +253,15 @@ class EmpiricalDegree:
 
     @classmethod
     def from_degrees(cls, degrees) -> "EmpiricalDegree":
-        d = np.asarray(degrees, dtype=np.int64)
+        d = _int64_column(degrees)
+        if d.ndim != 1:
+            raise ValueError("degrees must be a 1-d list")
         if d.size == 0:
             raise ValueError("empty degree list")
         if d.min() < 0:
             raise ValueError("degrees must be non-negative")
-        counts = np.bincount(d)
-        support = np.nonzero(counts)[0]
-        return cls(DiscretePmf(support, counts[support] / d.size))
+        support, counts = np.unique(d, return_counts=True)
+        return cls(DiscretePmf(support, counts / d.size))
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         return self._pmf_obj.support, self._pmf_obj.weights

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -18,7 +19,6 @@ from viralcm.analytic import (
     build_genfns,
     find_root,
     giant_condition,
-    size_biased_law,
     viral_condition,
 )
 from viralcm.populations import (
@@ -239,6 +239,10 @@ class TestFindRoot:
         xi_bar = find_root(bundle.hbar, "Hbar")
         assert xi == pytest.approx(1.0 - p * (1.0 - xi_bar), abs=1e-9)
 
+    def test_two_sign_changes_raise(self):
+        with pytest.raises(RootBracketingError, match="Hbar zero not unique: 2 sign changes"):
+            find_root(lambda x: (x - 0.3) * (x - 0.7), "Hbar")
+
     def test_residual_bound_and_determinism(self):
         bundle = build_genfns(poisson_bernoulli(3.0, 0.7))
         f = bundle.h
@@ -362,30 +366,72 @@ class TestBernoulliThreshold:
         assert bernoulli_threshold(PowerLawDegree(3.2)) == pytest.approx(expect, abs=1e-10)
 
 
-class TestSizeBiased:
+def size_biased_pmf(law):
+    """Oracle: {(v, w): P{Dr~ = v, Dt~ = w}} of a reached friend.
+
+    Re-weights the population pmf p_{v,w} of (receiver, transmitter)
+    degrees, summed over the degree atoms and their conditional pmfs, as
+    ((v+1) p_{v+1,w} + (w+1) p_{v,w+1}) / E[D].
+    """
+    pop = {}
+    support, weights = law.degree.atoms()
+    for d, wd in zip(support.tolist(), weights.tolist()):
+        cpmf = law.transmission.conditional_pmf(d)
+        for t, q in zip(cpmf.support.tolist(), cpmf.weights.tolist()):
+            pop[d - t, t] = pop.get((d - t, t), 0.0) + wd * q
+    mean_d = sum((v + w) * m for (v, w), m in pop.items())
+    out = {}
+    for (v, w), m in pop.items():
+        if v > 0:
+            out[v - 1, w] = out.get((v - 1, w), 0.0) + v * m / mean_d
+        if w > 0:
+            out[v, w - 1] = out.get((v, w - 1), 0.0) + w * m / mean_d
+    return out
+
+
+_two_regular = EmpiricalDegree(DiscretePmf(np.array([2]), np.array([1.0])))
+_offspring_laws = [
+    JointDegreeLaw(deg, tr)
+    for deg in (
+        PoissonDegree(0.5),
+        PoissonDegree(3.0),
+        PoissonDegree(12.0),
+        EmpiricalDegree.from_degrees([1, 2, 2, 3, 5, 8, 13]),
+        EmpiricalDegree.from_degrees([0, 1, 4, 4, 7]),
+        _two_regular,
+    )
+    for tr in (
+        BernoulliTransmission(0.35),
+        BernoulliTransmission(1.0),
+        NodePercolation(0.6),
+        CouponCollector(2),
+        CouponCollector(5),
+    )
+]
+
+
+class TestOffspringOracle:
+    @pytest.mark.parametrize("law", _offspring_laws)
+    def test_mean_offspring_matches_size_biased_pmf(self, law):
+        pmf = size_biased_pmf(law)
+        assert sum(pmf.values()) == pytest.approx(1.0, abs=1e-9)
+        mean_t = sum(w * m for (_, w), m in pmf.items())
+        assert branching_crosscheck(law).mean_offspring == pytest.approx(mean_t, rel=1e-12)
+
     def test_two_regular_full_transmission(self):
-        pmf = DiscretePmf(np.array([2]), np.array([1.0]))
-        law = JointDegreeLaw(EmpiricalDegree(pmf), BernoulliTransmission(1.0))
-        sb = size_biased_law(law)
         # a reached friend of a 2-regular node has one remaining stub,
         # always a transmitter
-        assert sb.matrix[0, 1] == pytest.approx(1.0)
-        assert sb.total() == pytest.approx(1.0, abs=1e-9)
+        law = JointDegreeLaw(_two_regular, BernoulliTransmission(1.0))
+        pmf = size_biased_pmf(law)
+        assert pmf.pop((0, 1)) == pytest.approx(1.0)
+        assert not any(pmf.values())
+        assert branching_crosscheck(law).mean_offspring == 1.0
 
-    def test_sums_to_one(self):
-        law = JointDegreeLaw(PoissonDegree(3.0), CouponCollector(2))
-        assert size_biased_law(law).total() == pytest.approx(1.0, abs=1e-9)
-
-    def test_poisson_thinning_mean(self):
-        lam, p = 2.0, 0.8
-        sb = size_biased_law(poisson_bernoulli(lam, p))
-        assert sb.mean_transmitter == pytest.approx(lam * p, abs=1e-9)
-
-    def test_degenerate_zero_mean(self):
-        pmf = DiscretePmf(np.array([0]), np.array([1.0]))
-        law = JointDegreeLaw(EmpiricalDegree(pmf), BernoulliTransmission(0.5))
-        with pytest.raises(ValueError):
-            size_biased_law(law)
+    @pytest.mark.parametrize("lam, p", [(0.5, 0.35), (3.0, 0.35), (12.0, 1.0)])
+    def test_poisson_thinning_mean(self, lam, p):
+        assert branching_crosscheck(poisson_bernoulli(lam, p)).mean_offspring == pytest.approx(
+            lam * p, rel=1e-12
+        )
 
 
 class TestBranchingCrosscheck:
@@ -393,6 +439,24 @@ class TestBranchingCrosscheck:
         chk = branching_crosscheck(poisson_bernoulli(2.0, 0.8))
         assert chk.supercritical
         assert chk.mean_offspring == pytest.approx(1.6, abs=1e-9)
+
+    def test_zero_mean_degree_raises(self):
+        law = JointDegreeLaw(EmpiricalDegree.from_degrees([0, 0]), BernoulliTransmission(0.5))
+        with pytest.raises(ValueError, match=r"E\[D\] = 0"):
+            branching_crosscheck(law)
+
+    def test_hub_law_stays_small(self):
+        # one hub of degree 3000: the offspring mean is a moment ratio, so no
+        # table over pairs of degrees is ever built
+        law = JointDegreeLaw(EmpiricalDegree.from_degrees([1, 2, 3000]), BernoulliTransmission(0.5))
+        tracemalloc.start()
+        try:
+            chk = branching_crosscheck(law)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chk.supercritical
+        assert peak < 4 * 2**20
 
     def test_zero_transmission_degenerate(self):
         chk = branching_crosscheck(poisson_bernoulli(2.0, 0.0))
@@ -549,7 +613,7 @@ class TestBrentPort:
 
     def test_find_root_brackets_match_scipy(self, monkeypatch):
         # every bracket find_root refines on the law grid, with H, Hbar and
-        # H0 and both scan directions
+        # H0 from analyze and Hbar from the branching check
         port = analytic._brentq
         seen = []
 

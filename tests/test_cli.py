@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import viralcm
 from viralcm.analytic import analyze
@@ -30,7 +33,95 @@ def read_sweep(path):
     return rows
 
 
+def _valid(cfg):
+    try:
+        cfg.validate()
+    except ValueError:
+        return False
+    return True
+
+
+# strings that to_file writes and from_file reads back unchanged: printable
+# ASCII without the leading or trailing blanks and quotes from_file strips
+_plain_text = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12).filter(
+    lambda s: s == s.strip().strip("'\"")
+)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_valid_configs = st.builds(
+    RunConfig,
+    degree=st.sampled_from(["poisson", "powerlaw", "empirical"]),
+    lam=st.floats(1e-3, 1e3),
+    beta=st.floats(2.0, 10.0, exclude_min=True),
+    degree_file=st.none() | _plain_text,
+    trans=st.sampled_from(["bernoulli", "nodeperc", "coupon"]),
+    p=st.floats(0.0, 1.0),
+    K=st.integers(0, 50),
+    n=st.integers(1, 10**9),
+    seed=st.integers(),
+    grid=st.none()
+    | st.tuples(_finite, _finite, st.floats(0.0, 1e300, exclude_min=True)).map(
+        lambda g: (min(g[0], g[1]), max(g[0], g[1]), g[2])
+    ),
+    gamma=st.floats(0.0, 1.0, exclude_min=True),
+    floor=st.floats(0.0, 1.0, exclude_max=True),
+    z=st.floats(0.0, 1e6),
+    cost_per_pioneer=st.none() | _finite,
+    value_per_influenced=st.none() | _finite,
+    out=_plain_text,
+    dump_graph=st.booleans(),
+).filter(_valid)
+
+_config_keys = st.sampled_from([f.name for f in dataclasses.fields(RunConfig)]) | st.text(
+    max_size=8
+)
+_config_values = (
+    st.text(max_size=12)
+    | st.sampled_from(["1", "YES", "false", "maybe", "nan", "-inf", "1e3", "0:1:0.1", "1:0:0.1"])
+    | st.integers().map(str)
+    | st.floats().map(str)
+)
+_config_lines = st.tuples(_config_keys, _config_values).map("=".join) | st.text(max_size=20)
+
+
 class TestConfig:
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(lines=st.lists(_config_lines, max_size=6))
+    def test_parser_returns_config_or_value_error(self, tmp_path, lines):
+        path = tmp_path / "run.cfg"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            cfg = RunConfig.from_file(path)
+        except ValueError:
+            return
+        assert isinstance(cfg, RunConfig)
+
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(cfg=_valid_configs)
+    def test_valid_config_round_trips(self, tmp_path, cfg):
+        path = tmp_path / "run.cfg"
+        cfg.to_file(path)
+        assert RunConfig.from_file(path) == cfg
+
+    def test_boolean_spellings(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        spellings = {"1": True, "True": True, "YES": True, "0": False, "fAlSe": False, "No": False}
+        for text, value in spellings.items():
+            path.write_text(f"dump_graph={text}\n")
+            assert RunConfig.from_file(path).dump_graph is value
+        path.write_text("n=5\ndump_graph=maybe\n")
+        with pytest.raises(ValueError, match=r"run.cfg:2: dump_graph: .*'maybe'"):
+            RunConfig.from_file(path)
+
     def test_round_trip_lossless(self, tmp_path):
         # every field away from its default, so a field the file format
         # drops or mistypes shows up as an inequality
@@ -482,6 +573,25 @@ class TestExitCodes:
             assert rc == 2
             assert flag[2:].replace("-", "_") + ":" in capsys.readouterr().err
         assert not (tmp_path / "evaluation.json").exists()
+
+    def test_zero_mean_degree_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "zeros.txt"
+        path.write_text("0\n0\n0\n")
+        argv = ["analytic", "--degree", "empirical", "--degree-file", str(path)]
+        rc = main(argv + ["--out", str(tmp_path)])
+        assert rc == 2
+        assert "E[D] = 0" in capsys.readouterr().err
+        assert not (tmp_path / "analysis.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [(["--degree", "powerlaw", "--beta", "inf"], "beta:"), (["--lambda", "nan"], "lam:")],
+    )
+    def test_non_finite_law_parameter_exits_2(self, tmp_path, capsys, flags, field):
+        rc = main(["analytic", *flags, "--out", str(tmp_path)])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "analysis.json").exists()
 
     def test_unresolvable_root_exits_2(self, tmp_path, capsys):
         # 1.001 times the Bernoulli threshold of beta = 3.2: 1 - xi ~ 3e-16

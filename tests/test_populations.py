@@ -277,12 +277,28 @@ class TestDegreeSample:
 
 class TestValidation:
     def test_poisson_requires_positive_lam(self):
-        with pytest.raises(ValueError):
-            PoissonDegree(0.0)
+        for lam in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lam"):
+                PoissonDegree(lam)
 
     def test_powerlaw_requires_beta_above_two(self):
-        with pytest.raises(ValueError):
-            PowerLawDegree(2.0)
+        for beta in (2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta"):
+                PowerLawDegree(beta)
+
+    def test_empirical_rejects_malformed_degrees(self):
+        with pytest.raises(ValueError, match="integers"):
+            EmpiricalDegree.from_degrees([1.5, 2])
+        with pytest.raises(ValueError, match="int64"):
+            EmpiricalDegree.from_degrees([2**70])
+        with pytest.raises(ValueError, match="1-d"):
+            EmpiricalDegree.from_degrees([[1, 2], [3, 4]])
+
+    def test_empirical_groups_huge_degrees(self):
+        # grouping by sorting, not by a count array as long as the largest degree
+        support, weights = EmpiricalDegree.from_degrees([1, 2, 10**15, 2]).atoms()
+        assert support.tolist() == [1, 2, 10**15]
+        assert weights.tolist() == [0.25, 0.5, 0.25]
 
     def test_probability_range(self):
         with pytest.raises(ValueError):
