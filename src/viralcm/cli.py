@@ -144,7 +144,10 @@ class RunConfig:
                 elif typ is str:
                     setattr(cfg, key, value.strip("'\""))
                 else:
-                    setattr(cfg, key, typ(value))
+                    try:
+                        setattr(cfg, key, typ(value))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
         return cfg
 
     def to_dict(self) -> dict:
@@ -171,12 +174,12 @@ def _field_types(cls) -> dict:
 
 
 def _parse_grid(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid: expected start:stop:step, got {text!r}")
-    start, stop, step = (float(s) for s in parts)
-    if step <= 0 or stop < start:
-        raise ValueError("grid: need step > 0 and stop >= start")
+    try:
+        start, stop, step = (float(s) for s in text.split(":"))
+    except ValueError:  # not three parts, or a part that is not a number
+        start = stop = step = math.nan
+    if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and stop >= start):
+        raise ValueError(f"grid: {text!r}: need finite start:stop:step, start <= stop, step > 0")
     return start, stop, step
 
 
@@ -370,7 +373,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--K", type=int, help="coupon-collector message count")
     parser.add_argument("--n", type=int, help="number of nodes / pioneers")
     parser.add_argument("--seed", type=int, help="RNG seed")
-    parser.add_argument("--grid", type=_parse_grid, help="sweep grid start:stop:step")
+    parser.add_argument("--grid", help="sweep grid start:stop:step")
     parser.add_argument("--gamma", type=float, help="good-pioneer cutoff vs max reach")
     parser.add_argument("--floor", type=float, help="good-pioneer cutoff vs population")
     parser.add_argument("--z", type=float, help="confidence multiplier for the tests")
@@ -385,7 +388,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for f in dataclasses.fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, f.name, value)
+            setattr(cfg, f.name, _parse_grid(value) if f.name == "grid" else value)
     return cfg
 
 

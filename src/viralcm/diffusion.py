@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .graph import EnhancedGraph
+from .graph import EnhancedGraph, index_dtype
 
 __all__ = [
     "DiffusionOutcome",
@@ -86,22 +86,26 @@ def reverse_reach(g: EnhancedGraph, target: int) -> np.ndarray:
 
 def _condensation(g: EnhancedGraph):
     """SCC labels, per-SCC sizes, and deduplicated condensation edges."""
+    # csr_matrix from COO sums duplicate arcs: on a CSR that holds duplicate
+    # entries, scipy's strong labelling miscounts SCCs or does not finish
     adj = sparse.csr_matrix(
         (np.ones(g.arc_count, dtype=bool), (g.arc_src, g.arc_dst)), shape=(g.n, g.n)
     )
     n_scc, labels = connected_components(adj, directed=True, connection="strong")
     del adj
-    sizes = np.bincount(labels, minlength=n_scc).astype(np.int64)
+    ids = index_dtype(g.n)
+    sizes = np.bincount(labels, minlength=n_scc).astype(ids)
     cs, cd = labels[g.arc_src], labels[g.arc_dst]
     keep = cs != cd
     keys = _unique(cs[keep].astype(np.int64) * n_scc + cd[keep])
-    return n_scc, labels, sizes, keys // n_scc, keys % n_scc
+    return n_scc, labels, sizes, (keys // n_scc).astype(ids), (keys % n_scc).astype(ids)
 
 
 def _csr_from_edges(src, dst, n):
     order = np.argsort(src, kind="stable")
-    counts = np.bincount(src, minlength=n)
-    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64), dst[order]
+    indptr = np.zeros(n + 1, dtype=index_dtype(src.size))
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order]
 
 
 @dataclass(frozen=True)
@@ -214,15 +218,15 @@ def _reach_sizes(g: EnhancedGraph) -> np.ndarray:
 
     tot, out = _closure_sums(ptr, idx, sizes, outside)
     reach = np.where(bwd, fwd_size + out, tot)
-    return reach[labels]
+    return reach.astype(np.int64)[labels]
 
 
 def _closure_sums(ptr, idx, sizes, outside):
     """Sums of ``sizes`` and ``outside`` over each DAG node's closure."""
     n = sizes.size
     outdeg = np.diff(ptr)
-    tot = np.zeros(n, dtype=np.int64)
-    out = np.zeros(n, dtype=np.int64)
+    tot = np.zeros(n, dtype=sizes.dtype)
+    out = np.zeros(n, dtype=sizes.dtype)
 
     # A node with two or more successors enumerates its closure as
     # (block row, node) pairs, one successor level at a time; the graph is
@@ -253,7 +257,7 @@ def _closure_sums(ptr, idx, sizes, outside):
     tot[end], out[end] = sizes[end], outside[end]
     single = outdeg == 1
     acc_tot, acc_out = np.where(single, sizes, 0), np.where(single, outside, 0)
-    nxt = np.arange(n, dtype=np.int64)
+    nxt = np.arange(n, dtype=index_dtype(n))
     nxt[single] = idx[ptr[:-1][single]]
     active = np.nonzero(single & single[nxt])[0]
     while active.size:

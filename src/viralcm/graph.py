@@ -20,17 +20,23 @@ import numpy as np
 
 from .populations import DegreeSample
 
-__all__ = ["EnhancedGraph", "build", "write_edgelist"]
+__all__ = ["EnhancedGraph", "build", "index_dtype", "write_edgelist"]
 
 #: Arcs formatted per ``write`` call by ``write_edgelist``.
 _WRITE_ARCS = 1 << 16
+
+
+def index_dtype(count: int) -> type:
+    """Integer dtype for ids below ``count`` and sums up to it (int32 below 2**31)."""
+    return np.int32 if count < 2**31 else np.int64
 
 
 @dataclass
 class EnhancedGraph:
     """Influence digraph of a realized enhanced configuration model.
 
-    ``arc_src``/``arc_dst`` list the influence arcs (with multiplicity).
+    ``arc_src``/``arc_dst`` list the influence arcs (with multiplicity) as
+    int32 node ids (``index_dtype(n)``); hand-built graphs may pass int64.
     ``parity_fixed`` records whether one receiver half-edge was added to
     make the total half-edge count even.
     """
@@ -69,9 +75,11 @@ def _match(sample: DegreeSample, rng: np.random.Generator) -> _Matching:
 
     # each node's first t half-edges transmit, the rest (repair stub included) receive
     t = sample.transmitter_degree
-    owner = np.repeat(np.arange(n, dtype=np.int64), d)
     transmitter = np.repeat(np.tile([True, False], n), np.stack([t, d - t], axis=1).ravel())
-    return _Matching(owner, transmitter, rng.permutation(total).reshape(-1, 2), parity_fixed)
+    owner = np.repeat(np.arange(n, dtype=index_dtype(n)), d)
+    pairs = np.arange(total, dtype=index_dtype(total))
+    rng.shuffle(pairs)  # the draws and the permutation of rng.permutation(total)
+    return _Matching(owner, transmitter, pairs.reshape(-1, 2), parity_fixed)
 
 
 def build(sample: DegreeSample, seed) -> EnhancedGraph:

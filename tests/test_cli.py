@@ -150,6 +150,12 @@ class TestConfig:
         cfg.to_file(path)
         assert RunConfig.from_file(path) == cfg
 
+    def test_bad_number_names_line_and_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed=3\nn=abc\n")
+        with pytest.raises(ValueError, match=r"run.cfg:2: n: .*'abc'"):
+            RunConfig.from_file(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("bogus=1\n")
@@ -573,6 +579,16 @@ class TestExitCodes:
             assert rc == 2
             assert flag[2:].replace("-", "_") + ":" in capsys.readouterr().err
         assert not (tmp_path / "evaluation.json").exists()
+
+    @pytest.mark.parametrize(
+        "grid", ["0:inf:0.1", "-inf:1:0.1", "0:1:nan", "0:x:1", "0:1", "0:1:0", "1:0:0.1"]
+    )
+    def test_bad_grid_exits_2(self, tmp_path, capsys, grid):
+        rc = main(["sweep", f"--grid={grid}", "--n", "100", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"grid: '{grid}': need finite start:stop:step, start <= stop, step > 0" in err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_zero_mean_degree_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "zeros.txt"

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from viralcm.graph import _match, build, write_edgelist
+from viralcm.graph import _match, build, index_dtype, write_edgelist
 from viralcm.populations import (
     BernoulliTransmission,
     DegreeSample,
@@ -159,6 +160,41 @@ class TestMatchingProperties:
             assert np.array_equal(g.arc_dst, m.owner[ends[:, 1]])
             assert g.parity_fixed == m.parity_fixed
         assert set(vars(g)) == {"n", "arc_src", "arc_dst", "parity_fixed", "seed"}
+
+
+def near_critical_sample(n):
+    """Poisson(2) degrees, Bernoulli(0.55) transmission: just above p_c = 1/2."""
+    return JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.55)).sample(n, seed=1)
+
+
+class TestIndexWidth:
+    def test_matching_draws_rng_permutation(self):
+        # 32-bit half-edge ids: the same pairs, and the same generator state
+        # after them, as rng.permutation(total) gives
+        s = near_critical_sample(200_000)
+        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+        m = _match(s, rng)
+        if m.parity_fixed:
+            ref.integers(len(s))
+        assert m.pairs.dtype == m.owner.dtype == np.int32
+        assert np.array_equal(m.pairs, ref.permutation(m.owner.size).reshape(-1, 2))
+        assert rng.integers(2**62) == ref.integers(2**62)
+
+    def test_build_returns_int32_arcs(self):
+        g = build(near_critical_sample(1000), seed=2)
+        assert g.arc_src.dtype == g.arc_dst.dtype == np.int32
+        assert index_dtype(2**31 - 1) is np.int32 and index_dtype(2**31) is np.int64
+
+    def test_build_peak_memory(self):
+        # int64 owners and half-edge ids peaked at 11.9 MiB here; int32, 6.5
+        s = near_critical_sample(200_000)
+        tracemalloc.start()
+        try:
+            build(s, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.5 * 2**20
 
 
 class TestEdgelistDump:
