@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from viralcm.estimators import write_sample_csv
 from viralcm.populations import (
     BernoulliTransmission,
     CouponCollector,
+    DegreeSample,
     JointDegreeLaw,
     PoissonDegree,
 )
@@ -526,6 +528,40 @@ class TestEvaluate:
         rc = main(["evaluate", str(path), "--out", str(tmp_path)])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+
+#: SHA-256 of ``evaluation.json`` for each seeded pioneer CSV, one per verdict,
+#: recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
+EVALUATION_SHA256 = {
+    "fragmented": "a16289abae9a86d3fbae85b7f74a2fedd45ec5f562958f778475d4f36f0f83d9",
+    "ineffective": "22f16658097f05429d9b032bc7c70042b76c34dcdcdcb35da5dd44ef9a3bc99b",
+    "viable": "7488d57c300f485b08d83ed110d01d6d309c745eea7da1dfbea2e0bb03449612",
+    "inconclusive": "939c18dc0a6464e1eddc231499980607c8ed36dc992d8cab245cc05428a341d3",
+}
+
+
+def verdict_sample(verdict: str) -> DegreeSample:
+    """A seeded 20 000-row pioneer sample that ``evaluate`` gives ``verdict``."""
+    if verdict == "inconclusive":
+        # every pioneer transmits to all of at least two neighbours, so the
+        # plug-in H has no zero inside (0, 1)
+        d = 2 + np.random.default_rng(4).poisson(2.0, 20_000)
+        return DegreeSample(d, d)
+    lam, p, seed = {"fragmented": (0.8, 0.5, 1), "ineffective": (3.0, 0.2, 2), "viable": (3.0, 0.6, 3)}[verdict]
+    return JointDegreeLaw(PoissonDegree(lam), BernoulliTransmission(p)).sample(20_000, seed=seed)
+
+
+class TestGoldenEvaluation:
+    @pytest.mark.parametrize("verdict", list(EVALUATION_SHA256))
+    def test_evaluation_bytes(self, tmp_path, monkeypatch, verdict):
+        # a relative --out and CSV path keep the embedded strings the same on every run
+        monkeypatch.chdir(tmp_path)
+        write_sample_csv(verdict_sample(verdict), "pioneers.csv")
+        argv = ["evaluate", "pioneers.csv", "--cost-per-pioneer", "50", "--value-per-influenced", "2"]
+        assert main(argv + ["--out", "out"]) == 0
+        data = Path("out/evaluation.json").read_bytes()
+        assert json.loads(data)["report"]["verdict"] == verdict
+        assert hashlib.sha256(data).hexdigest() == EVALUATION_SHA256[verdict]
 
 
 class TestExitCodes:

@@ -282,7 +282,7 @@ def pioneer_lines(draw):
     if kind == "exceeds" and a == b:
         b += 1
     d, t = (b, a) if kind == "valid" else (a, b)
-    zeros = "0" * draw(st.integers(0, 3))
+    zeros = "0" * draw(st.integers(0, 25))
     return f"{zeros}{d},{t}"
 
 
@@ -392,6 +392,35 @@ class TestCsvInterface:
             load_sample_csv(path)
         assert len(str(exc.value)) < 200
 
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            pytest.param(b"3,1\r4,2", "line 2: expected two fields of digits 0-9, got '3,1\\r4,2'", id="lone-cr-mid-line"),
+            pytest.param(b"3,1\n2,0\r", ([3, 2], [1, 0]), id="cr-at-eof"),
+            pytest.param(b"3,1\r\r\n", "line 2: expected two fields of digits 0-9, got '3,1\\r'", id="cr-cr-lf"),
+            pytest.param(b"0" * 30 + b"7,1\n", ([7], [1]), id="thirty-leading-zeros"),
+            pytest.param(b"%d,1\n" % INT64_MAX, ([INT64_MAX], [1]), id="int64-max"),
+            pytest.param(b"%d,1\n" % (INT64_MAX + 1), f"line 2: value beyond int64 in '{INT64_MAX + 1},1'", id="int64-max-plus-one"),
+            pytest.param(b"3,1,2\n", "line 2: expected two fields of digits 0-9, got '3,1,2'", id="three-fields"),
+            pytest.param(b"3\n", "line 2: expected two fields of digits 0-9, got '3'", id="one-field"),
+            pytest.param(b"3,\n", "line 2: expected two fields of digits 0-9, got '3,'", id="empty-field"),
+            pytest.param(b"", None, id="header-only"),
+        ],
+    )
+    def test_accept_reject_table(self, tmp_path, body, expected):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"degree,transmitter_degree\n" + body)
+        if isinstance(expected, tuple):
+            loaded = load_sample_csv(path)
+            assert (loaded.degree.tolist(), loaded.transmitter_degree.tolist()) == expected
+            return
+        with pytest.raises(ValueError) as exc:
+            load_sample_csv(path)
+        if expected is None:
+            assert str(exc.value) == f"{path}: no data rows"
+        else:
+            assert str(exc.value) == f"{path}: rejected rows:\n{expected}"
+
     def test_quoted_header_rejected(self, tmp_path):
         path = tmp_path / "quoted.csv"
         path.write_text('"degree","transmitter_degree"\n3,1\n')
@@ -439,9 +468,12 @@ def grammar_outcome(data: bytes):
     return ("ok", degrees, transmitters)
 
 
-#: Byte runs that break lines in ways the generated valid lines do not.
+#: Byte runs that break lines in ways the generated valid lines do not; the
+#: 20-digit field is nonzero only in its place 19.
 BYTE_NOISE = st.lists(
-    st.sampled_from([b"0", b"7", b"9", b",", b"\r", b"\n", b" ", b"\t", b"+", b"-", b'"', b"\xc2\xa0"]),
+    st.sampled_from(
+        [b"0", b"7", b"9", b"10000000000000000000", b",", b"\r", b"\n", b" ", b"\t", b"+", b"-", b'"', b"\xc2\xa0"]
+    ),
     max_size=6,
 ).map(b"".join)
 
