@@ -42,6 +42,8 @@ from .populations import (
 )
 
 SCHEMA_VERSION = 1
+#: Most points a sweep grid may hold.
+MAX_GRID_POINTS = 10_000
 
 __all__ = ["RunConfig", "main"]
 
@@ -129,7 +131,10 @@ class RunConfig:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, value = (s.strip() for s in line.split("=", 1))
                 if key == "grid":
-                    setattr(cfg, key, _parse_grid(value))
+                    try:
+                        setattr(cfg, key, _parse_grid(value))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from None
                     continue
                 if key not in types:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
@@ -180,6 +185,10 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
         start = stop = step = math.nan
     if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and stop >= start):
         raise ValueError(f"grid: {text!r}: need finite start:stop:step, start <= stop, step > 0")
+    # _grid_values makes round(span) + 1 points; an overflowing span is inf
+    span = (stop - start) / step
+    if not span < MAX_GRID_POINTS - 0.5:
+        raise ValueError(f"grid: {text!r}: {span + 1:.3g} points, more than {MAX_GRID_POINTS}")
     return start, stop, step
 
 

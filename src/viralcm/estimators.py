@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,13 +43,12 @@ DEFAULT_Z = 2.33
 CSV_HEADER = ["degree", "transmitter_degree"]
 
 _BOM = b"\xef\xbb\xbf"
-#: The only bytes a data line may hold.  numpy's integer parser also takes
-#: spaces, tabs and signs, so a file holding any other byte is not parsed
-#: by numpy but checked line by line.
+#: The only bytes a data line may hold; a file holding any other byte is
+#: checked line by line.
 _DATA_BYTES = b"0123456789,\r\n"
 _DATA_ROW = re.compile(rb"([0-9]+),([0-9]+)")
 _INT64_MAX = np.iinfo(np.int64).max
-#: Bytes read at a time by the data-byte check.
+#: Bytes read at a time by the parser.
 _READ_BYTES = 1 << 18
 #: Longest first line read as the header.
 _HEADER_BYTES = 1 << 10
@@ -87,8 +85,8 @@ def fragmentation_test(sample: DegreeSample, z: float = DEFAULT_Z) -> ConditionT
 
 def effectiveness_test(sample: DegreeSample, z: float = DEFAULT_Z) -> ConditionTest:
     """Estimate E[D D(t) - D - D(t)], the viral-condition margin."""
-    d = sample.degree.astype(np.float64)
-    t = sample.transmitter_degree.astype(np.float64)
+    # int64 d is cast to float64 inside each ufunc loop, with no float copy held
+    d, t = sample.degree, sample.transmitter_degree.astype(np.float64)
     return _mean_test(d * t - d - t, z)
 
 
@@ -208,7 +206,8 @@ def load_sample_csv(path) -> DegreeSample:
     beyond int64) is rejected, as is a transmitter degree exceeding the
     degree; every rejected line is reported with its 1-based line number.
 
-    A file of digits, commas and line ends only is parsed by ``np.loadtxt``;
+    The data are read once, ``_READ_BYTES`` at a time, each chunk cut at
+    its last LF and checked and decoded by numpy (``_parse_chunk``);
     Python reads single lines only to describe the rejected ones.
     """
     with open(path, "rb") as fh:
@@ -221,22 +220,55 @@ def load_sample_csv(path) -> DegreeSample:
             got = header[:60].decode("utf-8", "replace")
             raise ValueError(f"{path}: expected header '{','.join(CSV_HEADER)}', got {got!r}")
         start = fh.tell()
-        rows = None
-        chunks = iter(lambda: fh.read(_READ_BYTES), b"")
-        if not any(chunk.translate(None, _DATA_BYTES) for chunk in chunks):
-            fh.seek(start)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                try:
-                    rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-                except ValueError:
-                    pass
-        if rows is not None and not rows.size:
-            raise ValueError(f"{path}: no data rows")
-        if rows is None or rows.shape[1] != 2 or (rows[:, 1] > rows[:, 0]).any():
+        parts, buf = [np.empty((0, 2), np.int8)], bytearray()
+        # at the end of the file an LF closes a last line that lacks one
+        while block := fh.read(_READ_BYTES) or (b"\n" if buf else b""):
+            buf += block
+            cut = buf.rfind(b"\n", len(buf) - len(block)) + 1
+            if cut:
+                parts.append(_parse_chunk(buf[:cut]))
+                del buf[:cut]
+        if any(p is None for p in parts):
             fh.seek(start)
             raise ValueError(f"{path}: rejected rows:\n" + "\n".join(_rejected_rows(fh)))
+    rows = np.concatenate(parts, dtype=np.int64)
+    if not rows.size:
+        raise ValueError(f"{path}: no data rows")
     return DegreeSample(rows[:, 0], rows[:, 1])
+
+
+def _parse_chunk(chunk: bytearray) -> Optional[np.ndarray]:
+    """The rows of ``chunk``, whole data lines ending in LF; None when a
+    line is outside the grammar, holds a value beyond int64 or has t > d."""
+    if chunk.translate(None, _DATA_BYTES):
+        return None
+    a = np.frombuffer(chunk, np.uint8)
+    sep = np.flatnonzero(a < 48)  # ',' CR LF
+    kind = a[sep]
+    comma = kind == 44
+    gap = np.diff(sep, prepend=-1)  # one more than the digits before each separator
+    field = gap > 1
+    after_comma = np.roll(comma, 1)  # the last separator, an LF, wraps to the front
+    # a digit run ends at each comma and at the separator after it, and
+    # nowhere else; no comma follows a comma; a CR is followed by LF
+    bad = (field != (comma | after_comma)) | (comma & after_comma)
+    if bad.any() or (a[sep[kind == 13] + 1] != 10).any():
+        return None
+    ends, lens = sep[field], gap[field] - 1
+    value = (a[ends - 1] - 48).astype(np.uint64)
+    for place in range(1, min(lens.max(initial=1), 19)):
+        live = np.flatnonzero(lens > place)
+        value[live] += (a[ends[live] - 1 - place] - 48) * np.uint64(10**place)
+    # places 19 and up may hold leading zeros only; 19 digits stay below
+    # 2**64, and beyond INT64_MAX the int64 view is negative
+    high = np.flatnonzero(lens > 19)
+    bounds = np.stack([ends[high] - lens[high], ends[high] - 19], axis=1).ravel()
+    rows = value.view(np.int64).reshape(-1, 2)
+    beyond = (np.maximum.reduceat(a, bounds)[::2] > 48).any() or (rows < 0).any()
+    if beyond or (rows[:, 1] > rows[:, 0]).any():
+        return None
+    # the narrowest signed type keeps the parts small; the caller widens them once
+    return rows.astype(np.min_scalar_type(-rows.max(initial=0) - 1))
 
 
 def _rejected_rows(fh) -> list[str]:

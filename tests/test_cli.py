@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import viralcm
 from viralcm.analytic import analyze
-from viralcm.cli import RunConfig, main
+from viralcm.cli import MAX_GRID_POINTS, RunConfig, _parse_grid, main
 from viralcm.estimators import write_sample_csv
 from viralcm.populations import (
     BernoulliTransmission,
@@ -38,6 +38,8 @@ def read_sweep(path):
 def _valid(cfg):
     try:
         cfg.validate()
+        if cfg.grid is not None:
+            _parse_grid(":".join(map(repr, cfg.grid)))
     except ValueError:
         return False
     return True
@@ -49,6 +51,7 @@ _plain_text = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_si
     lambda s: s == s.strip().strip("'\"")
 )
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+_grid_bound = st.floats(-1e300, 1e300)
 _valid_configs = st.builds(
     RunConfig,
     degree=st.sampled_from(["poisson", "powerlaw", "empirical"]),
@@ -60,9 +63,10 @@ _valid_configs = st.builds(
     K=st.integers(0, 50),
     n=st.integers(1, 10**9),
     seed=st.integers(),
+    # a step of at least a thousandth of the span keeps the grid within MAX_GRID_POINTS
     grid=st.none()
-    | st.tuples(_finite, _finite, st.floats(0.0, 1e300, exclude_min=True)).map(
-        lambda g: (min(g[0], g[1]), max(g[0], g[1]), g[2])
+    | st.tuples(_grid_bound, _grid_bound, st.floats(0.0, 1e300, exclude_min=True)).map(
+        lambda g: (min(g[0], g[1]), max(g[0], g[1]), max(g[2], abs(g[1] - g[0]) / 1000))
     ),
     gamma=st.floats(0.0, 1.0, exclude_min=True),
     floor=st.floats(0.0, 1.0, exclude_max=True),
@@ -157,6 +161,20 @@ class TestConfig:
         path.write_text("seed=3\nn=abc\n")
         with pytest.raises(ValueError, match=r"run.cfg:2: n: .*'abc'"):
             RunConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "grid, problem",
+        [
+            ("0:x:1", "need finite start:stop:step, start <= stop, step > 0"),
+            ("0:1:1e-12", f"1e+12 points, more than {MAX_GRID_POINTS}"),
+        ],
+    )
+    def test_bad_grid_names_line(self, tmp_path, grid, problem):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed=3\ngrid={grid}\n")
+        with pytest.raises(ValueError) as exc:
+            RunConfig.from_file(path)
+        assert str(exc.value) == f"{path}:2: grid: '{grid}': {problem}"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -625,6 +643,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"grid: '{grid}': need finite start:stop:step, start <= stop, step > 0" in err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_oversized_grid_exits_2(self, tmp_path, capsys):
+        # the point count overflows to inf
+        rc = main(["sweep", "--grid=0:1e308:1e-300", "--n", "100", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: grid: '0:1e308:1e-300': inf points, more than {MAX_GRID_POINTS}\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_grid_point_cap(self):
+        # parsed only: a sweep over a grid that slipped through would build it
+        assert _parse_grid(f"0:{MAX_GRID_POINTS - 1}:1") == (0.0, MAX_GRID_POINTS - 1.0, 1.0)
+        for grid, points in [(f"0:{MAX_GRID_POINTS}:1", "1e+04"), ("0:1:1e-12", "1e+12")]:
+            with pytest.raises(ValueError) as exc:
+                _parse_grid(grid)
+            assert str(exc.value) == f"grid: '{grid}': {points} points, more than {MAX_GRID_POINTS}"
 
     def test_zero_mean_degree_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "zeros.txt"

@@ -399,8 +399,13 @@ class TestCsvInterface:
             pytest.param(b"3,1\n2,0\r", ([3, 2], [1, 0]), id="cr-at-eof"),
             pytest.param(b"3,1\r\r\n", "line 2: expected two fields of digits 0-9, got '3,1\\r'", id="cr-cr-lf"),
             pytest.param(b"0" * 30 + b"7,1\n", ([7], [1]), id="thirty-leading-zeros"),
+            pytest.param(b"128,127\n", ([128], [127]), id="int8-edge"),
+            pytest.param(b"32768,1\n", ([32768], [1]), id="int16-edge"),
+            pytest.param(b"2147483648,1\n", ([2147483648], [1]), id="int32-edge"),
             pytest.param(b"%d,1\n" % INT64_MAX, ([INT64_MAX], [1]), id="int64-max"),
             pytest.param(b"%d,1\n" % (INT64_MAX + 1), f"line 2: value beyond int64 in '{INT64_MAX + 1},1'", id="int64-max-plus-one"),
+            pytest.param(b"1,%d\n" % (INT64_MAX + 1), f"line 2: value beyond int64 in '1,{INT64_MAX + 1}'", id="t-beyond-int64"),
+            pytest.param(b"1" + b"0" * 19 + b",0\n", f"line 2: value beyond int64 in '1{'0' * 19},0'", id="nonzero-place-19"),
             pytest.param(b"3,1,2\n", "line 2: expected two fields of digits 0-9, got '3,1,2'", id="three-fields"),
             pytest.param(b"3\n", "line 2: expected two fields of digits 0-9, got '3'", id="one-field"),
             pytest.param(b"3,\n", "line 2: expected two fields of digits 0-9, got '3,'", id="empty-field"),
