@@ -185,10 +185,11 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
         start = stop = step = math.nan
     if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and stop >= start):
         raise ValueError(f"grid: {text!r}: need finite start:stop:step, start <= stop, step > 0")
-    # _grid_values makes round(span) + 1 points; an overflowing span is inf
+    # the count _grid_values builds; an overflowing span is inf
     span = (stop - start) / step
-    if not span < MAX_GRID_POINTS - 0.5:
-        raise ValueError(f"grid: {text!r}: {span + 1:.3g} points, more than {MAX_GRID_POINTS}")
+    points = int(round(span)) + 1 if math.isfinite(span) else math.inf
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"grid: {text!r}: {points} points, more than {MAX_GRID_POINTS}")
     return start, stop, step
 
 

@@ -166,7 +166,7 @@ class TestConfig:
         "grid, problem",
         [
             ("0:x:1", "need finite start:stop:step, start <= stop, step > 0"),
-            ("0:1:1e-12", f"1e+12 points, more than {MAX_GRID_POINTS}"),
+            ("0:1:1e-12", f"{10**12 + 1} points, more than {MAX_GRID_POINTS}"),
         ],
     )
     def test_bad_grid_names_line(self, tmp_path, grid, problem):
@@ -655,7 +655,7 @@ class TestExitCodes:
     def test_grid_point_cap(self):
         # parsed only: a sweep over a grid that slipped through would build it
         assert _parse_grid(f"0:{MAX_GRID_POINTS - 1}:1") == (0.0, MAX_GRID_POINTS - 1.0, 1.0)
-        for grid, points in [(f"0:{MAX_GRID_POINTS}:1", "1e+04"), ("0:1:1e-12", "1e+12")]:
+        for grid, points in [(f"0:{MAX_GRID_POINTS}:1", MAX_GRID_POINTS + 1), ("0:1:1e-12", 10**12 + 1)]:
             with pytest.raises(ValueError) as exc:
                 _parse_grid(grid)
             assert str(exc.value) == f"grid: '{grid}': {points} points, more than {MAX_GRID_POINTS}"
