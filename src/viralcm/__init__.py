@@ -8,16 +8,13 @@ decision procedure for evaluating an ongoing campaign.
 
 from .analytic import (
     AnalyticResult,
-    BranchingCheck,
     GenFnBundle,
     RootBracketingError,
     analyze,
     bernoulli_threshold,
-    branching_crosscheck,
     build_genfns,
     find_root,
-    giant_condition,
-    viral_condition,
+    mean_offspring,
 )
 from .diffusion import (
     DiffusionOutcome,

@@ -36,15 +36,14 @@ from .special import polylog, stirling1_signed, stirling2, weighted_sum, zeta
 __all__ = [
     "GenFnBundle",
     "AnalyticResult",
-    "BranchingCheck",
     "RootBracketingError",
-    "viral_condition",
-    "giant_condition",
+    "viral_margin",
+    "giant_margin",
     "build_genfns",
     "find_root",
     "analyze",
     "bernoulli_threshold",
-    "branching_crosscheck",
+    "mean_offspring",
 ]
 
 #: Condition margins smaller than this are reported as critical; the
@@ -91,21 +90,13 @@ class GenFnBundle:
     g_dt: Callable[[float], float]
 
 
-def viral_condition(mom: JointMoments) -> bool:
-    """E[D(t) D] > E[D(t)] + E[D] (a divergent left side counts as true)."""
-    return mom.mean_dt_d > mom.mean_dt + mom.mean_d
-
-
-def giant_condition(mom: JointMoments) -> bool:
-    """E[D(D-2)] > 0, i.e. E[D^2] > 2 E[D] (divergent E[D^2] counts as true)."""
-    return mom.mean_d2 > 2.0 * mom.mean_d
-
-
 def viral_margin(mom: JointMoments) -> float:
+    """E[D(t) D] - (E[D(t)] + E[D]): positive on viral laws, ``inf`` if E[D(t) D] diverges."""
     return mom.mean_dt_d - (mom.mean_dt + mom.mean_d)
 
 
 def giant_margin(mom: JointMoments) -> float:
+    """E[D(D-2)] = E[D^2] - 2 E[D]: positive when the graph has a giant component."""
     return mom.mean_d2 - 2.0 * mom.mean_d
 
 
@@ -292,9 +283,10 @@ def find_root(f: Callable[[float], float], kind: str = "") -> Optional[float]:
 
     Evaluates ``f`` once, on the whole ``_SCAN_GRID`` (up to 1 - 1e-12),
     and refines its one sign change with Brent's method on scalar calls
-    (:func:`_brentq`, a port of scipy's ``brentq``) until
-    |f(root)| <= ``ROOT_RESIDUAL``; a grid value of exactly 0 ends the
-    bracket and is returned.  The functions handled here vanish at both
+    (:func:`_brentq`, a port of scipy's ``brentq``, handed the scan's values
+    at the bracket ends) until |f(root)| <= ``ROOT_RESIDUAL``; a grid value
+    of exactly 0 ends the bracket and is returned.  No abscissa is
+    evaluated twice.  The functions handled here vanish at both
     endpoints, so only an interior sign change counts.  Above ``_SCAN_HI``
     they are differences of O(1) terms that cancel toward the zero at 1, so
     a value there counts only if it exceeds ``ROOT_RESIDUAL`` in magnitude:
@@ -312,42 +304,45 @@ def find_root(f: Callable[[float], float], kind: str = "") -> Optional[float]:
         raise RootBracketingError(
             f"{kind or 'root'} zero not unique: {flips.size} sign changes on the root scan"
         )
-    j = flips[0]
-    lo, hi = _SCAN_GRID[kept[j]], _SCAN_GRID[kept[j + 1]]
-    root = _brentq(f, lo, hi)
-    res = abs(f(root))
+    i, j = kept[flips[0]], kept[flips[0] + 1]
+    root, froot = _brentq(f, _SCAN_GRID[i], _SCAN_GRID[j], fx[i], fx[j])
+    res = abs(froot)
     if res > ROOT_RESIDUAL:
         raise RootBracketingError(
             f"{kind or 'root'} refinement stalled: residual {res:.3g} exceeds {ROOT_RESIDUAL:.3g}"
         )
-    return float(root)
+    return root
 
 
-def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
-    """Zero of ``f`` in the bracket [xa, xb] by Brent's method.
+def _brentq(
+    f: Callable[[float], float], xa: float, xb: float, fa: float, fb: float
+) -> tuple[float, float]:
+    """Zero of ``f`` in the bracket [xa, xb], given fa = f(xa) and fb = f(xb),
+    by Brent's method; returns the zero and ``f`` there.
 
     A line-for-line port of scipy's ``optimize/Zeros/brentq.c`` (after
     Brent, "Algorithms for Minimization without Derivatives", 1973), called
-    as ``brentq(f, xa, xb, xtol=1e-15, rtol=8.9e-16, maxiter=200)``: it
-    takes the same steps and returns the same float.  Like scipy it raises
+    as ``brentq(f, xa, xb, xtol=1e-15, rtol=8.9e-16, maxiter=200)``: after
+    scipy's two endpoint calls, which ``fa`` and ``fb`` stand for, it takes
+    the same steps and returns the same float.  Like scipy it raises
     ``ValueError`` on a NaN value of ``f`` or a bracket without a sign
     change; running out of iterations raises :class:`RootBracketingError`.
     """
     xtol, rtol = 1e-15, 8.9e-16
 
-    def fval(x):
-        fx = float(f(x))
+    def checked(x, fx):
+        fx = float(fx)
         if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = fval(xpre), fval(xcur)
+    fpre, fcur = checked(xpre, fa), checked(xcur, fb)
     if fpre == 0:
-        return xpre
+        return xpre, fpre
     if fcur == 0:
-        return xcur
+        return xcur, fcur
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
     for _ in range(200):
@@ -360,7 +355,7 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
-            return xcur
+            return xcur, fcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -376,7 +371,7 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = fval(xcur)
+        fcur = checked(xcur, f(xcur))
     raise RootBracketingError(f"Brent refinement did not converge in 200 iterations (at x={xcur})")
 
 
@@ -467,44 +462,16 @@ def bernoulli_threshold(degree_law) -> float:
     return degree_law.mean / (m2 - degree_law.mean)
 
 
-# ---------------------------------------------------------------------------
-# Branching cross-check
-# ---------------------------------------------------------------------------
+def mean_offspring(mom: JointMoments) -> float:
+    """Mean offspring count of the exploration from a random pioneer.
 
-
-@dataclass(frozen=True)
-class BranchingCheck:
-    """Offspring-process view of the exploration from a random pioneer."""
-
-    supercritical: bool
-    mean_offspring: float
-    p_ext: float
-    alpha_bar_bp: float
-
-
-def branching_crosscheck(joint: JointDegreeLaw) -> BranchingCheck:
-    """Extinction analysis of the offspring approximation.
-
-    The offspring count of a reached friend is its size-biased transmitter
-    degree, with mean (E[D(t) D] - E[D(t)]) / E[D] (``inf`` when E[D(t) D]
-    diverges).  The process survives iff that mean exceeds one, which is the
-    viral condition, decided with the same critical margin as
-    :func:`analyze`; the extinction probability is the zero of Hbar in
-    (0, 1), which :func:`find_root` certifies unique, and 1 - G_Dt(p_ext)
-    reproduces alpha_bar.  Raises ``ValueError`` when E[D] = 0.
+    A reached friend's offspring is its size-biased transmitter degree, so
+    the mean is (E[D(t) D] - E[D(t)]) / E[D] (``inf`` when E[D(t) D]
+    diverges); it exceeds one iff the viral condition holds.  Raises
+    ``ValueError`` when E[D] = 0.
     """
-    mom = joint.moments()
     if mom.mean_d == 0.0:
         raise ValueError("offspring process undefined: E[D] = 0")
     if math.isinf(mom.mean_dt_d):
-        mean_off = math.inf
-    else:
-        mean_off = (mom.mean_dt_d - mom.mean_dt) / mom.mean_d
-    margin = viral_margin(mom)
-    if margin <= 0 or _is_critical(margin):
-        return BranchingCheck(False, mean_off, 1.0, 0.0)
-    bundle = build_genfns(joint)
-    p_ext = find_root(bundle.hbar, "Hbar")
-    if p_ext is None:
-        raise RootBracketingError("offspring process supercritical but Hbar has no bracketed zero")
-    return BranchingCheck(True, mean_off, p_ext, 1.0 - float(bundle.g_dt(p_ext)))
+        return math.inf
+    return (mom.mean_dt_d - mom.mean_dt) / mom.mean_d

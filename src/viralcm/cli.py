@@ -5,7 +5,7 @@ Subcommands
 simulate   build one enhanced configuration model and measure reach
 sweep      vary the transmission parameter over a grid; write one CSV row
            per grid point with simulated, plug-in, and closed-form fractions
-analytic   closed-form conditions, roots, fractions, and the branching check
+analytic   closed-form conditions, roots, fractions, and the offspring process
 evaluate   campaign decision procedure on a pioneer CSV
 
 Every output embeds the full run configuration and seed.  Configuration can
@@ -15,6 +15,7 @@ come from a flat key=value file (``--config``); explicit flags override it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -27,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import RootBracketingError, analyze, bernoulli_threshold, branching_crosscheck
+from .analytic import RootBracketingError, analyze, bernoulli_threshold, mean_offspring
 from .diffusion import DEFAULT_FLOOR, DEFAULT_GAMMA, all_reach
 from .estimators import DEFAULT_Z, EvalConfig, evaluate_campaign, load_sample_csv
 from .graph import build, write_edgelist
@@ -226,15 +227,25 @@ def _write_json(path: Path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _node_memory(n: int):
+    """Turn a failed allocation into a ``ValueError`` naming ``n``."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ValueError(f"n: {n} nodes do not fit in memory: {exc}") from None
+
+
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
     cfg.validate()
     law = make_law(cfg)
     rng = np.random.default_rng(cfg.seed)
-    sample = law.sample(cfg.n, rng)
-    g = build(sample, rng)
-    del sample
-    g.seed = cfg.seed
-    outcome = all_reach(g, cfg.gamma, cfg.floor)
+    with _node_memory(cfg.n):
+        sample = law.sample(cfg.n, rng)
+        g = build(sample, rng)
+        del sample
+        g.seed = cfg.seed
+        outcome = all_reach(g, cfg.gamma, cfg.floor)
 
     out_dir = Path(cfg.out)
     outcome_path = out_dir / "outcome.json"
@@ -290,9 +301,10 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
             point.p = float(value)
         law = make_law(point)
         rng = np.random.default_rng(point.seed)
-        sample = law.sample(point.n, rng)
-        g = build(sample, rng)
-        outcome = all_reach(g, point.gamma, point.floor)
+        with _node_memory(point.n):
+            sample = law.sample(point.n, rng)
+            g = build(sample, rng)
+            outcome = all_reach(g, point.gamma, point.floor)
         est = analyze(sample)
         ana = analyze(law)
         rows.append(
@@ -324,18 +336,18 @@ def cmd_analytic(cfg: RunConfig) -> list[Path]:
     cfg.validate()
     law = make_law(cfg)
     result = analyze(law)
-    check = branching_crosscheck(law)
+    mean_off = mean_offspring(law.moments())
+    # the offspring process survives iff the law is viral; its extinction
+    # probability is the zero of Hbar, and 1 - G_Dt there is alpha_bar
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_dict(),
         "result": result.to_dict(),
         "branching": {
-            "supercritical": check.supercritical,
-            "mean_offspring": check.mean_offspring
-            if np.isfinite(check.mean_offspring)
-            else "divergent",
-            "p_ext": check.p_ext,
-            "alpha_bar_bp": check.alpha_bar_bp,
+            "supercritical": result.viral_condition,
+            "mean_offspring": mean_off if math.isfinite(mean_off) else "divergent",
+            "p_ext": result.xi_bar if result.viral_condition else 1.0,
+            "alpha_bar_bp": result.alpha_bar,
         },
     }
     if cfg.trans in ("bernoulli", "nodeperc"):
@@ -407,6 +419,8 @@ def main(argv=None) -> int:
         prog="viralcm",
         description="Influence diffusion on enhanced configuration models",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("simulate", "build a graph and measure per-pioneer reach"),
@@ -414,10 +428,9 @@ def main(argv=None) -> int:
         ("analytic", "closed-form conditions, roots, and fractions"),
         ("evaluate", "campaign decision procedure on a pioneer CSV"),
     ]:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, parents=[common])
         if name == "evaluate":
             p.add_argument("csv", help="pioneer data: degree,transmitter_degree")
-        _add_common(p)
 
     args = parser.parse_args(argv)
     try:

@@ -73,9 +73,14 @@ def _match(sample: DegreeSample, rng: np.random.Generator) -> _Matching:
         d[int(rng.integers(n))] += 1
     total = int(d.sum())
 
-    # each node's first t half-edges transmit, the rest (repair stub included) receive
+    # each node's first t half-edges transmit, the rest (repair stub included)
+    # receive; np.repeat takes its counts as intp, so int32 ones would be copied
     t = sample.transmitter_degree
-    transmitter = np.repeat(np.tile([True, False], n), np.stack([t, d - t], axis=1).ravel())
+    counts = np.empty(2 * n, dtype=np.intp)
+    counts[0::2] = t
+    np.subtract(d, t, out=counts[1::2])
+    transmitter = np.repeat(np.tile([True, False], n), counts)
+    del counts
     owner = np.repeat(np.arange(n, dtype=index_dtype(n)), d)
     pairs = np.arange(total, dtype=index_dtype(total))
     rng.shuffle(pairs)  # the draws and the permutation of rng.permutation(total)

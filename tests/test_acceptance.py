@@ -14,8 +14,8 @@ import pytest
 from viralcm.analytic import (
     analyze,
     bernoulli_threshold,
-    branching_crosscheck,
     build_genfns,
+    mean_offspring,
 )
 from viralcm.diffusion import all_reach, influenced_set, reverse_reach
 from viralcm.graph import build
@@ -30,6 +30,8 @@ from viralcm.populations import (
     PowerLawDegree,
 )
 from viralcm.special import DiscretePmf, zeta
+
+from offspring_oracle import extinction_bracket
 
 
 def report(num, description, ok):
@@ -133,7 +135,7 @@ def test_criterion_06_coupon_collector_asymmetry():
     # alpha = 0.349 < alpha_bar = 0.680.  At lambda=2 the mean is 0.952,
     # both fractions vanish, and the comparison would rest on noise.
     law = JointDegreeLaw(PoissonDegree(3.0), CouponCollector(2))
-    assert branching_crosscheck(law).supercritical, "criterion 6 law is not supercritical"
+    assert mean_offspring(law.moments()) > 1.0, "criterion 6 law is not supercritical"
     res = analyze(law)
     assert res.alpha_bar > res.alpha, "closed form does not order the two fractions"
     ok = True
@@ -172,12 +174,15 @@ def test_criterion_07_branching_crosscheck():
         if abs(margin) < 1e-6:
             continue  # no information at the phase boundary
         checked += 1
-        chk = branching_crosscheck(law)
-        ok &= chk.supercritical == (margin > 0)
-        if chk.supercritical:
-            res = analyze(law)
-            ok &= abs(chk.alpha_bar_bp - res.alpha_bar) < 1e-9
-    report(7, "offspring-process criticality matches the viral condition (100 configs)", ok)
+        res = analyze(law)
+        supercritical = mean_offspring(mom) > 1.0
+        ok &= supercritical == res.viral_condition == (margin > 0)
+        if supercritical:
+            # the extinction probability of the offspring process, iterated
+            # from the definition of its pgf, is the zero of Hbar
+            lo, hi = extinction_bracket(law)
+            ok &= hi - lo <= 1e-12 and lo - 1e-12 <= res.xi_bar <= hi + 1e-12
+    report(7, "offspring-process criticality and extinction match the closed form (100 configs)", ok)
 
 
 def test_criterion_08_three_track_agreement():

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -15,12 +17,13 @@ from viralcm.analytic import (
     _coupon_stirling_coeffs,
     analyze,
     bernoulli_threshold,
-    branching_crosscheck,
     build_genfns,
     find_root,
-    giant_condition,
-    viral_condition,
+    giant_margin,
+    mean_offspring,
+    viral_margin,
 )
+from viralcm.cli import main
 from viralcm.populations import (
     BernoulliTransmission,
     CouponCollector,
@@ -32,6 +35,8 @@ from viralcm.populations import (
     PowerLawDegree,
 )
 from viralcm.special import DiscretePmf, zeta
+
+from offspring_oracle import extinction_bracket
 
 
 def poisson_bernoulli(lam=2.0, p=0.8):
@@ -51,32 +56,32 @@ def er_giant_fraction(lam, tol=1e-14):
 
 class TestConditions:
     def test_poisson_bernoulli_supercritical(self):
-        assert viral_condition(poisson_bernoulli(2.0, 0.8).moments())
+        assert viral_margin(poisson_bernoulli(2.0, 0.8).moments()) > 0
 
     def test_zero_transmission_subcritical(self):
-        assert not viral_condition(poisson_bernoulli(2.0, 0.0).moments())
+        assert not viral_margin(poisson_bernoulli(2.0, 0.0).moments()) > 0
 
     def test_boundary_lam_p_one(self):
-        # lam * p = 1 sits exactly at the threshold: 2.5 > 3 is false
-        assert not viral_condition(poisson_bernoulli(2.0, 0.5).moments())
+        # lam * p = 1 sits exactly at the threshold: the margin 3 - (1 + 2) is 0
+        assert not viral_margin(poisson_bernoulli(2.0, 0.5).moments()) > 0
 
     def test_giant_poisson(self):
-        assert giant_condition(poisson_bernoulli(2.0, 0.5).moments())
+        assert giant_margin(poisson_bernoulli(2.0, 0.5).moments()) > 0
 
     def test_giant_powerlaw_boundary(self):
         near = JointDegreeLaw(PowerLawDegree(3.4), BernoulliTransmission(1.0))
         far = JointDegreeLaw(PowerLawDegree(3.6), BernoulliTransmission(1.0))
-        assert giant_condition(near.moments())
-        assert not giant_condition(far.moments())
+        assert giant_margin(near.moments()) > 0
+        assert not giant_margin(far.moments()) > 0
 
     def test_degenerate_degree_one(self):
         pmf = DiscretePmf(np.array([1]), np.array([1.0]))
         law = JointDegreeLaw(EmpiricalDegree(pmf), BernoulliTransmission(1.0))
-        assert not giant_condition(law.moments())
+        assert not giant_margin(law.moments()) > 0
 
     def test_divergent_mixed_moment_is_viral(self):
         law = JointDegreeLaw(PowerLawDegree(2.45), BernoulliTransmission(0.05))
-        assert viral_condition(law.moments())
+        assert viral_margin(law.moments()) > 0
 
 
 class TestBundles:
@@ -410,13 +415,26 @@ _offspring_laws = [
 ]
 
 
+_viral_offspring_laws = [
+    JointDegreeLaw(deg, tr)
+    for deg in (
+        PoissonDegree(1.8),
+        PoissonDegree(3.0),
+        PoissonDegree(12.0),
+        EmpiricalDegree.from_degrees([1, 2, 2, 3, 5, 8, 13]),
+        EmpiricalDegree.from_degrees([0, 1, 4, 4, 7]),
+    )
+    for tr in (BernoulliTransmission(0.7), NodePercolation(0.7), CouponCollector(3))
+]
+
+
 class TestOffspringOracle:
     @pytest.mark.parametrize("law", _offspring_laws)
     def test_mean_offspring_matches_size_biased_pmf(self, law):
         pmf = size_biased_pmf(law)
         assert sum(pmf.values()) == pytest.approx(1.0, abs=1e-9)
         mean_t = sum(w * m for (_, w), m in pmf.items())
-        assert branching_crosscheck(law).mean_offspring == pytest.approx(mean_t, rel=1e-12)
+        assert mean_offspring(law.moments()) == pytest.approx(mean_t, rel=1e-12)
 
     def test_two_regular_full_transmission(self):
         # a reached friend of a 2-regular node has one remaining stub,
@@ -425,25 +443,47 @@ class TestOffspringOracle:
         pmf = size_biased_pmf(law)
         assert pmf.pop((0, 1)) == pytest.approx(1.0)
         assert not any(pmf.values())
-        assert branching_crosscheck(law).mean_offspring == 1.0
+        assert mean_offspring(law.moments()) == 1.0
 
     @pytest.mark.parametrize("lam, p", [(0.5, 0.35), (3.0, 0.35), (12.0, 1.0)])
     def test_poisson_thinning_mean(self, lam, p):
-        assert branching_crosscheck(poisson_bernoulli(lam, p)).mean_offspring == pytest.approx(
+        assert mean_offspring(poisson_bernoulli(lam, p).moments()) == pytest.approx(
             lam * p, rel=1e-12
         )
+
+    @pytest.mark.parametrize("law", _viral_offspring_laws)
+    def test_extinction_bracketed_by_iterates(self, law):
+        # the offspring pgf iterated up from 0 and down from below 1
+        # closes in on the extinction probability, which is xi_bar
+        res = analyze(law)
+        assert res.viral_condition and mean_offspring(law.moments()) > 1.0
+        lo, hi = extinction_bracket(law)
+        assert hi - lo <= 1e-12
+        assert lo - 1e-12 <= res.xi_bar <= hi + 1e-12
+
+
+def branching_block(law, out):
+    """The ``branching`` block ``viralcm analytic`` writes for a Poisson or power-law law."""
+    deg, tr = law.degree, law.transmission
+    if isinstance(deg, PoissonDegree):
+        flags = ["--degree", "poisson", "--lambda", repr(deg.lam)]
+    else:
+        flags = ["--degree", "powerlaw", "--beta", repr(deg.beta)]
+    flags += ["--trans", tr.kind] + (["--K", str(tr.K)] if tr.kind == "coupon" else ["--p", repr(tr.p)])
+    assert main(["analytic", *flags, "--out", str(out)]) == 0
+    return json.loads((out / "analysis.json").read_text())["branching"]
 
 
 class TestBranchingCrosscheck:
     def test_poisson_bernoulli_supercritical(self):
-        chk = branching_crosscheck(poisson_bernoulli(2.0, 0.8))
-        assert chk.supercritical
-        assert chk.mean_offspring == pytest.approx(1.6, abs=1e-9)
+        law = poisson_bernoulli(2.0, 0.8)
+        assert analyze(law).viral_condition
+        assert mean_offspring(law.moments()) == pytest.approx(1.6, abs=1e-9)
 
     def test_zero_mean_degree_raises(self):
         law = JointDegreeLaw(EmpiricalDegree.from_degrees([0, 0]), BernoulliTransmission(0.5))
         with pytest.raises(ValueError, match=r"E\[D\] = 0"):
-            branching_crosscheck(law)
+            mean_offspring(law.moments())
 
     def test_hub_law_stays_small(self):
         # one hub of degree 3000: the offspring mean is a moment ratio, so no
@@ -451,28 +491,28 @@ class TestBranchingCrosscheck:
         law = JointDegreeLaw(EmpiricalDegree.from_degrees([1, 2, 3000]), BernoulliTransmission(0.5))
         tracemalloc.start()
         try:
-            chk = branching_crosscheck(law)
+            res = analyze(law)
+            mean_offspring(law.moments())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert chk.supercritical
+        assert res.viral_condition
         assert peak < 4 * 2**20
 
-    def test_zero_transmission_degenerate(self):
-        chk = branching_crosscheck(poisson_bernoulli(2.0, 0.0))
-        assert not chk.supercritical
-        assert chk.alpha_bar_bp == 0.0
-        assert chk.p_ext == 1.0
+    def test_zero_transmission_degenerate(self, tmp_path):
+        block = branching_block(poisson_bernoulli(2.0, 0.0), tmp_path)
+        assert not block["supercritical"]
+        assert block["alpha_bar_bp"] == 0.0
+        assert block["p_ext"] == 1.0
 
     def test_coupon_k2_at_lambda_2_subcritical(self):
         # the point acceptance criterion 6 used to test: the offspring mean
         # (2*lam - 3*(1 - e^-lam) + sum_k e^-lam lam^k / (k k!)) / lam,
         # summed with mpmath, is below one, so both fractions vanish
         law = JointDegreeLaw(PoissonDegree(2.0), CouponCollector(2))
-        chk = branching_crosscheck(law)
-        assert not chk.supercritical
-        assert chk.mean_offspring == pytest.approx(0.952281821998056, abs=1e-12)
+        assert mean_offspring(law.moments()) == pytest.approx(0.952281821998056, abs=1e-12)
         res = analyze(law)
+        assert not res.viral_condition
         assert res.alpha == 0.0
         assert res.alpha_bar == 0.0
 
@@ -485,12 +525,13 @@ class TestBranchingCrosscheck:
             JointDegreeLaw(PowerLawDegree(2.45), BernoulliTransmission(0.3)),
         ],
     )
-    def test_extinction_matches_good_pioneer_fraction(self, law):
-        chk = branching_crosscheck(law)
+    def test_extinction_matches_good_pioneer_fraction(self, law, tmp_path):
+        block = branching_block(law, tmp_path)
         res = analyze(law)
-        assert chk.supercritical == res.viral_condition
-        if chk.supercritical:
-            assert abs(chk.alpha_bar_bp - res.alpha_bar) < 1e-9
+        assert block["supercritical"] == res.viral_condition
+        if block["supercritical"]:
+            assert block["p_ext"] == res.xi_bar
+            assert abs(block["alpha_bar_bp"] - res.alpha_bar) < 1e-9
 
     def test_agrees_with_viral_condition_on_grid(self):
         rng = np.random.default_rng(11)
@@ -510,8 +551,7 @@ class TestBranchingCrosscheck:
             margin = mom.mean_dt_d - mom.mean_dt - mom.mean_d
             if abs(margin) < 1e-6:
                 continue  # uninformative near the phase boundary
-            chk = branching_crosscheck(law)
-            assert chk.supercritical == (margin > 0)
+            assert (mean_offspring(mom) > 1.0) == analyze(law).viral_condition == (margin > 0)
 
 
 class TestPowerLawRegimes:
@@ -591,11 +631,17 @@ def scipy_brentq(f, a, b):
     return brentq(f, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200)
 
 
+def port_brentq(f, a, b):
+    """``_brentq`` called as scipy's: the endpoint values first, then the refinement."""
+    return analytic._brentq(f, a, b, f(a), f(b))[0]
+
+
 _law_grid = [
     JointDegreeLaw(deg, tr)
     for deg in (
         PoissonDegree(1.5),
         PoissonDegree(3.0),
+        PoissonDegree(5.0),
         EmpiricalDegree.from_degrees([1, 2, 2, 3, 5, 8, 13]),
         PowerLawDegree(2.45),
         PowerLawDegree(3.2),
@@ -613,21 +659,22 @@ class TestBrentPort:
 
     def test_find_root_brackets_match_scipy(self, monkeypatch):
         # every bracket find_root refines on the law grid, with H, Hbar and
-        # H0 from analyze and Hbar from the branching check
+        # H0 from analyze; the scan's values at the bracket ends are the
+        # values scipy computes there
         port = analytic._brentq
         seen = []
 
-        def checked(f, a, b):
-            got = port(f, a, b)
-            want = scipy_brentq(f, a, b)
-            assert got.hex() == float(want).hex(), (a, b)
+        def checked(f, a, b, fa, fb):
+            assert (fa, fb) == (f(a), f(b))
+            root, froot = port(f, a, b, fa, fb)
+            assert root.hex() == float(scipy_brentq(f, a, b)).hex(), (a, b)
+            assert froot == f(root)
             seen.append((a, b))
-            return got
+            return root, froot
 
         monkeypatch.setattr(analytic, "_brentq", checked)
         for law in _law_grid:
             analyze(law)
-            branching_crosscheck(law)
         assert len(seen) >= 100
 
     @settings(derandomize=True, max_examples=300, deadline=None)
@@ -650,7 +697,9 @@ class TestBrentPort:
 
         # rounding noise at a multiple root can keep both from converging
         try:
-            got = analytic._brentq(logged(0), a, b).hex()
+            root, froot = analytic._brentq(logged(0), a, b, f(a), f(b))
+            assert froot == f(root)
+            got = root.hex()
         except RootBracketingError:
             got = "no convergence"
         try:
@@ -658,21 +707,28 @@ class TestBrentPort:
         except RuntimeError:
             want = "no convergence"
         assert got == want
-        assert iterates[0] == iterates[1]
+        # scipy first evaluates the two endpoints, which the port is handed
+        assert iterates[1][:2] == [a, b]
+        assert iterates[0] == iterates[1][2:]
 
     def test_zero_endpoint_is_returned(self):
-        assert analytic._brentq(lambda x: x - 0.25, 0.25, 1.0) == 0.25
-        assert analytic._brentq(lambda x: x - 1.0, 0.25, 1.0) == 1.0
+        assert analytic._brentq(lambda x: x - 0.25, 0.25, 1.0, 0.0, 0.75) == (0.25, 0.0)
+        assert analytic._brentq(lambda x: x - 1.0, 0.25, 1.0, -0.75, 0.0) == (1.0, 0.0)
 
     def test_same_sign_bracket_raises(self):
-        for solve in (scipy_brentq, analytic._brentq):
+        for solve in (scipy_brentq, port_brentq):
             with pytest.raises(ValueError, match="different signs"):
                 solve(lambda x: x * x + 1.0, -1.0, 1.0)
 
     def test_nan_value_raises(self):
-        for solve in (scipy_brentq, analytic._brentq):
-            with pytest.raises(ValueError, match="NaN"):
-                solve(lambda x: math.nan if x > 0.3 else -1.0, 0.0, 1.0)
+        # at an endpoint, and at the first secant point
+        for f in (
+            lambda x: math.nan if x > 0.3 else -1.0,
+            lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5,
+        ):
+            for solve in (scipy_brentq, port_brentq):
+                with pytest.raises(ValueError, match="NaN"):
+                    solve(f, 0.0, 1.0)
 
     def test_running_out_of_iterations_raises(self):
         # a step has no slope to interpolate, so every step bisects, and a
@@ -683,4 +739,42 @@ class TestBrentPort:
         with pytest.raises(RuntimeError, match="converge"):
             scipy_brentq(step, -1e300, 1e300)
         with pytest.raises(RootBracketingError):
-            analytic._brentq(step, -1e300, 1e300)
+            port_brentq(step, -1e300, 1e300)
+
+
+class TestRootEvaluations:
+    @pytest.mark.parametrize("law", _law_grid[::3])
+    def test_each_abscissa_evaluated_once(self, law):
+        bundle = build_genfns(law)
+        for f in (bundle.h, bundle.hbar, bundle.h0):
+            calls = []
+
+            def logged(x):
+                calls.append(x)
+                return f(x)
+
+            find_root(logged)
+            scan, scalars = calls[0], calls[1:]
+            assert scan is _SCAN_GRID
+            assert all(np.ndim(x) == 0 for x in scalars)
+            assert len(set(scalars)) == len(scalars)
+            assert not set(scalars) & set(_SCAN_GRID.tolist())
+
+    def test_analytic_scans_hbar_once(self, tmp_path, monkeypatch):
+        scans = []
+        build = analytic.build_genfns
+
+        def counted(source):
+            bundle = build(source)
+
+            def hbar(x):
+                if np.ndim(x):
+                    scans.append(x)
+                return bundle.hbar(x)
+
+            return dataclasses.replace(bundle, hbar=hbar)
+
+        monkeypatch.setattr(analytic, "build_genfns", counted)
+        argv = ["analytic", "--degree", "powerlaw", "--beta", "2.45", "--trans", "coupon", "--K", "3"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert len(scans) == 1

@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import hashlib
 import json
 import os
 import subprocess
@@ -19,10 +18,11 @@ from viralcm.estimators import write_sample_csv
 from viralcm.populations import (
     BernoulliTransmission,
     CouponCollector,
-    DegreeSample,
     JointDegreeLaw,
     PoissonDegree,
 )
+
+from golden.regenerate import ANALYTIC_CASES, check_case
 
 
 def read_sweep(path):
@@ -548,38 +548,21 @@ class TestEvaluate:
         assert "line 2" in capsys.readouterr().err
 
 
-#: SHA-256 of ``evaluation.json`` for each seeded pioneer CSV, one per verdict,
-#: recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
-EVALUATION_SHA256 = {
-    "fragmented": "a16289abae9a86d3fbae85b7f74a2fedd45ec5f562958f778475d4f36f0f83d9",
-    "ineffective": "22f16658097f05429d9b032bc7c70042b76c34dcdcdcb35da5dd44ef9a3bc99b",
-    "viable": "7488d57c300f485b08d83ed110d01d6d309c745eea7da1dfbea2e0bb03449612",
-    "inconclusive": "939c18dc0a6464e1eddc231499980607c8ed36dc992d8cab245cc05428a341d3",
-}
-
-
-def verdict_sample(verdict: str) -> DegreeSample:
-    """A seeded 20 000-row pioneer sample that ``evaluate`` gives ``verdict``."""
-    if verdict == "inconclusive":
-        # every pioneer transmits to all of at least two neighbours, so the
-        # plug-in H has no zero inside (0, 1)
-        d = 2 + np.random.default_rng(4).poisson(2.0, 20_000)
-        return DegreeSample(d, d)
-    lam, p, seed = {"fragmented": (0.8, 0.5, 1), "ineffective": (3.0, 0.2, 2), "viable": (3.0, 0.6, 3)}[verdict]
-    return JointDegreeLaw(PoissonDegree(lam), BernoulliTransmission(p)).sample(20_000, seed=seed)
+class TestGoldenOutputs:
+    # each case runs from its own directory with relative paths, so the
+    # configuration embedded in the outputs is the same string on every run
+    @pytest.mark.parametrize("case", list(ANALYTIC_CASES))
+    def test_analytic_bytes(self, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        check_case(case)
 
 
 class TestGoldenEvaluation:
-    @pytest.mark.parametrize("verdict", list(EVALUATION_SHA256))
+    @pytest.mark.parametrize("verdict", ["fragmented", "ineffective", "viable", "inconclusive"])
     def test_evaluation_bytes(self, tmp_path, monkeypatch, verdict):
-        # a relative --out and CSV path keep the embedded strings the same on every run
         monkeypatch.chdir(tmp_path)
-        write_sample_csv(verdict_sample(verdict), "pioneers.csv")
-        argv = ["evaluate", "pioneers.csv", "--cost-per-pioneer", "50", "--value-per-influenced", "2"]
-        assert main(argv + ["--out", "out"]) == 0
-        data = Path("out/evaluation.json").read_bytes()
-        assert json.loads(data)["report"]["verdict"] == verdict
-        assert hashlib.sha256(data).hexdigest() == EVALUATION_SHA256[verdict]
+        check_case(f"evaluate-{verdict}")
+        assert json.loads(Path("out/evaluation.json").read_bytes())["report"]["verdict"] == verdict
 
 
 class TestExitCodes:
@@ -678,6 +661,16 @@ class TestExitCodes:
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "analysis.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_huge_n_exits_2(self, tmp_path, capsys, command):
+        # numpy refuses the 72.8 TiB degree array outright; an n whose arrays
+        # the allocator might grant is never tried
+        argv = [command, "--n", "10000000000000", "--grid", "0:1:0.5", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n: 10000000000000 nodes do not fit in memory: Unable to allocate")
+        assert not any(tmp_path.iterdir())
 
     def test_unresolvable_root_exits_2(self, tmp_path, capsys):
         # 1.001 times the Bernoulli threshold of beta = 3.2: 1 - xi ~ 3e-16
