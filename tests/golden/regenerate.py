@@ -38,6 +38,10 @@ def _analytic(*flags: str) -> list[str]:
     return ["analytic", *flags, "--seed", "1"]
 
 
+def _simulation(command: str, *flags: str) -> list[str]:
+    return [command, "--degree", "poisson", "--lambda", "2", "--n", "2000", "--seed", "7", *flags]
+
+
 def _write_degrees() -> None:
     Path("degrees.txt").write_text("".join(f"{d}\n" for d in DEGREES))
 
@@ -84,6 +88,40 @@ ANALYTIC_CASES = {
         )
         for trans, flag, value in _MODELS
     },
+    # coupon laws whose Stirling integers pass 2**53
+    "analytic-poisson2-coupon-25": (
+        None,
+        _analytic("--degree", "poisson", "--lambda", "2", "--trans", "coupon", "--K", "25"),
+    ),
+    "analytic-empirical-coupon-25": (
+        _write_degrees,
+        _analytic("--degree", "empirical", "--degree-file", "degrees.txt", "--trans", "coupon", "--K", "25"),
+    ),
+    "analytic-powerlaw-coupon-6": (
+        None,
+        _analytic("--degree", "powerlaw", "--beta", "2.45", "--trans", "coupon", "--K", "6"),
+    ),
+    # 1.03 times bernoulli_threshold(PowerLawDegree(3.2)): 1 - xi is about 9e-9
+    "analytic-powerlaw3.2-bernoulli-1.03pc": (
+        None,
+        _analytic("--degree", "powerlaw", "--beta", "3.2", "--trans", "bernoulli", "--p", "0.3743586649795251"),
+    ),
+}
+
+SIMULATE_CASES = {
+    **{
+        f"simulate-bernoulli-{p}": (None, _simulation("simulate", "--trans", "bernoulli", "--p", p))
+        for p in ("0.3", "0.52")
+    },
+    "simulate-bernoulli-0.8-dump-graph": (
+        None,
+        _simulation("simulate", "--trans", "bernoulli", "--p", "0.8", "--dump-graph"),
+    ),
+}
+
+SWEEP_CASES = {
+    "sweep-bernoulli": (None, _simulation("sweep", "--trans", "bernoulli", "--grid", "0.3:0.9:0.15")),
+    "sweep-coupon": (None, _simulation("sweep", "--trans", "coupon", "--grid", "0:4:1")),
 }
 
 EVALUATE_CASES = {
@@ -94,7 +132,7 @@ EVALUATE_CASES = {
     for verdict in ("fragmented", "ineffective", "viable", "inconclusive")
 }
 
-CASES = {**ANALYTIC_CASES, **EVALUATE_CASES}
+CASES = {**ANALYTIC_CASES, **SIMULATE_CASES, **SWEEP_CASES, **EVALUATE_CASES}
 
 
 def versions() -> dict:

@@ -22,7 +22,7 @@ from viralcm.populations import (
     PoissonDegree,
 )
 
-from golden.regenerate import ANALYTIC_CASES, check_case
+from golden.regenerate import ANALYTIC_CASES, SIMULATE_CASES, SWEEP_CASES, check_case
 
 
 def read_sweep(path):
@@ -553,6 +553,16 @@ class TestGoldenOutputs:
     # configuration embedded in the outputs is the same string on every run
     @pytest.mark.parametrize("case", list(ANALYTIC_CASES))
     def test_analytic_bytes(self, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        check_case(case)
+
+    @pytest.mark.parametrize("case", list(SIMULATE_CASES))
+    def test_simulate_bytes(self, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        check_case(case)
+
+    @pytest.mark.parametrize("case", list(SWEEP_CASES))
+    def test_sweep_bytes(self, tmp_path, monkeypatch, case):
         monkeypatch.chdir(tmp_path)
         check_case(case)
 
