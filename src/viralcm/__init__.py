@@ -49,7 +49,7 @@ from .special import (
     DiscretePmf,
     poisson_pmf,
     polylog,
-    stirling2,
+    stirling2_row,
     zeta,
     zipf_pmf,
 )

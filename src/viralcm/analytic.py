@@ -31,7 +31,7 @@ from .populations import (
     JointMoments,
     PowerLawDegree,
 )
-from .special import polylog, stirling1_signed, stirling2, weighted_sum, zeta
+from .special import polylog, stirling2_row, weighted_sum, zeta
 
 __all__ = [
     "GenFnBundle",
@@ -222,20 +222,22 @@ def _coupon_stirling_coeffs(deg: PowerLawDegree, K: int) -> tuple[np.ndarray, np
 
     P{D(t)=k | D=d} = (d)_k {K over k} / d^K with (d)_k = sum_s s1(k, s) d^s
     reduces every degree average to E[D^(s-K)] and E[D^(s-K+1)], i.e. zeta
-    ratios.
+    ratios.  The signed first-kind numbers s1(k, s) are carried from k - 1
+    to k by (d)_k = (d)_(k-1) (d - k + 1).
     """
     a = np.zeros(K + 1)
     b = np.zeros(K + 1)
-    for k in range(K + 1):
-        s2 = float(stirling2(K, k))
-        if s2 == 0.0:
+    s1 = [1]
+    for k, s2 in enumerate(stirling2_row(K, K)):
+        if k:
+            s1 = [hi - (k - 1) * lo for hi, lo in zip([0, *s1], [*s1, 0])]
+        if s2 == 0:
             continue
-        for s in range(k + 1):
-            s1 = float(stirling1_signed(k, s))
-            if s1 == 0.0:
+        for s, c in enumerate(s1):
+            if c == 0:
                 continue
-            a[k] += s2 * s1 * deg.neg_moment(K - s)
-            b[k] += s2 * s1 * deg.neg_moment(K - s - 1)
+            a[k] += float(s2) * float(c) * deg.neg_moment(K - s)
+            b[k] += float(s2) * float(c) * deg.neg_moment(K - s - 1)
     return a, b
 
 

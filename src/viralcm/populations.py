@@ -21,7 +21,7 @@ from .special import (
     DEFAULT_TAIL_MASS,
     DiscretePmf,
     poisson_pmf,
-    stirling2,
+    stirling2_row,
     zeta,
     zipf_pmf,
     zipf_tail_cutoff,
@@ -377,7 +377,9 @@ class CouponCollector:
 
     The conditional law of D(t) given D = d is the occupancy distribution
     P{k} = d!/(d-k)! * {K over k} / d**K (an isolated member, d = 0, has
-    D(t) = 0 for any K).
+    D(t) = 0 for any K).  The row of {K over k} that the calls so far have
+    needed is kept on the instance, grown by doubling up to k = K, so the
+    conditional pmfs of many degrees share one row.
     """
 
     kind = "coupon"
@@ -386,6 +388,7 @@ class CouponCollector:
         if K < 0 or int(K) != K:
             raise ValueError("coupon count K must be a non-negative integer")
         self.K = int(K)
+        self._stirling_row: list[int] = []
 
     def conditional_pmf(self, d: int) -> DiscretePmf:
         if d < 0:
@@ -393,13 +396,17 @@ class CouponCollector:
         if d == 0 or self.K == 0:
             return DiscretePmf(np.array([0]), np.array([1.0]))
         kmax = min(d, self.K)
+        if len(self._stirling_row) <= kmax:
+            grown = min(self.K, max(kmax, 2 * len(self._stirling_row)))
+            self._stirling_row = stirling2_row(self.K, grown)
+        s2 = self._stirling_row
         ks = np.arange(1, kmax + 1)
         den = d**self.K  # exact integers; one rounding at the division
         weights = np.empty(kmax, dtype=np.float64)
         falling = 1
         for k in range(1, kmax + 1):
             falling *= d - (k - 1)
-            weights[k - 1] = (falling * stirling2(self.K, k)) / den
+            weights[k - 1] = (falling * s2[k]) / den
         return DiscretePmf(ks, weights)
 
     def sample_given(self, d: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Special functions backing the closed-form network analysis.
 
 Provides the Riemann zeta function, the polylogarithm on [0, 1] (scalar or
-array argument), weighted row sums over a pmf-like table, Stirling numbers
-(second kind for occupancy laws, signed first kind for falling-factorial
-expansions), and a finite discrete pmf.
+array argument), weighted row sums over a pmf-like table, rows of Stirling
+numbers of the second kind (for occupancy laws), and a finite discrete pmf.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ __all__ = [
     "zeta",
     "polylog",
     "weighted_sum",
-    "stirling2",
-    "stirling1_signed",
+    "stirling2_row",
     "DiscretePmf",
     "poisson_pmf",
     "zipf_pmf",
@@ -122,42 +120,25 @@ def weighted_sum(x, w: np.ndarray, terms):
     return out if out.ndim else float(out)
 
 
-_S2_ROWS: list[list[int]] = [[1]]  # row n holds {n over k} for k = 0..n
-_S1_ROWS: list[list[int]] = [[1]]  # row n holds signed s(n, k) for k = 0..n
+def stirling2_row(n: int, kmax: int) -> list[int]:
+    """Stirling numbers of the second kind ``{n over k}`` for k = 0..kmax, exact.
 
-
-def _grow_triangle(rows: list[list[int]], n: int, second_kind: bool) -> None:
-    while len(rows) <= n:
-        m = len(rows)
-        prev = rows[m - 1]
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            carried = prev[k] if k < m else 0
-            if second_kind:
-                row[k] = prev[k - 1] + k * carried
-            else:
-                row[k] = prev[k - 1] - (m - 1) * carried
-        rows.append(row)
-
-
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind ``{n over k}``, exact integer."""
-    if n < 0 or k < 0:
-        raise ValueError("stirling2 requires non-negative arguments")
-    if k > n:
-        return 0
-    _grow_triangle(_S2_ROWS, n, second_kind=True)
-    return _S2_ROWS[n][k]
-
-
-def stirling1_signed(n: int, k: int) -> int:
-    """Signed Stirling number of the first kind: ``(d)_n = sum_k s(n,k) d**k``."""
-    if n < 0 or k < 0:
-        raise ValueError("stirling1_signed requires non-negative arguments")
-    if k > n:
-        return 0
-    _grow_triangle(_S1_ROWS, n, second_kind=False)
-    return _S1_ROWS[n][k]
+    {n over k} is the k-th forward difference of j**n at j = 0 over k!.  The
+    differences are taken in place on the kmax + 1 powers j**n, so a row
+    costs O(kmax**2) integer subtractions and holds O(kmax) integers; the
+    entries beyond k = n are 0.
+    """
+    if n < 0 or kmax < 0:
+        raise ValueError("stirling2_row requires non-negative arguments")
+    diff = [j**n for j in range(kmax + 1)]
+    row = [diff[0]]
+    factorial = 1
+    for k in range(1, kmax + 1):
+        for j in range(kmax - k + 1):
+            diff[j] = diff[j + 1] - diff[j]
+        factorial *= k
+        row.append(diff[0] // factorial)
+    return row
 
 
 @dataclass(frozen=True)

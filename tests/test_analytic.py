@@ -180,6 +180,36 @@ class TestBundles:
             assert float(np.dot(a * k, x**k)) == pytest.approx(m2, abs=1e-7)
             assert float(np.dot(b - a * k, x**k)) == pytest.approx(m3, abs=1e-7 + tail_d_weight)
 
+    @pytest.mark.parametrize("beta", [2.2, 2.45, 3.2, 4.45])
+    def test_coupon_coeffs_match_mpmath(self, beta):
+        # a_k = sum_s {K over k} s1(k, s) E[D^(s-K)] and b_k, with
+        # E[D^(s-K+1)], summed at 50 digits from mpmath's Stirling numbers
+        # and zeta.  Each coefficient is within the expansion's rounding
+        # bound u * sum |term| (u = 2**-53), at most 1e-12 up to K = 6, plus
+        # 4 u of its value for the float zeta ratios' own error.
+        u = 2.0**-53
+        deg = PowerLawDegree(beta)
+        with mpmath.workdps(50):
+            zb = mpmath.zeta(beta)
+
+            def moment(r):  # E[D^r] = zeta(beta - r) / zeta(beta)
+                return mpmath.zeta(beta - r) / zb
+
+            for K in range(7):
+                a, b = _coupon_stirling_coeffs(deg, K)
+                terms = [
+                    [mpmath.stirling2(K, k, exact=True) * mpmath.stirling1(k, s, exact=True) for s in range(k + 1)]
+                    for k in range(K + 1)
+                ]
+                bound = u * sum(
+                    abs(t) * (moment(s - K) + moment(s - K + 1)) for row in terms for s, t in enumerate(row)
+                )
+                assert bound <= analytic.ROOT_RESIDUAL
+                for k, row in enumerate(terms):
+                    for got, r in ((a[k], -K), (b[k], 1 - K)):
+                        want = sum(t * moment(s + r) for s, t in enumerate(row))
+                        assert abs(got - want) <= bound + 4 * u * abs(want)
+
     def test_pair_key_overflow_rejected(self):
         # samples group rows by the key degree * (max t + 1) + t
         big = DegreeSample(np.array([2**62, 1]), np.array([3, 0]))

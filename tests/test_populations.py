@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -59,6 +60,29 @@ class TestConditionalPmf:
                     # both sides are one correctly-rounded division of
                     # the same exact integers
                     assert got[k] == frac.numerator / frac.denominator
+
+    def test_coupon_shared_row_is_exact_in_any_order(self):
+        # one instance serves every degree from one row of {K over k}, grown
+        # on demand; each weight is the correctly rounded exact ratio
+        K = 60
+        model = CouponCollector(K)
+        for d in (3, 1, 17, 2, 60, 33, 90):
+            pmf = model.conditional_pmf(d)
+            falling = 1
+            for k, w in zip(pmf.support.tolist(), pmf.weights.tolist()):
+                falling *= d - k + 1
+                exact = Fraction(falling * int(mpmath.stirling2(K, k, exact=True)), d**K)
+                assert w == exact.numerator / exact.denominator
+
+    def test_coupon_row_memory_follows_the_degree(self):
+        # d = 17 needs {1000 over k} for k <= 17 only, not a 1000-row table
+        tracemalloc.start()
+        try:
+            CouponCollector(1000).conditional_pmf(17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_coupon_isolated_node(self):
         pmf = CouponCollector(4).conditional_pmf(0)

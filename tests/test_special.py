@@ -11,8 +11,7 @@ from viralcm.special import (
     DiscretePmf,
     poisson_pmf,
     polylog,
-    stirling2,
-    stirling1_signed,
+    stirling2_row,
     weighted_sum,
     zeta,
     zipf_pmf,
@@ -156,47 +155,51 @@ class TestWeightedSum:
 
 class TestStirling:
     def test_partitions_of_three_into_two(self):
-        assert stirling2(3, 2) == 3
+        assert stirling2_row(3, 2)[2] == 3
 
     def test_singletons(self):
         for k in range(11):
-            assert stirling2(k, k) == 1
+            assert stirling2_row(k, k)[k] == 1
 
     def test_known_value(self):
         assert brute_stirling2(10, 4) == 34105
-        assert stirling2(10, 4) == 34105
+        assert stirling2_row(10, 4)[4] == 34105
 
     def test_recurrence_exact_to_30(self):
+        rows = [stirling2_row(n, 30) for n in range(31)]
         for n in range(1, 31):
             for k in range(1, n + 1):
-                assert stirling2(n, k) == stirling2(n - 1, k - 1) + k * stirling2(n - 1, k)
+                assert rows[n][k] == rows[n - 1][k - 1] + k * rows[n - 1][k]
 
     def test_vanishes_above_diagonal(self):
-        assert stirling2(4, 7) == 0
+        assert stirling2_row(4, 7) == [0, 1, 7, 6, 1, 0, 0, 0]
 
     def test_inclusion_exclusion_oracle(self):
         # {n,k} = (1/k!) sum_i (-1)^i C(k,i) (k-i)^n
         for n in range(0, 12):
+            row = stirling2_row(n, n)
             for k in range(0, n + 1):
                 acc = sum(
                     (-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1)
                 )
                 expected = acc // math.factorial(k) if k else (1 if n == 0 else 0)
-                assert stirling2(n, k) == expected
+                assert row[k] == expected
 
-    def test_falling_factorial_expansion(self):
-        # (d)_n = sum_s s1(n, s) d^s for arbitrary integers d
-        for n in range(0, 9):
-            for d in range(0, 15):
-                falling = 1
-                for i in range(n):
-                    falling *= d - i
-                via_s1 = sum(stirling1_signed(n, s) * d**s for s in range(n + 1))
-                assert falling == via_s1
+    def test_rows_match_recurrence_and_mpmath_to_60(self):
+        # every k <= n, past 2**53; a row's prefix is the shorter row, and
+        # entries beyond k = n are zero
+        for n in range(61):
+            row = stirling2_row(n, n + 3)
+            assert row[n + 1 :] == [0, 0, 0]
+            for k in range(n + 1):
+                assert row[k] == brute_stirling2(n, k) == int(mpmath.stirling2(n, k, exact=True))
+                assert stirling2_row(n, k) == row[: k + 1]
 
     def test_negative_arguments_rejected(self):
         with pytest.raises(ValueError):
-            stirling2(-1, 0)
+            stirling2_row(-1, 0)
+        with pytest.raises(ValueError):
+            stirling2_row(3, -1)
 
 
 class TestDiscretePmf:
