@@ -222,9 +222,27 @@ def _coupon_stirling_coeffs(deg: PowerLawDegree, K: int) -> tuple[np.ndarray, np
 
     P{D(t)=k | D=d} = (d)_k {K over k} / d^K with (d)_k = sum_s s1(k, s) d^s
     reduces every degree average to E[D^(s-K)] and E[D^(s-K+1)], i.e. zeta
-    ratios.  The signed first-kind numbers s1(k, s) are carried from k - 1
-    to k by (d)_k = (d)_(k-1) (d - k + 1).
+    ratios; s1(k, s) is carried from k - 1 by (d)_k = (d)_(k-1) (d - k + 1).
+    This sum and the alternating C(K, j) sums of H and the coupon moments
+    cancel more as K grows.  When either one's rounding bound u * sum |term|
+    (u = 2**-53, the float64 unit roundoff) exceeds ``ROOT_RESIDUAL``, which
+    is K > 6 for beta from 2.05 to 4.45, a ValueError names K.  The C(K, j)
+    bound is checked term by term first, so a large K is rejected before
+    any float conversion can overflow.
     """
+    moment = deg.neg_moment
+
+    def check(total: float) -> None:
+        if 2.0**-53 * total > ROOT_RESIDUAL:
+            raise ValueError(
+                f"K: {K} is too large for the power-law coupon expansion at beta={deg.beta}: its "
+                f"rounding bound u*sum|term| = {2.0**-53 * total:.2g} exceeds {ROOT_RESIDUAL:g}"
+            )
+
+    binomial = stirling = 0.0
+    for j in range(1, K + 1):
+        binomial += math.comb(K, j) * (moment(j - 1) + moment(j - 2))
+        check(binomial)
     a = np.zeros(K + 1)
     b = np.zeros(K + 1)
     s1 = [1]
@@ -236,8 +254,10 @@ def _coupon_stirling_coeffs(deg: PowerLawDegree, K: int) -> tuple[np.ndarray, np
         for s, c in enumerate(s1):
             if c == 0:
                 continue
-            a[k] += float(s2) * float(c) * deg.neg_moment(K - s)
-            b[k] += float(s2) * float(c) * deg.neg_moment(K - s - 1)
+            a[k] += float(s2) * float(c) * moment(K - s)
+            b[k] += float(s2) * float(c) * moment(K - s - 1)
+            stirling += abs(float(s2) * float(c)) * (moment(K - s) + moment(K - s - 1))
+    check(stirling)
     return a, b
 
 
@@ -251,10 +271,10 @@ def _bundle_powerlaw_coupon(law: JointDegreeLaw) -> GenFnBundle:
     """
     deg: PowerLawDegree = law.degree
     K = law.transmission.K
+    a, b = _coupon_stirling_coeffs(deg, K)  # first: it rejects a K the moments cannot take
     mom = law.moments()
     mean_d, mean_dr = mom.mean_d, mom.mean_dr
     dg_d = deg.pgf_prime
-    a, b = _coupon_stirling_coeffs(deg, K)
     karr = np.arange(K + 1, dtype=np.float64)
     mand = [math.comb(K, j) * (-1.0) ** (j + 1) for j in range(1, K + 1)]
     zb = zeta(deg.beta)
@@ -416,8 +436,8 @@ def analyze(source) -> AnalyticResult:
     as zero instead.
     """
     strict = not isinstance(source, DegreeSample)
-    mom = source.moments()
     bundle = build_genfns(source)
+    mom = source.moments()
     mv = viral_margin(mom)
     mg = giant_margin(mom)
     critical = _is_critical(mv)

@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -199,8 +199,10 @@ def make_degree_law(cfg: RunConfig):
         return PoissonDegree(cfg.lam)
     if cfg.degree == "powerlaw":
         return PowerLawDegree(cfg.beta)
-    degrees = np.loadtxt(cfg.degree_file, dtype=np.int64, ndmin=1)
-    return EmpiricalDegree.from_degrees(degrees)
+    try:
+        return EmpiricalDegree.from_degrees(np.loadtxt(cfg.degree_file, dtype=np.int64, ndmin=1))
+    except ValueError as exc:
+        raise ValueError(f"degree_file: {cfg.degree_file}: {exc}") from None
 
 
 def make_transmission(cfg: RunConfig):
@@ -209,10 +211,6 @@ def make_transmission(cfg: RunConfig):
     if cfg.trans == "nodeperc":
         return NodePercolation(cfg.p)
     return CouponCollector(cfg.K)
-
-
-def make_law(cfg: RunConfig) -> JointDegreeLaw:
-    return JointDegreeLaw(make_degree_law(cfg), make_transmission(cfg))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -238,7 +236,7 @@ def _node_memory(n: int):
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
     cfg.validate()
-    law = make_law(cfg)
+    law = JointDegreeLaw(make_degree_law(cfg), make_transmission(cfg))
     rng = np.random.default_rng(cfg.seed)
     with _node_memory(cfg.n):
         sample = law.sample(cfg.n, rng)
@@ -286,27 +284,27 @@ def _grid_values(cfg: RunConfig):
         if any(abs(v - i) > 1e-9 or i < 0 for v, i in zip(values, ints)):
             raise ValueError("grid: coupon sweeps need non-negative integer K values")
         return ints
+    if not all(0.0 <= v <= 1.0 for v in values):
+        raise ValueError("grid: transmission probabilities must lie in [0, 1]")
     return values
 
 
 def cmd_sweep(cfg: RunConfig) -> list[Path]:
     cfg.validate()
     values = _grid_values(cfg)
+    # every point's law and closed form first: a bad point fails before any graph is built
+    degree = make_degree_law(cfg)
+    field = "K" if cfg.trans == "coupon" else "p"
+    laws = [JointDegreeLaw(degree, make_transmission(replace(cfg, **{field: v}))) for v in values]
+    closed_forms = [analyze(law) for law in laws]
     rows = []
-    for idx, value in enumerate(values):
-        point = dataclasses.replace(cfg, seed=cfg.seed ^ idx)
-        if point.trans == "coupon":
-            point.K = int(value)
-        else:
-            point.p = float(value)
-        law = make_law(point)
-        rng = np.random.default_rng(point.seed)
-        with _node_memory(point.n):
-            sample = law.sample(point.n, rng)
+    for idx, (value, law, ana) in enumerate(zip(values, laws, closed_forms)):
+        rng = np.random.default_rng(cfg.seed ^ idx)
+        with _node_memory(cfg.n):
+            sample = law.sample(cfg.n, rng)
             g = build(sample, rng)
-            outcome = all_reach(g, point.gamma, point.floor)
+            outcome = all_reach(g, cfg.gamma, cfg.floor)
         est = analyze(sample)
-        ana = analyze(law)
         rows.append(
             {
                 "param": value,
@@ -334,7 +332,7 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
 
 def cmd_analytic(cfg: RunConfig) -> list[Path]:
     cfg.validate()
-    law = make_law(cfg)
+    law = JointDegreeLaw(make_degree_law(cfg), make_transmission(cfg))
     result = analyze(law)
     mean_off = mean_offspring(law.moments())
     # the offspring process survives iff the law is viral; its extinction

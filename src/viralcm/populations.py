@@ -399,14 +399,13 @@ class CouponCollector:
         if len(self._stirling_row) <= kmax:
             grown = min(self.K, max(kmax, 2 * len(self._stirling_row)))
             self._stirling_row = stirling2_row(self.K, grown)
-        s2 = self._stirling_row
         ks = np.arange(1, kmax + 1)
         den = d**self.K  # exact integers; one rounding at the division
         weights = np.empty(kmax, dtype=np.float64)
         falling = 1
         for k in range(1, kmax + 1):
             falling *= d - (k - 1)
-            weights[k - 1] = (falling * s2[k]) / den
+            weights[k - 1] = (falling * self._stirling_row[k]) / den
         return DiscretePmf(ks, weights)
 
     def sample_given(self, d: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -414,14 +413,9 @@ class CouponCollector:
         if self.K == 0:
             return out
         pos = np.nonzero(d > 0)[0]
-        if pos.size == 0:
-            return out
         draws = np.floor(rng.random((pos.size, self.K)) * d[pos, None]).astype(np.int64)
-        if self.K == 1:
-            out[pos] = 1
-        else:
-            draws.sort(axis=1)
-            out[pos] = 1 + (np.diff(draws, axis=1) > 0).sum(axis=1)
+        draws.sort(axis=1)
+        out[pos] = 1 + (np.diff(draws, axis=1) > 0).sum(axis=1)
         return out
 
     def mean_t(self, d):

@@ -132,12 +132,10 @@ def stirling2_row(n: int, kmax: int) -> list[int]:
         raise ValueError("stirling2_row requires non-negative arguments")
     diff = [j**n for j in range(kmax + 1)]
     row = [diff[0]]
-    factorial = 1
     for k in range(1, kmax + 1):
         for j in range(kmax - k + 1):
             diff[j] = diff[j + 1] - diff[j]
-        factorial *= k
-        row.append(diff[0] // factorial)
+        row.append(diff[0] // math.factorial(k))
     return row
 
 

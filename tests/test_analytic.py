@@ -181,7 +181,7 @@ class TestBundles:
             assert float(np.dot(b - a * k, x**k)) == pytest.approx(m3, abs=1e-7 + tail_d_weight)
 
     @pytest.mark.parametrize("beta", [2.2, 2.45, 3.2, 4.45])
-    def test_coupon_coeffs_match_mpmath(self, beta):
+    def test_coupon_coeffs_match_mpmath_up_to_K_max(self, beta):
         # a_k = sum_s {K over k} s1(k, s) E[D^(s-K)] and b_k, with
         # E[D^(s-K+1)], summed at 50 digits from mpmath's Stirling numbers
         # and zeta.  Each coefficient is within the expansion's rounding
@@ -209,6 +209,8 @@ class TestBundles:
                     for got, r in ((a[k], -K), (b[k], 1 - K)):
                         want = sum(t * moment(s + r) for s, t in enumerate(row))
                         assert abs(got - want) <= bound + 4 * u * abs(want)
+        with pytest.raises(ValueError, match=r"^K: 7 is too large .* = [0-9.e-]+ exceeds 1e-12$"):
+            _coupon_stirling_coeffs(deg, 7)
 
     def test_pair_key_overflow_rejected(self):
         # samples group rows by the key degree * (max t + 1) + t

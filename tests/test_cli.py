@@ -691,6 +691,59 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "analysis.json").exists()
 
+    @pytest.mark.parametrize("K", [7, 200])
+    def test_powerlaw_coupon_K_beyond_bound_exits_2(self, tmp_path, capsys, K):
+        # the expansion's rounding bound admits K <= 6; K = 6 is a golden case
+        argv = ["analytic", "--degree", "powerlaw", "--beta", "2.45", "--trans", "coupon"]
+        assert main(argv + ["--K", str(K), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: K: {K} is too large")
+        assert not (tmp_path / "analysis.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--degree", "powerlaw", "--trans", "coupon", "--grid", "0:10:1"], "error: K: 7 is too large"),
+            (["--grid", "0:2:0.5"], "error: grid: transmission probabilities must lie in [0, 1]\n"),
+        ],
+        ids=["K", "p"],
+    )
+    def test_sweep_checks_every_point_before_simulating(self, tmp_path, capsys, monkeypatch, flags, message):
+        def no_graph(*args):
+            raise AssertionError("a graph was built before every grid point was checked")
+
+        monkeypatch.setattr("viralcm.cli.build", no_graph)
+        assert main(["sweep", *flags, "--n", "200", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not any(tmp_path.iterdir())
+
+    def test_sweep_builds_the_degree_law_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "degrees.txt"
+        path.write_text("1\n2\n2\n3\n5\n")
+        calls = []
+        make = viralcm.cli.make_degree_law
+        monkeypatch.setattr("viralcm.cli.make_degree_law", lambda cfg: calls.append(cfg) or make(cfg))
+        argv = ["sweep", "--degree", "empirical", "--degree-file", str(path), "--grid", "0.2:0.8:0.3"]
+        assert main(argv + ["--n", "200", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("1\n2.5\n", "could not convert string '2.5' to int64"),
+            ("# no degrees\n", "empty degree list"),
+            ("3\n-1\n", "degrees must be non-negative"),
+        ],
+        ids=["non-integer", "empty", "negative"],
+    )
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    def test_bad_degree_file_names_the_field(self, tmp_path, capsys, text, detail):
+        path = tmp_path / "degrees.txt"
+        path.write_text(text)
+        argv = ["analytic", "--degree", "empirical", "--degree-file", str(path), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: degree_file: {path}: ") and detail in err
+
 
 _IMPORT_SET_SCRIPT = """
 import json
