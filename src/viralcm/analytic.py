@@ -249,14 +249,11 @@ def _coupon_stirling_coeffs(deg: PowerLawDegree, K: int) -> tuple[np.ndarray, np
     for k, s2 in enumerate(stirling2_row(K, K)):
         if k:
             s1 = [hi - (k - 1) * lo for hi, lo in zip([0, *s1], [*s1, 0])]
-        if s2 == 0:
-            continue
         for s, c in enumerate(s1):
-            if c == 0:
-                continue
-            a[k] += float(s2) * float(c) * moment(K - s)
-            b[k] += float(s2) * float(c) * moment(K - s - 1)
-            stirling += abs(float(s2) * float(c)) * (moment(K - s) + moment(K - s - 1))
+            w, ma, mb = float(s2) * float(c), moment(K - s), moment(K - s - 1)
+            a[k] += w * ma
+            b[k] += w * mb
+            stirling += abs(w) * (ma + mb)
     check(stirling)
     return a, b
 
@@ -436,7 +433,7 @@ def analyze(source) -> AnalyticResult:
     as zero instead.
     """
     strict = not isinstance(source, DegreeSample)
-    bundle = build_genfns(source)
+    bundle = build_genfns(source)  # first: it rejects a power-law coupon K the moments cannot take
     mom = source.moments()
     mv = viral_margin(mom)
     mg = giant_margin(mom)
