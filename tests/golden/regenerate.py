@@ -101,6 +101,18 @@ ANALYTIC_CASES = {
         None,
         _analytic("--degree", "powerlaw", "--beta", "2.45", "--trans", "coupon", "--K", "6"),
     ),
+    # closed forms of a power law with a finite second moment
+    **{
+        f"analytic-powerlaw3.2-coupon-{K}": (
+            None,
+            _analytic("--degree", "powerlaw", "--beta", "3.2", "--trans", "coupon", "--K", K),
+        )
+        for K in ("0", "1", "6")
+    },
+    "analytic-powerlaw3.2-nodeperc-0.5": (
+        None,
+        _analytic("--degree", "powerlaw", "--beta", "3.2", "--trans", "nodeperc", "--p", "0.5"),
+    ),
     # 1.03 times bernoulli_threshold(PowerLawDegree(3.2)): 1 - xi is about 9e-9
     "analytic-powerlaw3.2-bernoulli-1.03pc": (
         None,
@@ -122,6 +134,12 @@ SIMULATE_CASES = {
 SWEEP_CASES = {
     "sweep-bernoulli": (None, _simulation("sweep", "--trans", "bernoulli", "--grid", "0.3:0.9:0.15")),
     "sweep-coupon": (None, _simulation("sweep", "--trans", "coupon", "--grid", "0:4:1")),
+    # the power-law coupon closed form at several K in one call
+    "sweep-powerlaw-coupon": (
+        None,
+        ["sweep", "--degree", "powerlaw", "--beta", "2.45", "--n", "2000", "--seed", "7"]
+        + ["--trans", "coupon", "--grid", "0:6:2"],
+    ),
 }
 
 EVALUATE_CASES = {
