@@ -26,7 +26,6 @@ from .diffusion import (
 from .estimators import (
     ConditionTest,
     EstimationReport,
-    EvalConfig,
     effectiveness_test,
     evaluate_campaign,
     fragmentation_test,

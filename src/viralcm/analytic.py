@@ -26,10 +26,13 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .populations import (
+    ROOT_RESIDUAL,
     DegreeSample,
     JointDegreeLaw,
     JointMoments,
     PowerLawDegree,
+    check_coupon_rounding,
+    coupon_binomials,
 )
 from .special import polylog, stirling2_row, weighted_sum, zeta
 
@@ -49,9 +52,6 @@ __all__ = [
 #: Condition margins smaller than this are reported as critical; the
 #: large-network approximation carries no information there.
 CRITICAL_MARGIN = 1e-9
-
-#: Required residual at a returned root.
-ROOT_RESIDUAL = 1e-12
 
 #: Root-scan abscissae, ascending: 1e-9, 1e-8, 1e-7; the steps of 1e-3 down
 #: from ``_SCAN_HI``; then ten per decade of 1 - x (uniform in -log(1 - x))
@@ -113,19 +113,16 @@ def build_genfns(source) -> GenFnBundle:
     """Generating-function bundle from a JointDegreeLaw or a DegreeSample.
 
     Samples and coupon-model laws with materialized atoms go through a
-    weighted (degree, transmitter degree) table; Bernoulli and node
-    percolation through the degree pgf; the power-law coupon model through
-    its Stirling/zeta expansion.
+    weighted (degree, transmitter degree) table; every other law through
+    its closed forms (:func:`_bundle_from_law`).
     """
     if isinstance(source, DegreeSample):
         return _bundle_from_pairs(*_sample_pairs(source))
     if not isinstance(source, JointDegreeLaw):
         raise TypeError(f"cannot build generating functions from {type(source).__name__}")
-    if source.transmission.kind != "coupon":
-        return _bundle_from_pgf(source)
-    if isinstance(source.degree, PowerLawDegree):
-        return _bundle_powerlaw_coupon(source)
-    return _bundle_from_pairs(*_pair_table(source))
+    if source.transmission.kind == "coupon" and not isinstance(source.degree, PowerLawDegree):
+        return _bundle_from_pairs(*_pair_table(source))
+    return _bundle_from_law(source)
 
 
 def _sample_pairs(sample: DegreeSample):
@@ -174,45 +171,74 @@ def _bundle_from_pairs(d: np.ndarray, t: np.ndarray, w: np.ndarray) -> GenFnBund
     )
 
 
-def _bundle_from_pgf(law: JointDegreeLaw) -> GenFnBundle:
-    """Bernoulli and node percolation on any degree law, through G_D and G_D'.
+def _bundle_from_law(law: JointDegreeLaw) -> GenFnBundle:
+    """Bernoulli and node percolation on any degree law, and the coupon
+    model on power-law degrees, from the law's closed forms.
 
-    Bernoulli thinning makes D(t) given D binomial, so the mixed
+    H = E[D] x^2 - E[D(r)] x - E[D(t) x^D] and H0 = E[D] x^2 - x G_D'(x)
+    are common to all three; each model supplies E[D(t) x^D], G_Dt and
+    Hbar.  Bernoulli thinning makes D(t) given D binomial, so the mixed
     expectations are G_D' at y = 1 - p(1 - x); node percolation keeps D(t)
-    in {0, D}.  With E[D(t) x^D] = p x G_D'(x) in both models:
+    in {0, D}.  Both have E[D(t) x^D] = p x G_D'(x), and
 
         Bernoulli:  E[D(t) x^D(t)] = p x G_D'(y),  E[D(r) x^D(t)] = (1-p) G_D'(y)
         node perc:  E[D(t) x^D(t)] = p x G_D'(x),  E[D(r) x^D(t)] = (1-p) E[D]
 
-    so the Bernoulli Hbar is E[D] x^2 - x G_D'(y).
+    so the Bernoulli Hbar is E[D] x^2 - x G_D'(y).  A power-law pmf
+    truncated to tail mass 1e-12 would need ~1e8 atoms at beta = 2.45, so
+    under the coupon model E[x^D(t)], E[D(t) x^D(t)] and E[D(r) x^D(t)]
+    are polynomials in x with the zeta-ratio coefficients of
+    :func:`_coupon_stirling_coeffs`, and E[D(t) x^D] =
+    sum_j c_j Li_{beta+j-1}(x) / zeta(beta) with the signed binomials c_j of
+    :func:`~viralcm.populations.coupon_binomials`.
     """
     deg, tr = law.degree, law.transmission
-    p = tr.p
     mom = law.moments()
     mean_d, mean_dr = mom.mean_d, mom.mean_dr
     g_d, dg_d = deg.pgf, deg.pgf_prime
 
+    if tr.kind == "coupon":
+        a, b = _coupon_stirling_coeffs(deg, tr.K)
+        karr = np.arange(tr.K + 1, dtype=np.float64)
+        cs = coupon_binomials(deg, tr.K)
+        zb = zeta(deg.beta)
+
+        def m_dt_xd(x):
+            return sum(c * polylog(deg.beta + j - 1.0, x) for j, c in enumerate(cs, start=1)) / zb
+
+        def g_dt(x):
+            return polyval(x, a)
+
+        def hbar(x):
+            return mean_d * x * x - polyval(x, a * karr) - polyval(x, b - a * karr) * x
+
+    else:
+        p = tr.p
+
+        def m_dt_xd(x):
+            return p * x * dg_d(x)
+
+        if tr.kind == "bernoulli":
+
+            def g_dt(x):
+                return g_d(1.0 - p * (1.0 - x))
+
+            def hbar(x):
+                return mean_d * x * x - x * dg_d(1.0 - p * (1.0 - x))
+
+        else:  # node percolation
+
+            def g_dt(x):
+                return (1.0 - p) + p * g_d(x)
+
+            def hbar(x):
+                return mean_d * x * x - p * x * dg_d(x) - (1.0 - p) * mean_d * x
+
     def h(x):
-        return mean_d * x * x - mean_dr * x - p * x * dg_d(x)
+        return mean_d * x * x - mean_dr * x - m_dt_xd(x)
 
     def h0(x):
         return mean_d * x * x - x * dg_d(x)
-
-    if tr.kind == "bernoulli":
-
-        def g_dt(x):
-            return g_d(1.0 - p * (1.0 - x))
-
-        def hbar(x):
-            return mean_d * x * x - x * dg_d(1.0 - p * (1.0 - x))
-
-    else:  # node percolation
-
-        def g_dt(x):
-            return (1.0 - p) + p * g_d(x)
-
-        def hbar(x):
-            return mean_d * x * x - p * x * dg_d(x) - (1.0 - p) * mean_d * x
 
     return GenFnBundle(h=h, hbar=hbar, h0=h0, g_d=g_d, g_dt=g_dt)
 
@@ -223,29 +249,16 @@ def _coupon_stirling_coeffs(deg: PowerLawDegree, K: int) -> tuple[np.ndarray, np
     P{D(t)=k | D=d} = (d)_k {K over k} / d^K with (d)_k = sum_s s1(k, s) d^s
     reduces every degree average to E[D^(s-K)] and E[D^(s-K+1)], i.e. zeta
     ratios; s1(k, s) is carried from k - 1 by (d)_k = (d)_(k-1) (d - k + 1).
-    This sum and the alternating C(K, j) sums of H and the coupon moments
-    cancel more as K grows.  When either one's rounding bound u * sum |term|
-    (u = 2**-53, the float64 unit roundoff) exceeds ``ROOT_RESIDUAL``, which
-    is K > 6 for beta from 2.05 to 4.45, a ValueError names K.  The C(K, j)
-    bound is checked term by term first, so a large K is rejected before
-    any float conversion can overflow.
+    The sum cancels more as K grows: past its rounding bound
+    (:func:`~viralcm.populations.check_coupon_rounding`) a ValueError names
+    K.  Callers read the law's moments first, whose binomial check rejects
+    a large K before any Stirling row is built.
     """
     moment = deg.neg_moment
-
-    def check(total: float) -> None:
-        if 2.0**-53 * total > ROOT_RESIDUAL:
-            raise ValueError(
-                f"K: {K} is too large for the power-law coupon expansion at beta={deg.beta}: its "
-                f"rounding bound u*sum|term| = {2.0**-53 * total:.2g} exceeds {ROOT_RESIDUAL:g}"
-            )
-
-    binomial = stirling = 0.0
-    for j in range(1, K + 1):
-        binomial += math.comb(K, j) * (moment(j - 1) + moment(j - 2))
-        check(binomial)
     a = np.zeros(K + 1)
     b = np.zeros(K + 1)
     s1 = [1]
+    stirling = 0.0
     for k, s2 in enumerate(stirling2_row(K, K)):
         if k:
             s1 = [hi - (k - 1) * lo for hi, lo in zip([0, *s1], [*s1, 0])]
@@ -254,42 +267,8 @@ def _coupon_stirling_coeffs(deg: PowerLawDegree, K: int) -> tuple[np.ndarray, np
             a[k] += w * ma
             b[k] += w * mb
             stirling += abs(w) * (ma + mb)
-    check(stirling)
+    check_coupon_rounding(deg, K, stirling)
     return a, b
-
-
-def _bundle_powerlaw_coupon(law: JointDegreeLaw) -> GenFnBundle:
-    """Coupon model on power-law degrees.
-
-    A pmf truncated to tail mass 1e-12 would need ~1e8 atoms at beta = 2.45,
-    so E[x^D(t)], E[D(t) x^D(t)] and E[D(r) x^D(t)] are polynomials in x
-    with the zeta-ratio coefficients of :func:`_coupon_stirling_coeffs`,
-    and E[D(t) x^D] = sum_j (-1)^(j+1) C(K,j) Li_{beta+j-1}(x) / zeta(beta).
-    """
-    deg: PowerLawDegree = law.degree
-    K = law.transmission.K
-    a, b = _coupon_stirling_coeffs(deg, K)  # first: it rejects a K the moments cannot take
-    mom = law.moments()
-    mean_d, mean_dr = mom.mean_d, mom.mean_dr
-    dg_d = deg.pgf_prime
-    karr = np.arange(K + 1, dtype=np.float64)
-    mand = [math.comb(K, j) * (-1.0) ** (j + 1) for j in range(1, K + 1)]
-    zb = zeta(deg.beta)
-
-    def g_dt(x):
-        return polyval(x, a)
-
-    def h(x):
-        m_dt_xd = sum(c * polylog(deg.beta + j - 1.0, x) for j, c in enumerate(mand, start=1)) / zb
-        return mean_d * x * x - mean_dr * x - m_dt_xd
-
-    def hbar(x):
-        return mean_d * x * x - polyval(x, a * karr) - polyval(x, b - a * karr) * x
-
-    def h0(x):
-        return mean_d * x * x - x * dg_d(x)
-
-    return GenFnBundle(h=h, hbar=hbar, h0=h0, g_d=deg.pgf, g_dt=g_dt)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +412,8 @@ def analyze(source) -> AnalyticResult:
     as zero instead.
     """
     strict = not isinstance(source, DegreeSample)
-    bundle = build_genfns(source)  # first: it rejects a power-law coupon K the moments cannot take
     mom = source.moments()
+    bundle = build_genfns(source)
     mv = viral_margin(mom)
     mg = giant_margin(mom)
     critical = _is_critical(mv)

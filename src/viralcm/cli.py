@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import typing
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -30,7 +31,7 @@ import numpy as np
 
 from .analytic import RootBracketingError, analyze, bernoulli_threshold, mean_offspring
 from .diffusion import DEFAULT_FLOOR, DEFAULT_GAMMA, all_reach
-from .estimators import DEFAULT_Z, EvalConfig, evaluate_campaign, load_sample_csv
+from .estimators import DEFAULT_Z, evaluate_campaign, load_sample_csv
 from .graph import build, write_edgelist
 from .populations import (
     BernoulliTransmission,
@@ -200,8 +201,12 @@ def make_degree_law(cfg: RunConfig):
     if cfg.degree == "powerlaw":
         return PowerLawDegree(cfg.beta)
     try:
-        return EmpiricalDegree.from_degrees(np.loadtxt(cfg.degree_file, dtype=np.int64, ndmin=1))
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            # an empty file warns here; from_degrees names the problem below
+            warnings.simplefilter("ignore", UserWarning)
+            degrees = np.loadtxt(cfg.degree_file, dtype=np.int64, ndmin=1)
+        return EmpiricalDegree.from_degrees(degrees)
+    except (ValueError, OSError) as exc:
         raise ValueError(f"degree_file: {cfg.degree_file}: {exc}") from None
 
 
@@ -358,14 +363,7 @@ def cmd_analytic(cfg: RunConfig) -> list[Path]:
 def cmd_evaluate(csv_path: str, cfg: RunConfig) -> list[Path]:
     cfg.validate(law=False)
     sample = load_sample_csv(csv_path)
-    report = evaluate_campaign(
-        sample,
-        EvalConfig(
-            z=cfg.z,
-            cost_per_pioneer=cfg.cost_per_pioneer,
-            value_per_influenced=cfg.value_per_influenced,
-        ),
-    )
+    report = evaluate_campaign(sample, cfg.z, cfg.cost_per_pioneer, cfg.value_per_influenced)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_dict(),

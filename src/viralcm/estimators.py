@@ -29,7 +29,6 @@ from .populations import DegreeSample
 
 __all__ = [
     "ConditionTest",
-    "EvalConfig",
     "EstimationReport",
     "fragmentation_test",
     "effectiveness_test",
@@ -39,6 +38,8 @@ __all__ = [
 ]
 
 DEFAULT_Z = 2.33
+#: Tries k up to which a viable verdict reports the success probability.
+SUCCESS_HORIZON = 10
 
 CSV_HEADER = ["degree", "transmitter_degree"]
 
@@ -91,16 +92,6 @@ def effectiveness_test(sample: DegreeSample, z: float = DEFAULT_Z) -> ConditionT
 
 
 @dataclass(frozen=True)
-class EvalConfig:
-    """Knobs for the campaign decision procedure."""
-
-    z: float = DEFAULT_Z
-    cost_per_pioneer: Optional[float] = None
-    value_per_influenced: Optional[float] = None
-    success_horizon: int = 10
-
-
-@dataclass(frozen=True)
 class EstimationReport:
     """Outcome of the staged campaign evaluation.
 
@@ -144,23 +135,30 @@ class EstimationReport:
         }
 
 
-def evaluate_campaign(sample: DegreeSample, config: EvalConfig = EvalConfig()) -> EstimationReport:
+def evaluate_campaign(
+    sample: DegreeSample,
+    z: float = DEFAULT_Z,
+    cost_per_pioneer: Optional[float] = None,
+    value_per_influenced: Optional[float] = None,
+) -> EstimationReport:
     """Run fragmentation -> effectiveness -> fraction estimation in order.
 
     Short-circuits to the corresponding verdict when a stage fails.  A
     viable campaign also reports the expected number of uniformly random
-    pioneer picks until a good one (1 / alpha_bar) and the geometrically
-    growing success probability after k tries, 1 - (1 - alpha_bar)^k.
+    pioneer picks until a good one (1 / alpha_bar), the geometrically
+    growing success probability after k tries, 1 - (1 - alpha_bar)^k, for
+    k up to ``SUCCESS_HORIZON``, and, when given, the expected cost and
+    value rate at ``cost_per_pioneer`` and ``value_per_influenced``.
     """
-    frag = fragmentation_test(sample, config.z)
-    eff = effectiveness_test(sample, config.z)
+    frag = fragmentation_test(sample, z)
+    eff = effectiveness_test(sample, z)
     base = dict(
         n_samples=len(sample),
         frag_stat=frag.stat,
         frag_stderr=frag.stderr,
         eff_stat=eff.stat,
         eff_stderr=eff.stderr,
-        z=config.z,
+        z=z,
     )
     if not frag.passed:
         return EstimationReport(verdict="fragmented", **base)
@@ -176,13 +174,9 @@ def evaluate_campaign(sample: DegreeSample, config: EvalConfig = EvalConfig()) -
     if est.xi is None or est.xi_bar is None or est.alpha_bar <= 0.0:
         return EstimationReport(verdict="inconclusive", **fractions, **base)
     tries = 1.0 / est.alpha_bar
-    curve = [1.0 - (1.0 - est.alpha_bar) ** k for k in range(1, config.success_horizon + 1)]
-    cost = config.cost_per_pioneer * tries if config.cost_per_pioneer is not None else None
-    value = (
-        config.value_per_influenced * est.alpha
-        if config.value_per_influenced is not None
-        else None
-    )
+    curve = [1.0 - (1.0 - est.alpha_bar) ** k for k in range(1, SUCCESS_HORIZON + 1)]
+    cost = cost_per_pioneer * tries if cost_per_pioneer is not None else None
+    value = value_per_influenced * est.alpha if value_per_influenced is not None else None
     return EstimationReport(
         verdict="viable",
         **fractions,

@@ -23,7 +23,6 @@ from .special import (
     poisson_pmf,
     stirling2_row,
     zeta,
-    zipf_pmf,
     zipf_tail_cutoff,
     polylog,
     weighted_sum,
@@ -40,6 +39,10 @@ __all__ = [
     "CouponCollector",
     "JointDegreeLaw",
 ]
+
+#: Required residual at a returned root, and so the most rounding error a
+#: power-law coupon sum may carry (:func:`check_coupon_rounding`).
+ROOT_RESIDUAL = 1e-12
 
 
 def _int64_column(values) -> np.ndarray:
@@ -86,7 +89,6 @@ class DegreeSample:
             mean_d2=float((d * d).mean()),
             mean_dt=float(t.mean()),
             mean_dt_d=float((d * t).mean()),
-            mean_dr=float((d - t).mean()),
         )
 
 
@@ -98,11 +100,11 @@ class JointMoments:
     mean_d2: float
     mean_dt: float
     mean_dt_d: float
-    mean_dr: float
 
     @property
-    def d2_divergent(self) -> bool:
-        return math.isinf(self.mean_d2)
+    def mean_dr(self) -> float:
+        """E[D(r)] = E[D] - E[D(t)], the receiver-only degree."""
+        return self.mean_d - self.mean_dt
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +114,6 @@ class JointMoments:
 
 class PoissonDegree:
     """Poisson(lam) total degree."""
-
-    kind = "poisson"
 
     def __init__(self, lam: float):
         if not (math.isfinite(lam) and lam > 0):
@@ -158,8 +158,6 @@ class PowerLawDegree:
     1e-12 would need ~1e8 atoms already at beta = 2.45.
     """
 
-    kind = "powerlaw"
-
     #: Inverse-CDF sampling table size; draws beyond it extend on the fly.
     _TABLE = 1 << 20
 
@@ -174,10 +172,6 @@ class PowerLawDegree:
             f"power-law degree (beta={self.beta}) has no materialized atoms; "
             "use its closed-form generating functions"
         )
-
-    def pmf(self, tail_mass: float = 1e-9, max_atoms: int = 20_000_000) -> DiscretePmf:
-        """Materialize a truncated pmf when the tail permits (testing aid)."""
-        return zipf_pmf(self.beta, tail_mass, max_atoms)
 
     @property
     def mean(self) -> float:
@@ -245,8 +239,6 @@ class PowerLawDegree:
 
 class EmpiricalDegree:
     """Degree law read off a finite pmf or a raw list of observed degrees."""
-
-    kind = "empirical"
 
     def __init__(self, pmf: DiscretePmf):
         self._pmf_obj = pmf
@@ -467,25 +459,14 @@ class JointDegreeLaw:
             mean_dt, mean_dt_d = self._coupon_moments()
         else:  # pragma: no cover - unknown model
             raise TypeError(f"unsupported transmission model {tr!r}")
-        return JointMoments(
-            mean_d=mean_d,
-            mean_d2=mean_d2,
-            mean_dt=mean_dt,
-            mean_dt_d=mean_dt_d,
-            mean_dr=mean_d - mean_dt,
-        )
+        return JointMoments(mean_d=mean_d, mean_d2=mean_d2, mean_dt=mean_dt, mean_dt_d=mean_dt_d)
 
     def _coupon_moments(self) -> tuple[float, float]:
         tr, deg = self.transmission, self.degree
         if isinstance(deg, PowerLawDegree):
-            # d(1-(1-1/d)**K) = sum_j (-1)**(j+1) C(K,j) d**(1-j) turns the
-            # coupon moments into exact zeta ratios.
-            mean_dt = 0.0
-            mean_dt_d = 0.0
-            for j in range(1, tr.K + 1):
-                c = (-1.0) ** (j + 1) * math.comb(tr.K, j)
-                mean_dt += c * deg.neg_moment(j - 1)
-                mean_dt_d += c * deg.neg_moment(j - 2)
+            cs = coupon_binomials(deg, tr.K)
+            mean_dt = sum((c * deg.neg_moment(j - 1) for j, c in enumerate(cs, start=1)), 0.0)
+            mean_dt_d = sum((c * deg.neg_moment(j - 2) for j, c in enumerate(cs, start=1)), 0.0)
             return mean_dt, mean_dt_d
         support, weights = deg.atoms()
         mt = tr.mean_t(support)
@@ -493,3 +474,34 @@ class JointDegreeLaw:
 
     def __repr__(self):
         return f"JointDegreeLaw({self.degree!r}, {self.transmission!r})"
+
+
+def coupon_binomials(deg: PowerLawDegree, K: int) -> list[float]:
+    """Signed binomials c_j = (-1)**(j+1) C(K, j), j = 1..K, as floats.
+
+    d(1 - (1 - 1/d)**K) = sum_j c_j d**(1-j) turns the power-law coupon
+    moments into zeta ratios and E[D(t) x^D] into a sum of polylogarithms.
+    These alternating sums cancel more as K grows, so their rounding bound
+    u * sum_j |c_j| (E[D^(1-j)] + E[D^(2-j)]) is checked by
+    :func:`check_coupon_rounding`, term by term: a large K is rejected
+    before any binomial can overflow a float.
+    """
+    cs, total = [], 0.0
+    for j in range(1, K + 1):
+        c = (-1.0) ** (j + 1) * math.comb(K, j)
+        total += abs(c) * (deg.neg_moment(j - 1) + deg.neg_moment(j - 2))
+        check_coupon_rounding(deg, K, total)
+        cs.append(c)
+    return cs
+
+
+def check_coupon_rounding(deg: PowerLawDegree, K: int, total: float) -> None:
+    """Reject K when a power-law coupon sum's rounding bound u * ``total``
+    (u = 2**-53, the float64 unit roundoff; ``total`` the sum of its
+    terms' magnitudes) exceeds ``ROOT_RESIDUAL``: a ValueError names K.
+    This admits K <= 6 for beta from 2.05 to 4.45."""
+    if 2.0**-53 * total > ROOT_RESIDUAL:
+        raise ValueError(
+            f"K: {K} is too large for the power-law coupon expansion at beta={deg.beta}: its "
+            f"rounding bound u*sum|term| = {2.0**-53 * total:.2g} exceeds {ROOT_RESIDUAL:g}"
+        )

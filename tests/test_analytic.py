@@ -34,7 +34,7 @@ from viralcm.populations import (
     PoissonDegree,
     PowerLawDegree,
 )
-from viralcm.special import DiscretePmf, zeta
+from viralcm.special import DiscretePmf, zeta, zipf_pmf
 
 from offspring_oracle import extinction_bracket
 
@@ -163,7 +163,7 @@ class TestBundles:
         bundle = build_genfns(law)
         a, b = _coupon_stirling_coeffs(law.degree, K)
         k = np.arange(K + 1, dtype=np.float64)
-        pmf = law.degree.pmf(tail_mass=1e-10)
+        pmf = zipf_pmf(beta, tail_mass=1e-10)
         tr = law.transmission
         m = float(pmf.support.max())
         tail_d_weight = m ** (2.0 - beta) / ((beta - 2.0) * zeta(beta))
@@ -211,6 +211,23 @@ class TestBundles:
                         assert abs(got - want) <= bound + 4 * u * abs(want)
         with pytest.raises(ValueError, match=r"^K: 7 is too large .* = [0-9.e-]+ exceeds 1e-12$"):
             _coupon_stirling_coeffs(deg, 7)
+
+    @pytest.mark.parametrize("K", [40, 2000, 20_000])
+    def test_coupon_K_rejected_before_any_stirling_row(self, monkeypatch, K):
+        # the law's moments check the C(K, j) sums first, so no row of
+        # {K over k} is built for a K the expansion cannot take
+        def no_row(*args):
+            raise AssertionError("a Stirling row was built for a rejected K")
+
+        monkeypatch.setattr(analytic, "stirling2_row", no_row)
+        law = JointDegreeLaw(PowerLawDegree(2.45), CouponCollector(K))
+        with pytest.raises(ValueError) as moments_error:
+            law.moments()
+        for call in (build_genfns, analyze):
+            with pytest.raises(ValueError) as error:
+                call(law)
+            assert str(error.value) == str(moments_error.value)
+            assert str(error.value).startswith(f"K: {K} is too large")
 
     def test_pair_key_overflow_rejected(self):
         # samples group rows by the key degree * (max t + 1) + t

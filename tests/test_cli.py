@@ -732,17 +732,20 @@ class TestExitCodes:
             ("1\n2.5\n", "could not convert string '2.5' to int64"),
             ("# no degrees\n", "empty degree list"),
             ("3\n-1\n", "degrees must be non-negative"),
+            (None, "not found"),
         ],
-        ids=["non-integer", "empty", "negative"],
+        ids=["non-integer", "empty", "negative", "missing"],
     )
-    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    @pytest.mark.filterwarnings("error")
     def test_bad_degree_file_names_the_field(self, tmp_path, capsys, text, detail):
+        # a warning (numpy's on an empty file) would raise here, not reach stderr
         path = tmp_path / "degrees.txt"
-        path.write_text(text)
+        if text is not None:
+            path.write_text(text)
         argv = ["analytic", "--degree", "empirical", "--degree-file", str(path), "--out", str(tmp_path)]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: degree_file: {path}: ") and detail in err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: degree_file: {path}: ") and detail in line
 
 
 _IMPORT_SET_SCRIPT = """

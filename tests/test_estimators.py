@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from viralcm import estimators
 from viralcm.analytic import analyze, build_genfns
 from viralcm.estimators import (
-    EvalConfig,
     effectiveness_test,
     evaluate_campaign,
     fragmentation_test,
@@ -191,8 +190,7 @@ class TestEvaluateCampaign:
     def test_cost_fields(self):
         law = poisson_bernoulli(2.0, 0.8)
         report = evaluate_campaign(
-            law.sample(1000, seed=7),
-            EvalConfig(cost_per_pioneer=10.0, value_per_influenced=1.0),
+            law.sample(1000, seed=7), cost_per_pioneer=10.0, value_per_influenced=1.0
         )
         assert report.expected_cost_to_viral == pytest.approx(10.0 * report.expected_tries)
         assert report.value_rate_per_member == pytest.approx(report.alpha_hat)

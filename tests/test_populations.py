@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from viralcm.populations import (
     PoissonDegree,
     PowerLawDegree,
 )
-from viralcm.special import zeta
+from viralcm.special import zeta, zipf_pmf
 
 
 def enumerate_coupon_pmf(d, K):
@@ -233,7 +234,6 @@ class TestMoments:
         law = JointDegreeLaw(PowerLawDegree(2.5), BernoulliTransmission(0.5))
         mom = law.moments()
         assert math.isinf(mom.mean_d2)
-        assert mom.d2_divergent
         assert math.isinf(mom.mean_dt_d)
 
     def test_powerlaw_finite_second_moment(self):
@@ -248,7 +248,7 @@ class TestMoments:
         beta, K = 3.2, 4
         law = JointDegreeLaw(PowerLawDegree(beta), CouponCollector(K))
         mom = law.moments()
-        pmf = law.degree.pmf(tail_mass=1e-10)
+        pmf = zipf_pmf(beta, tail_mass=1e-10)
         mt = law.transmission.mean_t(pmf.support)
         m = float(pmf.support.max())
         tail_d_weight = K * m ** (2.0 - beta) / ((beta - 2.0) * zeta(beta))
@@ -256,6 +256,16 @@ class TestMoments:
         assert mom.mean_dt_d == pytest.approx(
             float(np.dot(pmf.weights, pmf.support * mt)), abs=1e-8 + tail_d_weight
         )
+
+    @pytest.mark.parametrize("K", [40, 2000, 20_000])
+    def test_coupon_powerlaw_K_beyond_bound_rejected(self, K):
+        # the alternating C(K, j) sums carry a rounding bound of about 1e-5
+        # at K = 40, and C(2000, j) overflows a float
+        law = JointDegreeLaw(PowerLawDegree(2.45), CouponCollector(K))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^K: {K} is too large .* exceeds 1e-12$"):
+            law.moments()
+        assert time.perf_counter() - start < 1.0
 
     def test_coupon_poisson_moments_vs_sampling(self):
         law = JointDegreeLaw(PoissonDegree(2.0), CouponCollector(2))
@@ -297,6 +307,7 @@ class TestDegreeSample:
         assert mom.mean_d == pytest.approx(8 / 3)
         assert mom.mean_dt == pytest.approx(1.0)
         assert mom.mean_dt_d == pytest.approx((3 + 0 + 8) / 3)
+        assert mom.mean_dr == mom.mean_d - mom.mean_dt
 
 
 class TestValidation:
