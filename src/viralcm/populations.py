@@ -103,7 +103,7 @@ class JointMoments:
 
     @property
     def mean_dr(self) -> float:
-        """E[D(r)] = E[D] - E[D(t)], the receiver-only degree."""
+        """E[D(r)] = E[D] - E[D(t)], with D(r) = D - D(t)."""
         return self.mean_d - self.mean_dt
 
 
