@@ -38,8 +38,8 @@ def _analytic(*flags: str) -> list[str]:
     return ["analytic", *flags, "--seed", "1"]
 
 
-def _simulation(command: str, *flags: str) -> list[str]:
-    return [command, "--degree", "poisson", "--lambda", "2", "--n", "2000", "--seed", "7", *flags]
+def _simulation(command: str, *flags: str, n: str = "2000") -> list[str]:
+    return [command, "--degree", "poisson", "--lambda", "2", "--n", n, "--seed", "7", *flags]
 
 
 def _write_degrees() -> None:
@@ -109,6 +109,14 @@ ANALYTIC_CASES = {
         )
         for K in ("0", "1", "6")
     },
+    # p = 0: E[D(t) D] is 0 although E[D^2] diverges, so margin_viral stays finite
+    **{
+        f"analytic-powerlaw-{trans}-0": (
+            None,
+            _analytic("--degree", "powerlaw", "--beta", "2.45", "--trans", trans, "--p", "0"),
+        )
+        for trans in ("bernoulli", "nodeperc")
+    },
     "analytic-powerlaw3.2-nodeperc-0.5": (
         None,
         _analytic("--degree", "powerlaw", "--beta", "3.2", "--trans", "nodeperc", "--p", "0.5"),
@@ -129,10 +137,15 @@ SIMULATE_CASES = {
         None,
         _simulation("simulate", "--trans", "bernoulli", "--p", "0.8", "--dump-graph"),
     ),
+    **{
+        f"simulate-30000-bernoulli-{p}": (None, _simulation("simulate", "--trans", "bernoulli", "--p", p, n="30000"))
+        for p in ("0.3", "0.52", "0.8")
+    },
 }
 
 SWEEP_CASES = {
     "sweep-bernoulli": (None, _simulation("sweep", "--trans", "bernoulli", "--grid", "0.3:0.9:0.15")),
+    "sweep-nodeperc": (None, _simulation("sweep", "--trans", "nodeperc", "--grid", "0.3:0.9:0.3")),
     "sweep-coupon": (None, _simulation("sweep", "--trans", "coupon", "--grid", "0:4:1")),
     # the power-law coupon closed form at several K in one call
     "sweep-powerlaw-coupon": (

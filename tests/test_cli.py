@@ -575,7 +575,51 @@ class TestGoldenEvaluation:
         assert json.loads(Path("out/evaluation.json").read_bytes())["report"]["verdict"] == verdict
 
 
+#: name -> (the one bad law field, with the fields it needs, as config keys; the error line)
+_BAD_LAW_FIELDS = {
+    "lam-negative": ({"lam": "-1"}, "lam: Poisson mean must be finite and positive, got -1.0"),
+    "lam-nan": ({"lam": "nan"}, "lam: Poisson mean must be finite and positive, got nan"),
+    "beta-2": ({"degree": "powerlaw", "beta": "2"}, "beta: exponent must be finite and > 2, got 2.0"),
+    **{
+        f"p-{trans}-{p}": ({"trans": trans, "p": p}, "p: transmission probability must lie in [0, 1]")
+        for trans in ("bernoulli", "nodeperc")
+        for p in ("1.5", "nan")
+    },
+    "K-negative": ({"trans": "coupon", "K": "-1"}, "K: message count must be non-negative"),
+    "degree-unknown": ({"degree": "foo"}, "degree: unknown law 'foo'"),
+    "trans-unknown": ({"trans": "bar"}, "trans: unknown transmission model 'bar'"),
+    "degree_file-required": ({"degree": "empirical"}, "degree_file: required for the empirical degree law"),
+}
+#: the unknown names are not among the flags' choices, so only a config file can give them
+_BAD_LAW_FIELD_FORMS = [
+    (case, via)
+    for case in _BAD_LAW_FIELDS
+    for via in (("config",) if case.endswith("-unknown") else ("flags", "config"))
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "analytic"])
+    @pytest.mark.parametrize("case, via", _BAD_LAW_FIELD_FORMS)
+    def test_bad_law_field_exact_error(self, tmp_path, capsys, command, case, via):
+        fields, message = _BAD_LAW_FIELDS[case]
+        if via == "flags":
+            args = [f"--{'lambda' if key == 'lam' else key}={value}" for key, value in fields.items()]
+        else:
+            cfg_path = tmp_path / "run.cfg"
+            cfg_path.write_text("".join(f"{key}={value}\n" for key, value in fields.items()))
+            args = ["--config", str(cfg_path)]
+        out = tmp_path / "out"
+        assert main([command, *args, "--grid", "0:1:1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_sweep_rejects_bad_base_p(self, tmp_path, capsys):
+        # the grid replaces p at every point, but the base value is still checked
+        assert main(["sweep", "--p", "5", "--grid", "0:1:0.5", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: p: transmission probability must lie in [0, 1]\n"
+        assert not any(tmp_path.iterdir())
+
     def test_invalid_field_exits_2(self, tmp_path, capsys):
         rc = main(["simulate", "--p", "1.5", "--out", str(tmp_path)])
         assert rc == 2
