@@ -27,6 +27,8 @@ from numpy.polynomial.polynomial import polyval
 
 from .populations import (
     ROOT_RESIDUAL,
+    BernoulliTransmission,
+    CouponCollector,
     DegreeSample,
     JointDegreeLaw,
     JointMoments,
@@ -120,7 +122,7 @@ def build_genfns(source) -> GenFnBundle:
         return _bundle_from_pairs(*_sample_pairs(source))
     if not isinstance(source, JointDegreeLaw):
         raise TypeError(f"cannot build generating functions from {type(source).__name__}")
-    if source.transmission.kind == "coupon" and not isinstance(source.degree, PowerLawDegree):
+    if isinstance(source.transmission, CouponCollector) and not isinstance(source.degree, PowerLawDegree):
         return _bundle_from_pairs(*_pair_table(source))
     return _bundle_from_law(source)
 
@@ -197,7 +199,7 @@ def _bundle_from_law(law: JointDegreeLaw) -> GenFnBundle:
     mean_d, mean_dr = mom.mean_d, mom.mean_dr
     g_d, dg_d = deg.pgf, deg.pgf_prime
 
-    if tr.kind == "coupon":
+    if isinstance(tr, CouponCollector):
         a, b = _coupon_stirling_coeffs(deg, tr.K)
         karr = np.arange(tr.K + 1, dtype=np.float64)
         cs = coupon_binomials(deg, tr.K)
@@ -218,7 +220,7 @@ def _bundle_from_law(law: JointDegreeLaw) -> GenFnBundle:
         def m_dt_xd(x):
             return p * x * dg_d(x)
 
-        if tr.kind == "bernoulli":
+        if isinstance(tr, BernoulliTransmission):
 
             def g_dt(x):
                 return g_d(1.0 - p * (1.0 - x))

@@ -77,24 +77,11 @@ class RunConfig:
     out: str = "."
     dump_graph: bool = False
 
-    def validate(self, *, law: bool = True) -> None:
-        """Reject a malformed field, naming it; ``law=False`` skips the fields
-        of the degree law and transmission model (``evaluate`` builds none)."""
-        if law:
-            if self.degree not in ("poisson", "powerlaw", "empirical"):
-                raise ValueError(f"degree: unknown law {self.degree!r}")
-            if self.degree == "poisson" and not (math.isfinite(self.lam) and self.lam > 0):
-                raise ValueError(f"lam: Poisson mean must be finite and positive, got {self.lam}")
-            if self.degree == "powerlaw" and not (math.isfinite(self.beta) and self.beta > 2):
-                raise ValueError(f"beta: exponent must be finite and > 2, got {self.beta}")
-            if self.degree == "empirical" and not self.degree_file:
-                raise ValueError("degree_file: required for the empirical degree law")
-            if self.trans not in ("bernoulli", "nodeperc", "coupon"):
-                raise ValueError(f"trans: unknown transmission model {self.trans!r}")
-            if self.trans in ("bernoulli", "nodeperc") and not 0.0 <= self.p <= 1.0:
-                raise ValueError("p: transmission probability must lie in [0, 1]")
-            if self.trans == "coupon" and self.K < 0:
-                raise ValueError("K: message count must be non-negative")
+    def validate(self) -> None:
+        """Reject a malformed field, naming it.  The degree-law and
+        transmission fields are checked where the law is built
+        (:func:`make_degree_law`, :func:`make_transmission`); ``evaluate``
+        builds none."""
         if self.n < 1:
             raise ValueError("n: need at least one node")
         if not 0.0 < self.gamma <= 1.0:
@@ -200,6 +187,10 @@ def make_degree_law(cfg: RunConfig):
         return PoissonDegree(cfg.lam)
     if cfg.degree == "powerlaw":
         return PowerLawDegree(cfg.beta)
+    if cfg.degree != "empirical":
+        raise ValueError(f"degree: unknown law {cfg.degree!r}")
+    if not cfg.degree_file:
+        raise ValueError("degree_file: required for the empirical degree law")
     try:
         with warnings.catch_warnings():
             # an empty file warns here; from_degrees names the problem below
@@ -215,7 +206,9 @@ def make_transmission(cfg: RunConfig):
         return BernoulliTransmission(cfg.p)
     if cfg.trans == "nodeperc":
         return NodePercolation(cfg.p)
-    return CouponCollector(cfg.K)
+    if cfg.trans == "coupon":
+        return CouponCollector(cfg.K)
+    raise ValueError(f"trans: unknown transmission model {cfg.trans!r}")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -296,11 +289,12 @@ def _grid_values(cfg: RunConfig):
 
 def cmd_sweep(cfg: RunConfig) -> list[Path]:
     cfg.validate()
+    # the base law checks every field, the swept p or K included
+    base = JointDegreeLaw(make_degree_law(cfg), make_transmission(cfg))
     values = _grid_values(cfg)
     # every point's law and closed form first: a bad point fails before any graph is built
-    degree = make_degree_law(cfg)
     field = "K" if cfg.trans == "coupon" else "p"
-    laws = [JointDegreeLaw(degree, make_transmission(replace(cfg, **{field: v}))) for v in values]
+    laws = [replace(base, transmission=make_transmission(replace(cfg, **{field: v}))) for v in values]
     closed_forms = [analyze(law) for law in laws]
     rows = []
     for idx, (value, law, ana) in enumerate(zip(values, laws, closed_forms)):
@@ -361,7 +355,7 @@ def cmd_analytic(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_evaluate(csv_path: str, cfg: RunConfig) -> list[Path]:
-    cfg.validate(law=False)
+    cfg.validate()
     sample = load_sample_csv(csv_path)
     report = evaluate_campaign(sample, cfg.z, cfg.cost_per_pioneer, cfg.value_per_influenced)
     payload = {

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -102,10 +102,9 @@ class EstimationReport:
     """
 
     n_samples: int
-    frag_stat: float
-    frag_stderr: float
-    eff_stat: float
-    eff_stderr: float
+    #: {"stat", "stderr"} of each stage's moment test
+    fragmentation: dict[str, float]
+    effectiveness: dict[str, float]
     z: float
     verdict: str
     xi_hat: Optional[float] = None
@@ -118,21 +117,7 @@ class EstimationReport:
     value_rate_per_member: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "fragmentation": {"stat": self.frag_stat, "stderr": self.frag_stderr},
-            "effectiveness": {"stat": self.eff_stat, "stderr": self.eff_stderr},
-            "z": self.z,
-            "verdict": self.verdict,
-            "xi_hat": self.xi_hat,
-            "xi_bar_hat": self.xi_bar_hat,
-            "alpha_hat": self.alpha_hat,
-            "alpha_bar_hat": self.alpha_bar_hat,
-            "expected_tries": self.expected_tries,
-            "success_after": self.success_after,
-            "expected_cost_to_viral": self.expected_cost_to_viral,
-            "value_rate_per_member": self.value_rate_per_member,
-        }
+        return asdict(self)
 
 
 def evaluate_campaign(
@@ -154,10 +139,8 @@ def evaluate_campaign(
     eff = effectiveness_test(sample, z)
     base = dict(
         n_samples=len(sample),
-        frag_stat=frag.stat,
-        frag_stderr=frag.stderr,
-        eff_stat=eff.stat,
-        eff_stderr=eff.stderr,
+        fragmentation={"stat": frag.stat, "stderr": frag.stderr},
+        effectiveness={"stat": eff.stat, "stderr": eff.stderr},
         z=z,
     )
     if not frag.passed:
@@ -204,7 +187,11 @@ def load_sample_csv(path) -> DegreeSample:
     its last LF and checked and decoded by numpy (``_parse_chunk``);
     Python reads single lines only to describe the rejected ones.
     """
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+    with fh:
         header = fh.readline(_HEADER_BYTES).removeprefix(_BOM)
         header = header.removesuffix(b"\n").removesuffix(b"\r")
         if b"\r" in header:

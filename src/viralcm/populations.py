@@ -12,6 +12,7 @@ i.i.d. samplers driven by an explicit seed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -117,7 +118,7 @@ class PoissonDegree:
 
     def __init__(self, lam: float):
         if not (math.isfinite(lam) and lam > 0):
-            raise ValueError(f"Poisson degree requires a finite lam > 0, got {lam}")
+            raise ValueError(f"lam: Poisson mean must be finite and positive, got {float(lam)}")
         self.lam = float(lam)
 
     @cached_property
@@ -163,7 +164,7 @@ class PowerLawDegree:
 
     def __init__(self, beta: float):
         if not (math.isfinite(beta) and beta > 2.0):
-            raise ValueError(f"power-law degree requires a finite beta > 2, got {beta}")
+            raise ValueError(f"beta: exponent must be finite and > 2, got {float(beta)}")
         self.beta = float(beta)
         self._zeta = zeta(beta)
 
@@ -293,15 +294,26 @@ class EmpiricalDegree:
 # ---------------------------------------------------------------------------
 
 
-class BernoulliTransmission:
-    """Each friend is independently influenced with probability p."""
-
-    kind = "bernoulli"
+class _Thinning:
+    """A transmission model with one probability p and E[D(t) | D] = p D."""
 
     def __init__(self, p: float):
         if not 0.0 <= p <= 1.0:
-            raise ValueError("transmission probability must lie in [0, 1]")
+            raise ValueError("p: transmission probability must lie in [0, 1]")
         self.p = float(p)
+
+    def moments(self, deg) -> tuple[float, float]:
+        """(E[D(t)], E[D(t) D]) = (p E[D], p E[D^2]); the second is 0 at
+        p = 0 even where E[D^2] diverges."""
+        p = self.p
+        return p * deg.mean, 0.0 if p == 0.0 else p * deg.mean_square
+
+    def __repr__(self):
+        return f"{type(self).__name__}(p={self.p})"
+
+
+class BernoulliTransmission(_Thinning):
+    """Each friend is independently influenced with probability p."""
 
     def conditional_pmf(self, d: int) -> DiscretePmf:
         """Binomial(d, p) law of the transmitter degree.
@@ -327,22 +339,9 @@ class BernoulliTransmission:
     def sample_given(self, d: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return rng.binomial(d, self.p).astype(np.int64)
 
-    def mean_t(self, d):
-        return self.p * np.asarray(d, dtype=np.float64)
 
-    def __repr__(self):
-        return f"BernoulliTransmission(p={self.p})"
-
-
-class NodePercolation:
+class NodePercolation(_Thinning):
     """Enthusiastic/apathetic members: transmit to all friends w.p. p, else none."""
-
-    kind = "nodeperc"
-
-    def __init__(self, p: float):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("transmission probability must lie in [0, 1]")
-        self.p = float(p)
 
     def conditional_pmf(self, d: int) -> DiscretePmf:
         if d < 0:
@@ -357,12 +356,6 @@ class NodePercolation:
         on = rng.random(d.size) < self.p
         return (d * on).astype(np.int64)
 
-    def mean_t(self, d):
-        return self.p * np.asarray(d, dtype=np.float64)
-
-    def __repr__(self):
-        return f"NodePercolation(p={self.p})"
-
 
 class CouponCollector:
     """K uniform friend selections with replacement; D(t) counts distinct picks.
@@ -374,11 +367,9 @@ class CouponCollector:
     conditional pmfs of many degrees share one row.
     """
 
-    kind = "coupon"
-
     def __init__(self, K: int):
-        if K < 0 or int(K) != K:
-            raise ValueError("coupon count K must be a non-negative integer")
+        if not (K >= 0 and K % 1 == 0):
+            raise ValueError(f"K: message count must be a non-negative integer, got {K}")
         self.K = int(K)
         self._stirling_row: list[int] = []
 
@@ -422,6 +413,19 @@ class CouponCollector:
         out[pos] = -d[pos] * np.expm1(self.K * np.log1p(-1.0 / d[pos]))
         return out
 
+    def moments(self, deg) -> tuple[float, float]:
+        """(E[D(t)], E[D(t) D]): on a power law, zeta ratios weighted by the
+        signed binomials of :func:`coupon_binomials`; otherwise summed over
+        the degree atoms."""
+        if isinstance(deg, PowerLawDegree):
+            cs = coupon_binomials(deg, self.K)
+            mean_dt = sum((c * deg.neg_moment(j - 1) for j, c in enumerate(cs, start=1)), 0.0)
+            mean_dt_d = sum((c * deg.neg_moment(j - 2) for j, c in enumerate(cs, start=1)), 0.0)
+            return mean_dt, mean_dt_d
+        support, weights = deg.atoms()
+        mt = self.mean_t(support)
+        return float(np.dot(weights, mt)), float(np.dot(weights, support * mt))
+
     def __repr__(self):
         return f"CouponCollector(K={self.K})"
 
@@ -448,29 +452,9 @@ class JointDegreeLaw:
         return DegreeSample(d, t)
 
     def moments(self) -> JointMoments:
-        deg, tr = self.degree, self.transmission
-        mean_d = deg.mean
-        mean_d2 = deg.mean_square
-        if tr.kind in ("bernoulli", "nodeperc"):
-            p = tr.p
-            mean_dt = p * mean_d
-            mean_dt_d = 0.0 if p == 0.0 else p * mean_d2
-        elif tr.kind == "coupon":
-            mean_dt, mean_dt_d = self._coupon_moments()
-        else:  # pragma: no cover - unknown model
-            raise TypeError(f"unsupported transmission model {tr!r}")
-        return JointMoments(mean_d=mean_d, mean_d2=mean_d2, mean_dt=mean_dt, mean_dt_d=mean_dt_d)
-
-    def _coupon_moments(self) -> tuple[float, float]:
-        tr, deg = self.transmission, self.degree
-        if isinstance(deg, PowerLawDegree):
-            cs = coupon_binomials(deg, tr.K)
-            mean_dt = sum((c * deg.neg_moment(j - 1) for j, c in enumerate(cs, start=1)), 0.0)
-            mean_dt_d = sum((c * deg.neg_moment(j - 2) for j, c in enumerate(cs, start=1)), 0.0)
-            return mean_dt, mean_dt_d
-        support, weights = deg.atoms()
-        mt = tr.mean_t(support)
-        return float(np.dot(weights, mt)), float(np.dot(weights, support * mt))
+        deg = self.degree
+        mean_dt, mean_dt_d = self.transmission.moments(deg)
+        return JointMoments(mean_d=deg.mean, mean_d2=deg.mean_square, mean_dt=mean_dt, mean_dt_d=mean_dt_d)
 
     def __repr__(self):
         return f"JointDegreeLaw({self.degree!r}, {self.transmission!r})"
@@ -488,10 +472,11 @@ def coupon_binomials(deg: PowerLawDegree, K: int) -> list[float]:
     """
     cs, total = [], 0.0
     for j in range(1, K + 1):
-        c = (-1.0) ** (j + 1) * math.comb(K, j)
-        total += abs(c) * (deg.neg_moment(j - 1) + deg.neg_moment(j - 2))
+        b = math.comb(K, j)
+        # only K itself, at j = 1, can lie beyond float range; its bound is then inf
+        total += (b if b <= sys.float_info.max else math.inf) * (deg.neg_moment(j - 1) + deg.neg_moment(j - 2))
         check_coupon_rounding(deg, K, total)
-        cs.append(c)
+        cs.append((-1.0) ** (j + 1) * b)
     return cs
 
 

@@ -518,7 +518,11 @@ def branching_block(law, out):
         flags = ["--degree", "poisson", "--lambda", repr(deg.lam)]
     else:
         flags = ["--degree", "powerlaw", "--beta", repr(deg.beta)]
-    flags += ["--trans", tr.kind] + (["--K", str(tr.K)] if tr.kind == "coupon" else ["--p", repr(tr.p)])
+    if isinstance(tr, CouponCollector):
+        flags += ["--trans", "coupon", "--K", str(tr.K)]
+    else:
+        name = "bernoulli" if isinstance(tr, BernoulliTransmission) else "nodeperc"
+        flags += ["--trans", name, "--p", repr(tr.p)]
     assert main(["analytic", *flags, "--out", str(out)]) == 0
     return json.loads((out / "analysis.json").read_text())["branching"]
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import viralcm
 from viralcm.analytic import analyze
-from viralcm.cli import MAX_GRID_POINTS, RunConfig, _parse_grid, main
+from viralcm.cli import MAX_GRID_POINTS, RunConfig, _parse_grid, main, make_degree_law
 from viralcm.estimators import write_sample_csv
 from viralcm.populations import (
     BernoulliTransmission,
@@ -183,9 +183,10 @@ class TestConfig:
             RunConfig.from_file(path)
 
     def test_validation_names_offending_field(self):
+        # the law's fields are checked where the law is built
         cfg = RunConfig(degree="powerlaw", beta=1.5)
         with pytest.raises(ValueError) as exc:
-            cfg.validate()
+            make_degree_law(cfg)
         assert "beta" in str(exc.value)
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
@@ -540,6 +541,13 @@ class TestEvaluate:
         assert payload["report"]["verdict"] == "viable"
         assert payload["input_csv"] == str(csv_path)
 
+    @pytest.mark.parametrize("name, problem", [("nofile.csv", "No such file or directory"), (".", "Is a directory")])
+    def test_unreadable_csv_names_the_path(self, tmp_path, capsys, monkeypatch, name, problem):
+        monkeypatch.chdir(tmp_path)
+        assert main(["evaluate", name, "--out", "out"]) == 2
+        assert capsys.readouterr().err == f"error: {name}: {problem}\n"
+        assert not Path("out").exists()
+
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("degree,transmitter_degree\n1,5\n")
@@ -585,7 +593,7 @@ _BAD_LAW_FIELDS = {
         for trans in ("bernoulli", "nodeperc")
         for p in ("1.5", "nan")
     },
-    "K-negative": ({"trans": "coupon", "K": "-1"}, "K: message count must be non-negative"),
+    "K-negative": ({"trans": "coupon", "K": "-1"}, "K: message count must be a non-negative integer, got -1"),
     "degree-unknown": ({"degree": "foo"}, "degree: unknown law 'foo'"),
     "trans-unknown": ({"trans": "bar"}, "trans: unknown transmission model 'bar'"),
     "degree_file-required": ({"degree": "empirical"}, "degree_file: required for the empirical degree law"),
@@ -735,9 +743,10 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "analysis.json").exists()
 
-    @pytest.mark.parametrize("K", [7, 200])
+    @pytest.mark.parametrize("K", [7, 200, 10**400], ids=["7", "200", "1e400"])
     def test_powerlaw_coupon_K_beyond_bound_exits_2(self, tmp_path, capsys, K):
-        # the expansion's rounding bound admits K <= 6; K = 6 is a golden case
+        # the expansion's rounding bound admits K <= 6; K = 6 is a golden case,
+        # and 10**400 lies beyond float range
         argv = ["analytic", "--degree", "powerlaw", "--beta", "2.45", "--trans", "coupon"]
         assert main(argv + ["--K", str(K), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: K: {K} is too large")

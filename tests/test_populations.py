@@ -257,10 +257,10 @@ class TestMoments:
             float(np.dot(pmf.weights, pmf.support * mt)), abs=1e-8 + tail_d_weight
         )
 
-    @pytest.mark.parametrize("K", [40, 2000, 20_000])
+    @pytest.mark.parametrize("K", [40, 2000, 20_000, 10**400], ids=["40", "2000", "20000", "1e400"])
     def test_coupon_powerlaw_K_beyond_bound_rejected(self, K):
         # the alternating C(K, j) sums carry a rounding bound of about 1e-5
-        # at K = 40, and C(2000, j) overflows a float
+        # at K = 40, C(2000, j) overflows a float, and 10**400 = C(10**400, 1) does
         law = JointDegreeLaw(PowerLawDegree(2.45), CouponCollector(K))
         start = time.perf_counter()
         with pytest.raises(ValueError, match=rf"^K: {K} is too large .* exceeds 1e-12$"):
@@ -334,6 +334,24 @@ class TestValidation:
         support, weights = EmpiricalDegree.from_degrees([1, 2, 10**15, 2]).atoms()
         assert support.tolist() == [1, 2, 10**15]
         assert weights.tolist() == [0.25, 0.5, 0.25]
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: PoissonDegree(-1), "lam: Poisson mean must be finite and positive, got -1.0"),
+            (lambda: PowerLawDegree(2), "beta: exponent must be finite and > 2, got 2.0"),
+            (lambda: BernoulliTransmission(2), "p: transmission probability must lie in [0, 1]"),
+            (lambda: NodePercolation(math.nan), "p: transmission probability must lie in [0, 1]"),
+            (lambda: CouponCollector(-1), "K: message count must be a non-negative integer, got -1"),
+            (lambda: CouponCollector(2.5), "K: message count must be a non-negative integer, got 2.5"),
+        ],
+        ids=["lam", "beta", "bernoulli-p", "nodeperc-p", "K-negative", "K-fraction"],
+    )
+    def test_constructor_names_the_field(self, make, message):
+        # the same text the CLI prints after "error: "
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
 
     def test_probability_range(self):
         with pytest.raises(ValueError):
