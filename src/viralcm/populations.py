@@ -474,7 +474,8 @@ def coupon_binomials(deg: PowerLawDegree, K: int) -> list[float]:
     for j in range(1, K + 1):
         b = math.comb(K, j)
         # only K itself, at j = 1, can lie beyond float range; its bound is then inf
-        total += (b if b <= sys.float_info.max else math.inf) * (deg.neg_moment(j - 1) + deg.neg_moment(j - 2))
+        size = b if b <= sys.float_info.max else math.inf
+        total += size * (deg.neg_moment(j - 1) + deg.neg_moment(j - 2))
         check_coupon_rounding(deg, K, total)
         cs.append((-1.0) ** (j + 1) * b)
     return cs
