@@ -23,20 +23,9 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
-from .populations import (
-    ROOT_RESIDUAL,
-    BernoulliTransmission,
-    CouponCollector,
-    DegreeSample,
-    JointDegreeLaw,
-    JointMoments,
-    PowerLawDegree,
-    check_coupon_rounding,
-    coupon_binomials,
-)
-from .special import polylog, stirling2_row, weighted_sum, zeta
+from .populations import ROOT_RESIDUAL, DegreeSample, JointDegreeLaw, JointMoments
+from .special import weighted_sum
 
 __all__ = [
     "GenFnBundle",
@@ -114,17 +103,19 @@ def _is_critical(margin: float) -> bool:
 def build_genfns(source) -> GenFnBundle:
     """Generating-function bundle from a JointDegreeLaw or a DegreeSample.
 
-    Samples and coupon-model laws with materialized atoms go through a
-    weighted (degree, transmitter degree) table; every other law through
-    its closed forms (:func:`_bundle_from_law`).
+    A law goes through its transmission model's closed forms
+    (:func:`_bundle_from_law`); a sample, and a law whose model has none on
+    its degree law (the coupon model on a law with atoms), through a
+    weighted (degree, transmitter degree) table.
     """
     if isinstance(source, DegreeSample):
         return _bundle_from_pairs(*_sample_pairs(source))
     if not isinstance(source, JointDegreeLaw):
         raise TypeError(f"cannot build generating functions from {type(source).__name__}")
-    if isinstance(source.transmission, CouponCollector) and not isinstance(source.degree, PowerLawDegree):
+    forms = source.transmission.closed_forms(source.degree)
+    if forms is None:
         return _bundle_from_pairs(*_pair_table(source))
-    return _bundle_from_law(source)
+    return _bundle_from_law(source, *forms)
 
 
 def _sample_pairs(sample: DegreeSample):
@@ -173,68 +164,14 @@ def _bundle_from_pairs(d: np.ndarray, t: np.ndarray, w: np.ndarray) -> GenFnBund
     )
 
 
-def _bundle_from_law(law: JointDegreeLaw) -> GenFnBundle:
-    """Bernoulli and node percolation on any degree law, and the coupon
-    model on power-law degrees, from the law's closed forms.
-
-    H = E[D] x^2 - E[D(r)] x - E[D(t) x^D] and H0 = E[D] x^2 - x G_D'(x)
-    are common to all three; each model supplies E[D(t) x^D], G_Dt and
-    Hbar.  Bernoulli thinning makes D(t) given D binomial, so the mixed
-    expectations are G_D' at y = 1 - p(1 - x); node percolation keeps D(t)
-    in {0, D}.  Both have E[D(t) x^D] = p x G_D'(x), and
-
-        Bernoulli:  E[D(t) x^D(t)] = p x G_D'(y),  E[D(r) x^D(t)] = (1-p) G_D'(y)
-        node perc:  E[D(t) x^D(t)] = p x G_D'(x),  E[D(r) x^D(t)] = (1-p) E[D]
-
-    so the Bernoulli Hbar is E[D] x^2 - x G_D'(y).  A power-law pmf
-    truncated to tail mass 1e-12 would need ~1e8 atoms at beta = 2.45, so
-    under the coupon model E[x^D(t)], E[D(t) x^D(t)] and E[D(r) x^D(t)]
-    are polynomials in x with the zeta-ratio coefficients of
-    :func:`_coupon_stirling_coeffs`, and E[D(t) x^D] =
-    sum_j c_j Li_{beta+j-1}(x) / zeta(beta) with the signed binomials c_j of
-    :func:`~viralcm.populations.coupon_binomials`.
+def _bundle_from_law(law: JointDegreeLaw, m_dt_xd, g_dt, hbar) -> GenFnBundle:
+    """Bundle of a law from its transmission model's closed forms
+    E[D(t) x^D], G_Dt and Hbar, with the two functions common to every
+    model: H = E[D] x^2 - E[D(r)] x - E[D(t) x^D] and H0 = E[D] x^2 - x G_D'(x).
     """
-    deg, tr = law.degree, law.transmission
     mom = law.moments()
     mean_d, mean_dr = mom.mean_d, mom.mean_dr
-    g_d, dg_d = deg.pgf, deg.pgf_prime
-
-    if isinstance(tr, CouponCollector):
-        a, b = _coupon_stirling_coeffs(deg, tr.K)
-        karr = np.arange(tr.K + 1, dtype=np.float64)
-        cs = coupon_binomials(deg, tr.K)
-        zb = zeta(deg.beta)
-
-        def m_dt_xd(x):
-            return sum(c * polylog(deg.beta + j - 1.0, x) for j, c in enumerate(cs, start=1)) / zb
-
-        def g_dt(x):
-            return polyval(x, a)
-
-        def hbar(x):
-            return mean_d * x * x - polyval(x, a * karr) - polyval(x, b - a * karr) * x
-
-    else:
-        p = tr.p
-
-        def m_dt_xd(x):
-            return p * x * dg_d(x)
-
-        if isinstance(tr, BernoulliTransmission):
-
-            def g_dt(x):
-                return g_d(1.0 - p * (1.0 - x))
-
-            def hbar(x):
-                return mean_d * x * x - x * dg_d(1.0 - p * (1.0 - x))
-
-        else:  # node percolation
-
-            def g_dt(x):
-                return (1.0 - p) + p * g_d(x)
-
-            def hbar(x):
-                return mean_d * x * x - p * x * dg_d(x) - (1.0 - p) * mean_d * x
+    dg_d = law.degree.pgf_prime
 
     def h(x):
         return mean_d * x * x - mean_dr * x - m_dt_xd(x)
@@ -242,35 +179,7 @@ def _bundle_from_law(law: JointDegreeLaw) -> GenFnBundle:
     def h0(x):
         return mean_d * x * x - x * dg_d(x)
 
-    return GenFnBundle(h=h, hbar=hbar, h0=h0, g_d=g_d, g_dt=g_dt)
-
-
-def _coupon_stirling_coeffs(deg: PowerLawDegree, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients a_k = P{D(t)=k} and b_k = E[D 1{D(t)=k}], k = 0..K.
-
-    P{D(t)=k | D=d} = (d)_k {K over k} / d^K with (d)_k = sum_s s1(k, s) d^s
-    reduces every degree average to E[D^(s-K)] and E[D^(s-K+1)], i.e. zeta
-    ratios; s1(k, s) is carried from k - 1 by (d)_k = (d)_(k-1) (d - k + 1).
-    The sum cancels more as K grows: past its rounding bound
-    (:func:`~viralcm.populations.check_coupon_rounding`) a ValueError names
-    K.  Callers read the law's moments first, whose binomial check rejects
-    a large K before any Stirling row is built.
-    """
-    moment = deg.neg_moment
-    a = np.zeros(K + 1)
-    b = np.zeros(K + 1)
-    s1 = [1]
-    stirling = 0.0
-    for k, s2 in enumerate(stirling2_row(K, K)):
-        if k:
-            s1 = [hi - (k - 1) * lo for hi, lo in zip([0, *s1], [*s1, 0])]
-        for s, c in enumerate(s1):
-            w, ma, mb = float(s2) * float(c), moment(K - s), moment(K - s - 1)
-            a[k] += w * ma
-            b[k] += w * mb
-            stirling += abs(w) * (ma + mb)
-    check_coupon_rounding(deg, K, stirling)
-    return a, b
+    return GenFnBundle(h=h, hbar=hbar, h0=h0, g_d=law.degree.pgf, g_dt=g_dt)
 
 
 # ---------------------------------------------------------------------------

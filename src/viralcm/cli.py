@@ -218,6 +218,19 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: Path, cfg: RunConfig, header: list[str], rows) -> None:
+    """A CSV output: ``# key=value`` comment lines with the config and the
+    schema version, then the ``header`` row and the data ``rows``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        for key, val in sorted(cfg.to_dict().items()):
+            fh.write(f"# {key}={val}\n")
+        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -233,7 +246,6 @@ def _node_memory(n: int):
 
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
-    cfg.validate()
     law = JointDegreeLaw(make_degree_law(cfg), make_transmission(cfg))
     rng = np.random.default_rng(cfg.seed)
     with _node_memory(cfg.n):
@@ -254,14 +266,8 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
     _write_json(outcome_path, payload)
 
     hist_path = out_dir / "reach_histogram.csv"
-    with open(hist_path, "w", newline="") as fh:
-        for key, val in sorted(cfg.to_dict().items()):
-            fh.write(f"# {key}={val}\n")
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["reach_fraction", "count"])
-        for frac, count in payload["histogram"]:
-            writer.writerow([f"{frac:.10g}", count])
+    histogram = [[f"{frac:.10g}", count] for frac, count in payload["histogram"]]
+    _write_csv(hist_path, cfg, ["reach_fraction", "count"], histogram)
     written = [outcome_path, hist_path]
 
     if cfg.dump_graph:
@@ -288,7 +294,6 @@ def _grid_values(cfg: RunConfig):
 
 
 def cmd_sweep(cfg: RunConfig) -> list[Path]:
-    cfg.validate()
     # the base law checks every field, the swept p or K included
     base = JointDegreeLaw(make_degree_law(cfg), make_transmission(cfg))
     values = _grid_values(cfg)
@@ -316,21 +321,12 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
             }
         )
 
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sweep_path = out_dir / "sweep.csv"
-    with open(sweep_path, "w", newline="") as fh:
-        for key, val in sorted(cfg.to_dict().items()):
-            fh.write(f"# {key}={val}\n")
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    sweep_path = Path(cfg.out) / "sweep.csv"
+    _write_csv(sweep_path, cfg, list(rows[0]), [list(row.values()) for row in rows])
     return [sweep_path]
 
 
 def cmd_analytic(cfg: RunConfig) -> list[Path]:
-    cfg.validate()
     law = JointDegreeLaw(make_degree_law(cfg), make_transmission(cfg))
     result = analyze(law)
     mean_off = mean_offspring(law.moments())
@@ -355,7 +351,6 @@ def cmd_analytic(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_evaluate(csv_path: str, cfg: RunConfig) -> list[Path]:
-    cfg.validate()
     sample = load_sample_csv(csv_path)
     report = evaluate_campaign(sample, cfg.z, cfg.cost_per_pioneer, cfg.value_per_influenced)
     payload = {
@@ -425,6 +420,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        cfg.validate()
         if args.command == "simulate":
             written = cmd_simulate(cfg)
         elif args.command == "sweep":

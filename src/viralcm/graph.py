@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -52,20 +52,14 @@ class EnhancedGraph:
         return int(self.arc_src.size)
 
 
-class _Matching(NamedTuple):
-    owner: np.ndarray  # node of each half-edge
-    transmitter: np.ndarray  # whether each half-edge transmits
-    pairs: np.ndarray  # (half-edges / 2, 2) matched half-edge indices
-    parity_fixed: bool
-
-
-def _match(sample: DegreeSample, rng: np.random.Generator) -> _Matching:
-    """Uniform random perfect matching of the sample's half-edges.
+def build(sample: DegreeSample, seed) -> EnhancedGraph:
+    """Influence arcs induced by a uniform random perfect matching of the sample's half-edges.
 
     An odd total half-edge count is repaired by handing one extra receiver
     half-edge to a uniformly chosen node; the O(1/n) bias is standard
     configuration-model practice.
     """
+    rng = np.random.default_rng(seed)
     n = len(sample)
     d = sample.degree.copy()
     parity_fixed = int(d.sum()) % 2 == 1
@@ -82,23 +76,18 @@ def _match(sample: DegreeSample, rng: np.random.Generator) -> _Matching:
     transmitter = np.repeat(np.tile([True, False], n), counts)
     del counts
     owner = np.repeat(np.arange(n, dtype=index_dtype(n)), d)
+    del d
     pairs = np.arange(total, dtype=index_dtype(total))
     rng.shuffle(pairs)  # the draws and the permutation of rng.permutation(total)
-    return _Matching(owner, transmitter, pairs.reshape(-1, 2), parity_fixed)
-
-
-def build(sample: DegreeSample, seed) -> EnhancedGraph:
-    """Influence arcs induced by a uniform matching of the sample's half-edges."""
-    seed_val = seed if isinstance(seed, (int, np.integer)) else None
-    m = _match(sample, np.random.default_rng(seed))
-    a, b = m.pairs[:, 0], m.pairs[:, 1]
-    a_trans, b_trans = m.transmitter[a], m.transmitter[b]
+    a, b = pairs[0::2], pairs[1::2]
+    a_trans, b_trans = transmitter[a], transmitter[b]
+    del transmitter
     return EnhancedGraph(
-        n=len(sample),
-        arc_src=np.concatenate([m.owner[a[a_trans]], m.owner[b[b_trans]]]),
-        arc_dst=np.concatenate([m.owner[b[a_trans]], m.owner[a[b_trans]]]),
-        parity_fixed=m.parity_fixed,
-        seed=int(seed_val) if seed_val is not None else None,
+        n=n,
+        arc_src=np.concatenate([owner[a[a_trans]], owner[b[b_trans]]]),
+        arc_dst=np.concatenate([owner[b[a_trans]], owner[a[b_trans]]]),
+        parity_fixed=parity_fixed,
+        seed=int(seed) if isinstance(seed, (int, np.integer)) else None,
     )
 
 

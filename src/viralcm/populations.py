@@ -4,9 +4,9 @@ A population is described by the joint distribution of a member's total
 degree D and transmitter degree D(t) <= D: a named degree law (Poisson,
 power law, or empirical) composed with a transmission model giving the
 conditional law of D(t) given D.  The module supplies exact conditional
-pmfs, analytic moments (with ``inf`` marking divergence), generating
-functions ``pgf``/``pgf_prime`` of a scalar or an array of abscissae, and
-i.i.d. samplers driven by an explicit seed.
+pmfs, analytic moments (``inf`` marking divergence), generating functions
+``pgf``/``pgf_prime`` of a scalar or an array of abscissae, each model's
+closed forms, and i.i.d. samplers driven by an explicit seed.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .special import (
     DEFAULT_TAIL_MASS,
@@ -42,8 +43,16 @@ __all__ = [
 ]
 
 #: Required residual at a returned root, and so the most rounding error a
-#: power-law coupon sum may carry (:func:`check_coupon_rounding`).
+#: power-law coupon sum may carry (:meth:`CouponCollector._powerlaw_expansion`).
 ROOT_RESIDUAL = 1e-12
+
+
+def _float(name: str, value) -> float:
+    """``value`` as a float; one beyond float range is a ValueError naming ``name``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: {value} is too large for a float") from None
 
 
 def _int64_column(values) -> np.ndarray:
@@ -117,9 +126,9 @@ class PoissonDegree:
     """Poisson(lam) total degree."""
 
     def __init__(self, lam: float):
-        if not (math.isfinite(lam) and lam > 0):
-            raise ValueError(f"lam: Poisson mean must be finite and positive, got {float(lam)}")
-        self.lam = float(lam)
+        self.lam = _float("lam", lam)
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam: Poisson mean must be finite and positive, got {self.lam}")
 
     @cached_property
     def _pmf(self) -> DiscretePmf:
@@ -163,10 +172,10 @@ class PowerLawDegree:
     _TABLE = 1 << 20
 
     def __init__(self, beta: float):
-        if not (math.isfinite(beta) and beta > 2.0):
-            raise ValueError(f"beta: exponent must be finite and > 2, got {float(beta)}")
-        self.beta = float(beta)
-        self._zeta = zeta(beta)
+        self.beta = _float("beta", beta)
+        if not (math.isfinite(self.beta) and self.beta > 2.0):
+            raise ValueError(f"beta: exponent must be finite and > 2, got {self.beta}")
+        self._zeta = zeta(self.beta)
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
@@ -339,6 +348,25 @@ class BernoulliTransmission(_Thinning):
     def sample_given(self, d: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return rng.binomial(d, self.p).astype(np.int64)
 
+    def closed_forms(self, deg):
+        """(E[D(t) x^D], G_Dt, Hbar) as functions of x on the degree law
+        ``deg``.  Binomial thinning makes the mixed expectations G_D' at
+        y = 1 - p(1 - x): E[D(t) x^D] = p x G_D'(x), E[x^D(t)] = G_D(y),
+        E[D(t) x^D(t)] = p x G_D'(y) and E[D(r) x^D(t)] = (1-p) G_D'(y), so
+        Hbar = E[D] x^2 - x G_D'(y)."""
+        p, mean_d, g_d, dg_d = self.p, deg.mean, deg.pgf, deg.pgf_prime
+
+        def m_dt_xd(x):
+            return p * x * dg_d(x)
+
+        def g_dt(x):
+            return g_d(1.0 - p * (1.0 - x))
+
+        def hbar(x):
+            return mean_d * x * x - x * dg_d(1.0 - p * (1.0 - x))
+
+        return m_dt_xd, g_dt, hbar
+
 
 class NodePercolation(_Thinning):
     """Enthusiastic/apathetic members: transmit to all friends w.p. p, else none."""
@@ -355,6 +383,23 @@ class NodePercolation(_Thinning):
     def sample_given(self, d: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         on = rng.random(d.size) < self.p
         return (d * on).astype(np.int64)
+
+    def closed_forms(self, deg):
+        """(E[D(t) x^D], G_Dt, Hbar) as functions of x on the degree law
+        ``deg``.  D(t) is 0 or D: E[D(t) x^D] = E[D(t) x^D(t)] = p x G_D'(x),
+        E[x^D(t)] = (1-p) + p G_D(x) and E[D(r) x^D(t)] = (1-p) E[D]."""
+        p, mean_d, g_d, dg_d = self.p, deg.mean, deg.pgf, deg.pgf_prime
+
+        def m_dt_xd(x):
+            return p * x * dg_d(x)
+
+        def g_dt(x):
+            return (1.0 - p) + p * g_d(x)
+
+        def hbar(x):
+            return mean_d * x * x - p * x * dg_d(x) - (1.0 - p) * mean_d * x
+
+        return m_dt_xd, g_dt, hbar
 
 
 class CouponCollector:
@@ -402,29 +447,102 @@ class CouponCollector:
         return out
 
     def mean_t(self, d):
-        """E[D(t) | D = d] = d * (1 - (1 - 1/d)**K), vectorized."""
+        """E[D(t) | D = d] = d * (1 - (1 - 1/d)**K), vectorized; K must fit a float."""
+        K = _float("K", self.K)
         d = np.asarray(d, dtype=np.float64)
         out = np.zeros_like(d)
-        if self.K == 0:
+        if K == 0:
             return out
         out[d == 1.0] = 1.0
         pos = d > 1.0
         # -d * expm1(K * log1p(-1/d)) avoids cancellation at large d
-        out[pos] = -d[pos] * np.expm1(self.K * np.log1p(-1.0 / d[pos]))
+        out[pos] = -d[pos] * np.expm1(K * np.log1p(-1.0 / d[pos]))
         return out
 
     def moments(self, deg) -> tuple[float, float]:
         """(E[D(t)], E[D(t) D]): on a power law, zeta ratios weighted by the
-        signed binomials of :func:`coupon_binomials`; otherwise summed over
-        the degree atoms."""
+        signed binomials of :meth:`_powerlaw_expansion`; otherwise summed
+        over the degree atoms."""
         if isinstance(deg, PowerLawDegree):
-            cs = coupon_binomials(deg, self.K)
+            cs = self._powerlaw_expansion(deg)[0]
             mean_dt = sum((c * deg.neg_moment(j - 1) for j, c in enumerate(cs, start=1)), 0.0)
             mean_dt_d = sum((c * deg.neg_moment(j - 2) for j, c in enumerate(cs, start=1)), 0.0)
             return mean_dt, mean_dt_d
         support, weights = deg.atoms()
         mt = self.mean_t(support)
         return float(np.dot(weights, mt)), float(np.dot(weights, support * mt))
+
+    def closed_forms(self, deg):
+        """(E[D(t) x^D], G_Dt, Hbar) as functions of x on a power law ``deg``:
+        sum_j c_j Li_{beta+j-1}(x) / zeta(beta) and polynomials with the
+        coefficients a_k, k a_k and b_k - k a_k of :meth:`_powerlaw_expansion`.
+        ``None`` on a law with atoms, whose exact (d, t) table stands in once
+        K passes the check of :meth:`mean_t`: no Stirling row is built for a K
+        that the moments reject.
+        """
+        if not isinstance(deg, PowerLawDegree):
+            _float("K", self.K)
+            return None
+        cs, a, b = self._powerlaw_expansion(deg)
+        karr = np.arange(self.K + 1, dtype=np.float64)
+        zb, mean_d = zeta(deg.beta), deg.mean
+
+        def m_dt_xd(x):
+            return sum(c * polylog(deg.beta + j - 1.0, x) for j, c in enumerate(cs, start=1)) / zb
+
+        def g_dt(x):
+            return polyval(x, a)
+
+        def hbar(x):
+            return mean_d * x * x - polyval(x, a * karr) - polyval(x, b - a * karr) * x
+
+        return m_dt_xd, g_dt, hbar
+
+    def _powerlaw_expansion(self, deg: PowerLawDegree) -> tuple[list[float], np.ndarray, np.ndarray]:
+        """Signed binomials c_j = (-1)**(j+1) C(K, j), j = 1..K, and the
+        coefficients a_k = P{D(t)=k} and b_k = E[D 1{D(t)=k}], k = 0..K, on
+        the power law ``deg``.
+
+        d(1 - (1 - 1/d)**K) = sum_j c_j d**(1-j), and P{D(t)=k | D=d} =
+        (d)_k {K over k} / d^K with (d)_k = sum_s s1(k, s) d^s, so both reduce
+        to zeta ratios E[D^-r]; s1(k, s) is carried from k - 1 by (d)_k =
+        (d)_(k-1) (d - k + 1).  Both sums cancel more as K grows: when one's
+        rounding bound u * sum|term| (u = 2**-53) exceeds ``ROOT_RESIDUAL``, a
+        ValueError names K, which admits K <= 6 for beta from 2.05 to 4.45.
+        The binomials' bound is checked term by term, so a large K is rejected
+        before any binomial can overflow a float or any Stirling row is built.
+        """
+        K, moment = self.K, deg.neg_moment
+
+        def check(total):
+            if 2.0**-53 * total > ROOT_RESIDUAL:
+                raise ValueError(
+                    f"K: {K} is too large for the power-law coupon expansion at beta={deg.beta}: its "
+                    f"rounding bound u*sum|term| = {2.0**-53 * total:.2g} exceeds {ROOT_RESIDUAL:g}"
+                )
+
+        cs, total = [], 0.0
+        for j in range(1, K + 1):
+            binom = math.comb(K, j)
+            # only K itself, at j = 1, can lie beyond float range; its bound is then inf
+            size = binom if binom <= sys.float_info.max else math.inf
+            total += size * (moment(j - 1) + moment(j - 2))
+            check(total)
+            cs.append((-1.0) ** (j + 1) * binom)
+        a = np.zeros(K + 1)
+        b = np.zeros(K + 1)
+        s1 = [1]
+        total = 0.0
+        for k, s2 in enumerate(stirling2_row(K, K)):
+            if k:
+                s1 = [hi - (k - 1) * lo for hi, lo in zip([0, *s1], [*s1, 0])]
+            for s, c in enumerate(s1):
+                w, ma, mb = float(s2) * float(c), moment(K - s), moment(K - s - 1)
+                a[k] += w * ma
+                b[k] += w * mb
+                total += abs(w) * (ma + mb)
+        check(total)
+        return cs, a, b
 
     def __repr__(self):
         return f"CouponCollector(K={self.K})"
@@ -458,36 +576,3 @@ class JointDegreeLaw:
 
     def __repr__(self):
         return f"JointDegreeLaw({self.degree!r}, {self.transmission!r})"
-
-
-def coupon_binomials(deg: PowerLawDegree, K: int) -> list[float]:
-    """Signed binomials c_j = (-1)**(j+1) C(K, j), j = 1..K, as floats.
-
-    d(1 - (1 - 1/d)**K) = sum_j c_j d**(1-j) turns the power-law coupon
-    moments into zeta ratios and E[D(t) x^D] into a sum of polylogarithms.
-    These alternating sums cancel more as K grows, so their rounding bound
-    u * sum_j |c_j| (E[D^(1-j)] + E[D^(2-j)]) is checked by
-    :func:`check_coupon_rounding`, term by term: a large K is rejected
-    before any binomial can overflow a float.
-    """
-    cs, total = [], 0.0
-    for j in range(1, K + 1):
-        b = math.comb(K, j)
-        # only K itself, at j = 1, can lie beyond float range; its bound is then inf
-        size = b if b <= sys.float_info.max else math.inf
-        total += size * (deg.neg_moment(j - 1) + deg.neg_moment(j - 2))
-        check_coupon_rounding(deg, K, total)
-        cs.append((-1.0) ** (j + 1) * b)
-    return cs
-
-
-def check_coupon_rounding(deg: PowerLawDegree, K: int, total: float) -> None:
-    """Reject K when a power-law coupon sum's rounding bound u * ``total``
-    (u = 2**-53, the float64 unit roundoff; ``total`` the sum of its
-    terms' magnitudes) exceeds ``ROOT_RESIDUAL``: a ValueError names K.
-    This admits K <= 6 for beta from 2.05 to 4.45."""
-    if 2.0**-53 * total > ROOT_RESIDUAL:
-        raise ValueError(
-            f"K: {K} is too large for the power-law coupon expansion at beta={deg.beta}: its "
-            f"rounding bound u*sum|term| = {2.0**-53 * total:.2g} exceeds {ROOT_RESIDUAL:g}"
-        )

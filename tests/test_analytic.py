@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -10,11 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from viralcm import analytic
+from viralcm import analytic, populations
 from viralcm.analytic import (
     _SCAN_GRID,
     RootBracketingError,
-    _coupon_stirling_coeffs,
     analyze,
     bernoulli_threshold,
     build_genfns,
@@ -161,7 +161,7 @@ class TestBundles:
         beta, K = 3.2, 3
         law = JointDegreeLaw(PowerLawDegree(beta), CouponCollector(K))
         bundle = build_genfns(law)
-        a, b = _coupon_stirling_coeffs(law.degree, K)
+        a, b = law.transmission._powerlaw_expansion(law.degree)[1:]
         k = np.arange(K + 1, dtype=np.float64)
         pmf = zipf_pmf(beta, tail_mass=1e-10)
         tr = law.transmission
@@ -196,7 +196,7 @@ class TestBundles:
                 return mpmath.zeta(beta - r) / zb
 
             for K in range(7):
-                a, b = _coupon_stirling_coeffs(deg, K)
+                a, b = CouponCollector(K)._powerlaw_expansion(deg)[1:]
                 terms = [
                     [mpmath.stirling2(K, k, exact=True) * mpmath.stirling1(k, s, exact=True) for s in range(k + 1)]
                     for k in range(K + 1)
@@ -210,16 +210,16 @@ class TestBundles:
                         want = sum(t * moment(s + r) for s, t in enumerate(row))
                         assert abs(got - want) <= bound + 4 * u * abs(want)
         with pytest.raises(ValueError, match=r"^K: 7 is too large .* = [0-9.e-]+ exceeds 1e-12$"):
-            _coupon_stirling_coeffs(deg, 7)
+            CouponCollector(7)._powerlaw_expansion(deg)
 
     @pytest.mark.parametrize("K", [40, 2000, 20_000])
     def test_coupon_K_rejected_before_any_stirling_row(self, monkeypatch, K):
-        # the law's moments check the C(K, j) sums first, so no row of
-        # {K over k} is built for a K the expansion cannot take
+        # the expansion checks the C(K, j) sums first, so no row of
+        # {K over k} is built for a K it cannot take
         def no_row(*args):
             raise AssertionError("a Stirling row was built for a rejected K")
 
-        monkeypatch.setattr(analytic, "stirling2_row", no_row)
+        monkeypatch.setattr(populations, "stirling2_row", no_row)
         law = JointDegreeLaw(PowerLawDegree(2.45), CouponCollector(K))
         with pytest.raises(ValueError) as moments_error:
             law.moments()
@@ -228,6 +228,21 @@ class TestBundles:
                 call(law)
             assert str(error.value) == str(moments_error.value)
             assert str(error.value).startswith(f"K: {K} is too large")
+
+    @pytest.mark.parametrize(
+        "degree", [PoissonDegree(2.0), EmpiricalDegree.from_degrees([0, 1, 3, 3, 8])], ids=["poisson", "empirical"]
+    )
+    def test_materialized_coupon_K_beyond_float_rejected_before_any_stirling_row(self, monkeypatch, degree):
+        # E[D(t) | D] needs K as a float, and the exact (d, t) table is built
+        # only after the same check: no row of {K over k} is started for 10**400
+        def no_row(*args):
+            raise AssertionError("a Stirling row was built for a rejected K")
+
+        monkeypatch.setattr(populations, "stirling2_row", no_row)
+        law = JointDegreeLaw(degree, CouponCollector(10**400))
+        for call in (JointDegreeLaw.moments, build_genfns, analyze):
+            with pytest.raises(ValueError, match=rf"^K: {10**400} is too large for a float$"):
+                call(law)
 
     def test_pair_key_overflow_rejected(self):
         # samples group rows by the key degree * (max t + 1) + t
@@ -678,6 +693,80 @@ class TestBundleOracle:
         names = ("h", "hbar", "h0", "g_d", "g_dt")
         for name, oracle in zip(names, brute_bundle(law, x)):
             assert getattr(bundle, name)(x) == pytest.approx(oracle, abs=1e-10), name
+
+
+@functools.cache
+def zipf_sum(s, z):
+    """sum_{d>=1} d**-s z**d at 50 digits: Li_s(z), or zeta(s) at z = 1."""
+    with mpmath.workdps(50):
+        return mpmath.zeta(s) if z == 1 else mpmath.polylog(s, z)
+
+
+def zipf_mean(beta, terms):
+    """E[sum c D**e z**D] for P{D=d} = d**-beta / zeta(beta), d >= 1, at 50
+    digits; ``terms`` holds (c, e, z)."""
+    with mpmath.workdps(50):
+        return sum(c * zipf_sum(beta - e, z) for c, e, z in terms) / zipf_sum(beta, 1)
+
+
+def conditional_terms(tr, x):
+    """E[D(t) | D=d], E[x^D(t) | D=d], E[D(t) x^D(t) | D=d] and
+    E[(d - D(t)) x^D(t) | D=d] as (c, e, z) terms c d**e z**d, from each
+    model's definition (x an mpf)."""
+    if isinstance(tr, BernoulliTransmission):  # D(t) ~ Binomial(d, p)
+        p = mpmath.mpf(tr.p)
+        y = 1 - p * (1 - x)
+        return [(p, 1, 1)], [(1, 0, y)], [(p * x / y, 1, y)], [((1 - p) / y, 1, y)]
+    if isinstance(tr, NodePercolation):  # D(t) = d w.p. p, else 0
+        p = mpmath.mpf(tr.p)
+        return [(p, 1, 1)], [(1 - p, 0, 1), (p, 0, x)], [(p, 1, x)], [(1 - p, 1, 1)]
+    # coupon: K picks out of d friends, D(t) distinct ones; P{D(t)=k | D=d}
+    # d**K = (d)_k * surj(K, k) / k!, with the surjections counted by
+    # inclusion-exclusion and (d)_k expanded in powers of d
+    K = tr.K
+    mean_t = [((-1) ** (j + 1) * math.comb(K, j), 1 - j, 1) for j in range(1, K + 1)]
+    pgf, t_pgf, r_pgf = [], [], []
+    for k in range(K + 1):
+        surj = sum((-1) ** i * math.comb(k, i) * (k - i) ** K for i in range(k + 1))
+        falling = [1]
+        for i in range(k):
+            falling = [lo - i * hi for lo, hi in zip([0, *falling], [*falling, 0])]
+        for e, c in enumerate(falling):
+            w = mpmath.mpf(c * surj) / math.factorial(k) * x**k
+            pgf.append((w, e - K, 1))
+            t_pgf.append((k * w, e - K, 1))
+            r_pgf += [(w, e - K + 1, 1), (-k * w, e - K, 1)]
+    return mean_t, pgf, t_pgf, r_pgf
+
+
+def zipf_bundle_oracle(beta, tr, x):
+    """H, Hbar, H0, G_D, G_Dt of a power law under ``tr`` at x, summed from
+    their definitions (module docstring of ``viralcm.analytic``) at 50 digits."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        mean_t, pgf, t_pgf, r_pgf = conditional_terms(tr, x)
+        d_x2 = [(x * x, 1, 1)]
+        h = d_x2 + [(-x, 1, 1)] + [(x * c, e, 1) for c, e, _ in mean_t] + [(-c, e, x) for c, e, _ in mean_t]
+        hbar = d_x2 + [(-c, e, z) for c, e, z in t_pgf] + [(-x * c, e, z) for c, e, z in r_pgf]
+        h0 = d_x2 + [(-1, 1, x)]
+        return [zipf_mean(beta, terms) for terms in (h, hbar, h0, [(1, 0, x)], pgf)]
+
+
+class TestZipfClosedFormOracle:
+    @pytest.mark.parametrize("beta", [2.45, 3.2])
+    @pytest.mark.parametrize(
+        "tr",
+        [BernoulliTransmission(0.3), NodePercolation(0.3), CouponCollector(3), CouponCollector(6)],
+        ids=["bernoulli", "nodeperc", "coupon3", "coupon6"],
+    )
+    def test_bundle_matches_mpmath_sums(self, beta, tr):
+        # the closed forms at interior abscissae, each of the five against
+        # sums over the degree from the conditional law's definition
+        bundle = build_genfns(JointDegreeLaw(PowerLawDegree(beta), tr))
+        names = ("h", "hbar", "h0", "g_d", "g_dt")
+        for x in (0.2, 0.6, 0.9, 1.0 - 1e-6):
+            for name, want in zip(names, zipf_bundle_oracle(beta, tr, x)):
+                assert abs(getattr(bundle, name)(x) - float(want)) <= 1e-12, (name, x)
 
 
 def scipy_brentq(f, a, b):

@@ -752,6 +752,13 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: K: {K} is too large")
         assert not (tmp_path / "analysis.json").exists()
 
+    def test_poisson_coupon_K_beyond_float_exits_2(self, tmp_path, capsys):
+        # E[D(t) | D] needs K as a float; the law is never tabulated
+        argv = ["analytic", "--trans", "coupon", "--K", str(10**400), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: K: {10**400} is too large for a float\n"
+        assert not (tmp_path / "analysis.json").exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

@@ -1,11 +1,12 @@
 import json
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from viralcm.graph import _match, build, index_dtype, write_edgelist
+from viralcm.graph import build, index_dtype, write_edgelist
 from viralcm.populations import (
     BernoulliTransmission,
     DegreeSample,
@@ -29,8 +30,30 @@ def sample_of(pairs):
 
 
 def match(sample, seed):
-    """The matching ``build(sample, seed)`` draws its arcs from."""
-    return _match(sample, np.random.default_rng(seed))
+    """Reference for the matching ``build(sample, seed)`` draws its arcs from.
+
+    An odd half-edge total gives one extra receiver half-edge to the node
+    drawn first; node i then owns d_i consecutive half-edges, of which the
+    first t_i transmit, and the pairs are consecutive entries of
+    ``rng.permutation(total)``.
+    """
+    rng = np.random.default_rng(seed)
+    d = sample.degree.copy()
+    parity_fixed = int(d.sum()) % 2 == 1
+    if parity_fixed:
+        d[int(rng.integers(len(sample)))] += 1
+    owner = np.repeat(np.arange(len(sample)), d)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(d) - d, d)
+    transmitter = rank < sample.transmitter_degree[owner]
+    pairs = rng.permutation(owner.size).reshape(-1, 2)
+    return SimpleNamespace(owner=owner, transmitter=transmitter, pairs=pairs, parity_fixed=parity_fixed)
+
+
+def matching_arcs(m):
+    """(sources, targets) of the arcs a matching induces, in ``build``'s order."""
+    transmits = np.concatenate([m.transmitter[m.pairs[:, 0]], m.transmitter[m.pairs[:, 1]]])
+    ends = np.concatenate([m.pairs, m.pairs[:, ::-1]])[transmits]
+    return m.owner[ends[:, 0]], m.owner[ends[:, 1]]
 
 
 class TestBuildSmallCases:
@@ -153,11 +176,10 @@ class TestMatchingProperties:
         law = JointDegreeLaw(PoissonDegree(3.0), BernoulliTransmission(0.6))
         s = law.sample(3001, seed=11)
         m = match(s, 12)
-        transmits = np.concatenate([m.transmitter[m.pairs[:, 0]], m.transmitter[m.pairs[:, 1]]])
-        ends = np.concatenate([m.pairs, m.pairs[:, ::-1]])[transmits]
+        src, dst = matching_arcs(m)
         for g in (build(s, seed=12), build(s, np.random.default_rng(12))):
-            assert np.array_equal(g.arc_src, m.owner[ends[:, 0]])
-            assert np.array_equal(g.arc_dst, m.owner[ends[:, 1]])
+            assert np.array_equal(g.arc_src, src)
+            assert np.array_equal(g.arc_dst, dst)
             assert g.parity_fixed == m.parity_fixed
         assert set(vars(g)) == {"n", "arc_src", "arc_dst", "parity_fixed", "seed"}
 
@@ -169,15 +191,14 @@ def near_critical_sample(n):
 
 class TestIndexWidth:
     def test_matching_draws_rng_permutation(self):
-        # 32-bit half-edge ids: the same pairs, and the same generator state
-        # after them, as rng.permutation(total) gives
+        # shuffling 32-bit half-edge ids draws what rng.permutation(total)
+        # does: the arcs of the reference matching, and the same generator
+        # state after them
         s = near_critical_sample(200_000)
         rng, ref = np.random.default_rng(2), np.random.default_rng(2)
-        m = _match(s, rng)
-        if m.parity_fixed:
-            ref.integers(len(s))
-        assert m.pairs.dtype == m.owner.dtype == np.int32
-        assert np.array_equal(m.pairs, ref.permutation(m.owner.size).reshape(-1, 2))
+        g = build(s, rng)
+        src, dst = matching_arcs(match(s, ref))
+        assert np.array_equal(g.arc_src, src) and np.array_equal(g.arc_dst, dst)
         assert rng.integers(2**62) == ref.integers(2**62)
 
     def test_build_returns_int32_arcs(self):

@@ -344,8 +344,10 @@ class TestValidation:
             (lambda: NodePercolation(math.nan), "p: transmission probability must lie in [0, 1]"),
             (lambda: CouponCollector(-1), "K: message count must be a non-negative integer, got -1"),
             (lambda: CouponCollector(2.5), "K: message count must be a non-negative integer, got 2.5"),
+            (lambda: PoissonDegree(10**400), f"lam: {10**400} is too large for a float"),
+            (lambda: PowerLawDegree(10**400), f"beta: {10**400} is too large for a float"),
         ],
-        ids=["lam", "beta", "bernoulli-p", "nodeperc-p", "K-negative", "K-fraction"],
+        ids=["lam", "beta", "bernoulli-p", "nodeperc-p", "K-negative", "K-fraction", "lam-1e400", "beta-1e400"],
     )
     def test_constructor_names_the_field(self, make, message):
         # the same text the CLI prints after "error: "
