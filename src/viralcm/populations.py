@@ -317,6 +317,10 @@ class _Thinning:
         p = self.p
         return p * deg.mean, 0.0 if p == 0.0 else p * deg.mean_square
 
+    def _m_dt_xd(self, deg):
+        """E[D(t) x^D] = p x G_D'(x) as a function of x, as E[D(t) | D] = p D."""
+        return lambda x: self.p * x * deg.pgf_prime(x)
+
     def __repr__(self):
         return f"{type(self).__name__}(p={self.p})"
 
@@ -356,16 +360,13 @@ class BernoulliTransmission(_Thinning):
         Hbar = E[D] x^2 - x G_D'(y)."""
         p, mean_d, g_d, dg_d = self.p, deg.mean, deg.pgf, deg.pgf_prime
 
-        def m_dt_xd(x):
-            return p * x * dg_d(x)
-
         def g_dt(x):
             return g_d(1.0 - p * (1.0 - x))
 
         def hbar(x):
             return mean_d * x * x - x * dg_d(1.0 - p * (1.0 - x))
 
-        return m_dt_xd, g_dt, hbar
+        return self._m_dt_xd(deg), g_dt, hbar
 
 
 class NodePercolation(_Thinning):
@@ -390,16 +391,13 @@ class NodePercolation(_Thinning):
         E[x^D(t)] = (1-p) + p G_D(x) and E[D(r) x^D(t)] = (1-p) E[D]."""
         p, mean_d, g_d, dg_d = self.p, deg.mean, deg.pgf, deg.pgf_prime
 
-        def m_dt_xd(x):
-            return p * x * dg_d(x)
-
         def g_dt(x):
             return (1.0 - p) + p * g_d(x)
 
         def hbar(x):
             return mean_d * x * x - p * x * dg_d(x) - (1.0 - p) * mean_d * x
 
-        return m_dt_xd, g_dt, hbar
+        return self._m_dt_xd(deg), g_dt, hbar
 
 
 class CouponCollector:
@@ -417,6 +415,7 @@ class CouponCollector:
             raise ValueError(f"K: message count must be a non-negative integer, got {K}")
         self.K = int(K)
         self._stirling_row: list[int] = []
+        self._expansions: dict[float, tuple[list[float], np.ndarray, np.ndarray]] = {}
 
     def conditional_pmf(self, d: int) -> DiscretePmf:
         if d < 0:
@@ -501,7 +500,7 @@ class CouponCollector:
     def _powerlaw_expansion(self, deg: PowerLawDegree) -> tuple[list[float], np.ndarray, np.ndarray]:
         """Signed binomials c_j = (-1)**(j+1) C(K, j), j = 1..K, and the
         coefficients a_k = P{D(t)=k} and b_k = E[D 1{D(t)=k}], k = 0..K, on
-        the power law ``deg``.
+        the power law ``deg``; kept on the instance per beta for later calls.
 
         d(1 - (1 - 1/d)**K) = sum_j c_j d**(1-j), and P{D(t)=k | D=d} =
         (d)_k {K over k} / d^K with (d)_k = sum_s s1(k, s) d^s, so both reduce
@@ -512,6 +511,8 @@ class CouponCollector:
         The binomials' bound is checked term by term, so a large K is rejected
         before any binomial can overflow a float or any Stirling row is built.
         """
+        if deg.beta in self._expansions:
+            return self._expansions[deg.beta]
         K, moment = self.K, deg.neg_moment
 
         def check(total):
@@ -542,7 +543,7 @@ class CouponCollector:
                 b[k] += w * mb
                 total += abs(w) * (ma + mb)
         check(total)
-        return cs, a, b
+        return self._expansions.setdefault(deg.beta, (cs, a, b))
 
     def __repr__(self):
         return f"CouponCollector(K={self.K})"
