@@ -34,7 +34,7 @@ from viralcm.populations import (
     PoissonDegree,
     PowerLawDegree,
 )
-from viralcm.special import DiscretePmf, zeta, zipf_pmf
+from viralcm.special import DiscretePmf, stirling2_row, zeta, zipf_pmf
 
 from offspring_oracle import extinction_bracket
 
@@ -228,6 +228,20 @@ class TestBundles:
                 call(law)
             assert str(error.value) == str(moments_error.value)
             assert str(error.value).startswith(f"K: {K} is too large")
+
+    def test_coupon_expansion_built_once_per_beta(self, monkeypatch):
+        # the moments and closed forms of one law share one expansion, and
+        # another beta on the same model gets its own
+        rows = []
+        monkeypatch.setattr(populations, "stirling2_row", lambda *a: rows.append(a) or stirling2_row(*a))
+        coupon = CouponCollector(3)
+        for beta in (2.45, 3.2):
+            law = JointDegreeLaw(PowerLawDegree(beta), coupon)
+            analyze(law)
+            mean_offspring(law.moments())
+            build_genfns(law)
+            assert rows == [(3, 3)] * (1 + (beta == 3.2))
+        assert analyze(JointDegreeLaw(PowerLawDegree(3.2), CouponCollector(3))) == analyze(law)
 
     @pytest.mark.parametrize(
         "degree", [PoissonDegree(2.0), EmpiricalDegree.from_degrees([0, 1, 3, 3, 8])], ids=["poisson", "empirical"]
