@@ -155,12 +155,25 @@ SWEEP_CASES = {
     ),
 }
 
+def _write_lf_sample() -> None:
+    """A seeded 200 000-row viable sample with LF line ends: about 1 MB, so
+    the loader parses it in several chunks."""
+    s = JointDegreeLaw(PoissonDegree(3.0), BernoulliTransmission(0.6)).sample(200_000, seed=5)
+    rows = map("{},{}\n".format, s.degree.tolist(), s.transmitter_degree.tolist())
+    Path("pioneers.csv").write_text("degree,transmitter_degree\n" + "".join(rows), newline="")
+
+
+_EVALUATE_ARGV = ["evaluate", "pioneers.csv", "--cost-per-pioneer", "50", "--value-per-influenced", "2"]
+
 EVALUATE_CASES = {
-    f"evaluate-{verdict}": (
-        lambda verdict=verdict: write_sample_csv(verdict_sample(verdict), "pioneers.csv"),
-        ["evaluate", "pioneers.csv", "--cost-per-pioneer", "50", "--value-per-influenced", "2"],
-    )
-    for verdict in ("fragmented", "ineffective", "viable", "inconclusive")
+    **{
+        f"evaluate-{verdict}": (
+            lambda verdict=verdict: write_sample_csv(verdict_sample(verdict), "pioneers.csv"),
+            _EVALUATE_ARGV,
+        )
+        for verdict in ("fragmented", "ineffective", "viable", "inconclusive")
+    },
+    "evaluate-lf-200000": (_write_lf_sample, _EVALUATE_ARGV),
 }
 
 CASES = {**ANALYTIC_CASES, **SIMULATE_CASES, **SWEEP_CASES, **EVALUATE_CASES}

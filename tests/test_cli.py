@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import viralcm
 from viralcm.analytic import analyze
 from viralcm.cli import MAX_GRID_POINTS, RunConfig, _parse_grid, main, make_degree_law
-from viralcm.estimators import write_sample_csv
+from viralcm.estimators import _READ_BYTES, write_sample_csv
 from viralcm.populations import (
     BernoulliTransmission,
     CouponCollector,
@@ -581,6 +581,11 @@ class TestGoldenEvaluation:
         monkeypatch.chdir(tmp_path)
         check_case(f"evaluate-{verdict}")
         assert json.loads(Path("out/evaluation.json").read_bytes())["report"]["verdict"] == verdict
+
+    def test_multi_chunk_csv_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        check_case("evaluate-lf-200000")
+        assert Path("pioneers.csv").stat().st_size > 2 * _READ_BYTES
 
 
 #: name -> (the one bad law field, with the fields it needs, as config keys; the error line)
