@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .populations import ROOT_RESIDUAL, DegreeSample, JointDegreeLaw, JointMoments
-from .special import weighted_sum
+from .special import _unique_counts, weighted_sum
 
 __all__ = [
     "GenFnBundle",
@@ -127,7 +127,9 @@ def _sample_pairs(sample: DegreeSample):
             f"degrees too large to group: the pair key degree*{base}+transmitter_degree "
             f"overflows int64 at degree {int(d.max())}"
         )
-    keys, counts = np.unique(d * base + t, return_counts=True)
+    keys = d * base
+    keys += t
+    keys, counts = _unique_counts(keys)
     return keys // base, keys % base, counts.astype(np.float64) / len(sample)
 
 

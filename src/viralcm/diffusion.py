@@ -21,6 +21,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .graph import EnhancedGraph, index_dtype
+from .special import _unique_counts
 
 __all__ = [
     "DiffusionOutcome",
@@ -39,15 +40,6 @@ DEFAULT_FLOOR = 0.01
 _CLOSURE_BLOCK = 1 << 12
 
 
-def _unique(keys: np.ndarray) -> np.ndarray:
-    # sort plus a neighbour mask: numpy 2.4's hash-based np.unique is ~40x
-    # slower on int64 keys
-    keys = np.sort(keys)
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
-
-
 def _gather(indptr, indices, frontier):
     """Successors of every frontier node, and how many each one has."""
     counts = indptr[frontier + 1] - indptr[frontier]
@@ -63,7 +55,7 @@ def _bfs(indptr, indices, start: int, n: int) -> np.ndarray:
     frontier = np.array([start], dtype=np.int64)
     while frontier.size:
         neigh = _gather(indptr, indices, frontier)[0]
-        frontier = _unique(neigh[~visited[neigh]])
+        frontier = _unique_counts(neigh[~visited[neigh]])[0]
         visited[frontier] = True
     return visited
 
@@ -97,7 +89,7 @@ def _condensation(g: EnhancedGraph):
     sizes = np.bincount(labels, minlength=n_scc).astype(ids)
     cs, cd = labels[g.arc_src], labels[g.arc_dst]
     keep = cs != cd
-    keys = _unique(cs[keep].astype(np.int64) * n_scc + cd[keep])
+    keys = _unique_counts(cs[keep].astype(np.int64) * n_scc + cd[keep])[0]
     return n_scc, labels, sizes, (keys // n_scc).astype(ids), (keys % n_scc).astype(ids)
 
 
@@ -129,7 +121,7 @@ class DiffusionOutcome:
     @property
     def reach_histogram(self) -> list[tuple[float, int]]:
         """Sorted (reach_size / n, count) pairs."""
-        vals, counts = np.unique(self.reach_sizes, return_counts=True)
+        vals, counts = _unique_counts(self.reach_sizes.copy())
         return [(float(v) / self.n, int(c)) for v, c in zip(vals, counts)]
 
     def to_dict(self) -> dict:
@@ -242,9 +234,9 @@ def _closure_sums(ptr, idx, sizes, outside):
         levels = [rows * n + block]
         while nodes.size:
             neigh, counts = _gather(ptr, idx, nodes)
-            levels.append(_unique(np.repeat(rows, counts) * n + neigh))
+            levels.append(_unique_counts(np.repeat(rows, counts) * n + neigh)[0])
             rows, nodes = np.divmod(levels[-1], n)
-        rows, nodes = np.divmod(_unique(np.concatenate(levels)), n)
+        rows, nodes = np.divmod(_unique_counts(np.concatenate(levels))[0], n)
         del levels
         starts = np.searchsorted(rows, np.arange(block.size))
         tot[block] = np.add.reduceat(sizes[nodes], starts)

@@ -22,6 +22,7 @@ from numpy.polynomial.polynomial import polyval
 from .special import (
     DEFAULT_TAIL_MASS,
     DiscretePmf,
+    _unique_counts,
     poisson_pmf,
     stirling2_row,
     zeta,
@@ -92,13 +93,16 @@ class DegreeSample:
         return int(self.degree.size)
 
     def moments(self) -> "JointMoments":
-        d = self.degree.astype(np.float64)
-        t = self.transmitter_degree.astype(np.float64)
+        # one float64 work array holds d, d*d, t and t*d in turn
+        w = self.degree.astype(np.float64)
+        mean_d = float(w.mean())
+        w *= w
+        mean_d2 = float(w.mean())
+        w[:] = self.transmitter_degree
+        mean_dt = float(w.mean())
+        w *= self.degree
         return JointMoments(
-            mean_d=float(d.mean()),
-            mean_d2=float((d * d).mean()),
-            mean_dt=float(t.mean()),
-            mean_dt_d=float((d * t).mean()),
+            mean_d=mean_d, mean_d2=mean_d2, mean_dt=mean_dt, mean_dt_d=float(w.mean())
         )
 
 
@@ -262,7 +266,7 @@ class EmpiricalDegree:
             raise ValueError("empty degree list")
         if d.min() < 0:
             raise ValueError("degrees must be non-negative")
-        support, counts = np.unique(d, return_counts=True)
+        support, counts = _unique_counts(d.copy())
         return cls(DiscretePmf(support, counts / d.size))
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -440,7 +444,12 @@ class CouponCollector:
         if self.K == 0:
             return out
         pos = np.nonzero(d > 0)[0]
-        draws = np.floor(rng.random((pos.size, self.K)) * d[pos, None]).astype(np.int64)
+        try:
+            draws = np.floor(rng.random((pos.size, self.K)) * d[pos, None]).astype(np.int64)
+        except (ValueError, MemoryError):  # numpy cannot shape or allocate the draws
+            raise ValueError(
+                f"K: {self.K} selections by each of {pos.size} members do not fit in memory"
+            ) from None
         draws.sort(axis=1)
         out[pos] = 1 + (np.diff(draws, axis=1) > 0).sum(axis=1)
         return out

@@ -764,6 +764,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: K: {10**400} is too large for a float\n"
         assert not (tmp_path / "analysis.json").exists()
 
+    @pytest.mark.parametrize("K", [10**400, 2**60], ids=["1e400", "2^60"])
+    def test_coupon_draws_beyond_memory_exit_2(self, tmp_path, capsys, K):
+        # numpy refuses both draw matrices before allocating: 10**400 is no
+        # array dimension, and 2**60 float64 draws for each of the members of
+        # positive degree (43 of 50 here) exceed 2**63 bytes.  A K whose
+        # matrix the allocator might grant is never tried
+        argv = ["simulate", "--trans", "coupon", "--K", str(K), "--n", "50", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: K: {K} selections by each of 43 members do not fit in memory\n"
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "flags, message",
         [
