@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .populations import ROOT_RESIDUAL, DegreeSample, JointDegreeLaw, JointMoments
-from .special import _unique_counts, weighted_sum
+from .special import _unique, weighted_sum
 
 __all__ = [
     "GenFnBundle",
@@ -129,7 +129,7 @@ def _sample_pairs(sample: DegreeSample):
         )
     keys = d * base
     keys += t
-    keys, counts = _unique_counts(keys)
+    keys, counts = _unique(keys, return_counts=True)
     return keys // base, keys % base, counts.astype(np.float64) / len(sample)
 
 

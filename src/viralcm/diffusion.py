@@ -21,7 +21,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .graph import EnhancedGraph, index_dtype
-from .special import _unique_counts
+from .special import _unique
 
 __all__ = [
     "DiffusionOutcome",
@@ -55,7 +55,7 @@ def _bfs(indptr, indices, start: int, n: int) -> np.ndarray:
     frontier = np.array([start], dtype=np.int64)
     while frontier.size:
         neigh = _gather(indptr, indices, frontier)[0]
-        frontier = _unique_counts(neigh[~visited[neigh]])[0]
+        frontier = _unique(neigh[~visited[neigh]])
         visited[frontier] = True
     return visited
 
@@ -89,7 +89,7 @@ def _condensation(g: EnhancedGraph):
     sizes = np.bincount(labels, minlength=n_scc).astype(ids)
     cs, cd = labels[g.arc_src], labels[g.arc_dst]
     keep = cs != cd
-    keys = _unique_counts(cs[keep].astype(np.int64) * n_scc + cd[keep])[0]
+    keys = _unique(cs[keep].astype(np.int64) * n_scc + cd[keep])
     return n_scc, labels, sizes, (keys // n_scc).astype(ids), (keys % n_scc).astype(ids)
 
 
@@ -121,7 +121,7 @@ class DiffusionOutcome:
     @property
     def reach_histogram(self) -> list[tuple[float, int]]:
         """Sorted (reach_size / n, count) pairs."""
-        vals, counts = _unique_counts(self.reach_sizes.copy())
+        vals, counts = _unique(self.reach_sizes.copy(), return_counts=True)
         return [(float(v) / self.n, int(c)) for v, c in zip(vals, counts)]
 
     def to_dict(self) -> dict:
@@ -234,9 +234,9 @@ def _closure_sums(ptr, idx, sizes, outside):
         levels = [rows * n + block]
         while nodes.size:
             neigh, counts = _gather(ptr, idx, nodes)
-            levels.append(_unique_counts(np.repeat(rows, counts) * n + neigh)[0])
+            levels.append(_unique(np.repeat(rows, counts) * n + neigh))
             rows, nodes = np.divmod(levels[-1], n)
-        rows, nodes = np.divmod(_unique_counts(np.concatenate(levels))[0], n)
+        rows, nodes = np.divmod(_unique(np.concatenate(levels)), n)
         del levels
         starts = np.searchsorted(rows, np.arange(block.size))
         tot[block] = np.add.reduceat(sizes[nodes], starts)

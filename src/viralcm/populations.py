@@ -22,7 +22,7 @@ from numpy.polynomial.polynomial import polyval
 from .special import (
     DEFAULT_TAIL_MASS,
     DiscretePmf,
-    _unique_counts,
+    _unique,
     poisson_pmf,
     stirling2_row,
     zeta,
@@ -266,7 +266,7 @@ class EmpiricalDegree:
             raise ValueError("empty degree list")
         if d.min() < 0:
             raise ValueError("degrees must be non-negative")
-        support, counts = _unique_counts(d.copy())
+        support, counts = _unique(d.copy(), return_counts=True)
         return cls(DiscretePmf(support, counts / d.size))
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:

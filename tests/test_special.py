@@ -3,11 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from viralcm.populations import EmpiricalDegree
 from viralcm.special import (
     _WOOD_SWITCH,
+    _unique,
     DiscretePmf,
     poisson_pmf,
     polylog,
@@ -151,6 +154,17 @@ class TestWeightedSum:
         assert np.allclose(got, [np.dot(w, x**k) for x in xs], rtol=1e-13, atol=0.0)
         assert np.array_equal(got, [weighted_sum(float(x), w, lambda col: col**k) for x in xs])
         assert isinstance(weighted_sum(0.5, w, lambda col: col**k), float)
+
+
+class TestUnique:
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(0, 5)))
+    def test_matches_numpy_unique(self, values):
+        keys = np.array(values, dtype=np.int64)
+        want, want_counts = np.unique(keys, return_counts=True)
+        got, counts = _unique(keys.copy(), return_counts=True)
+        assert np.array_equal(got, want) and np.array_equal(counts, want_counts)
+        assert counts.dtype == want_counts.dtype
+        assert np.array_equal(_unique(keys.copy()), want)
 
 
 class TestStirling:
