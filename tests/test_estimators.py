@@ -364,6 +364,7 @@ class TestCsvInterface:
             tracemalloc.stop()
         assert peak - loaded.degree.nbytes - loaded.transmitter_degree.nbytes < 2**20
 
+    def test_malformed_rows_reported_with_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
             "degree,transmitter_degree\n3,1\n2,5\nx,1\n4,2\n"
