@@ -365,12 +365,14 @@ def bernoulli_threshold(degree_law) -> float:
     """Critical transmission probability E[D] / (E[D^2] - E[D]).
 
     Zero when E[D^2] diverges: any positive transmission probability makes
-    the campaign viral on such degree distributions.
+    the campaign viral on such degree distributions.  ``inf`` when E[D(D-1)]
+    vanishes at float resolution: then no p <= 1 makes the law viral.
     """
     m2 = degree_law.mean_square
     if math.isinf(m2):
         return 0.0
-    return degree_law.mean / (m2 - degree_law.mean)
+    excess = m2 - degree_law.mean
+    return degree_law.mean / excess if excess > 0 else math.inf
 
 
 def mean_offspring(mom: JointMoments) -> float:

@@ -344,7 +344,8 @@ def cmd_analytic(cfg: RunConfig) -> list[Path]:
         },
     }
     if cfg.trans in ("bernoulli", "nodeperc"):
-        payload["bernoulli_threshold"] = bernoulli_threshold(law.degree)
+        p_c = bernoulli_threshold(law.degree)
+        payload["bernoulli_threshold"] = p_c if math.isfinite(p_c) else "divergent"
     path = Path(cfg.out) / "analysis.json"
     _write_json(path, payload)
     return [path]

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .graph import EnhancedGraph, index_dtype
 from .special import _unique
@@ -78,6 +76,8 @@ def reverse_reach(g: EnhancedGraph, target: int) -> np.ndarray:
 
 def _condensation(g: EnhancedGraph):
     """SCC labels, per-SCC sizes, and deduplicated condensation edges."""
+    from scipy import sparse  # here, so that only the commands that condense a graph load it
+    from scipy.sparse.csgraph import connected_components
     # csr_matrix from COO sums duplicate arcs: on a CSR that holds duplicate
     # entries, scipy's strong labelling miscounts SCCs or does not finish
     adj = sparse.csr_matrix(

@@ -720,6 +720,24 @@ class TestExitCodes:
         assert not (tmp_path / "analysis.json").exists()
 
     @pytest.mark.parametrize(
+        "flags",
+        [["--degree", "empirical"], ["--lambda", "1e-17"], ["--degree", "powerlaw", "--beta", "55"]],
+        ids=["zeros-and-ones", "poisson-1e-17", "powerlaw-55"],
+    )
+    def test_vanishing_factorial_moment_threshold_is_divergent(self, tmp_path, flags):
+        # E[D(D - 1)] = E[D^2] - E[D] cancels to 0 in float64, so the
+        # threshold lies beyond about 1/eps and no p <= 1 is viral
+        if "empirical" in flags:
+            path = tmp_path / "zeros-and-ones.txt"
+            path.write_text("0\n1\n1\n0\n1\n")
+            flags = [*flags, "--degree-file", str(path)]
+        assert main(["analytic", *flags, "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "analysis.json").read_text()
+        payload = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+        assert payload["bernoulli_threshold"] == "divergent"
+        assert payload["result"]["viral_condition"] is False
+
+    @pytest.mark.parametrize(
         "flags, field",
         [(["--degree", "powerlaw", "--beta", "inf"], "beta:"), (["--lambda", "nan"], "lam:")],
     )
@@ -847,6 +865,25 @@ for argv in (
 print(json.dumps(sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.optimize")))))
 """
 
+# the same calls, then a graph without a condensation, then one simulate:
+# only the SCC step loads scipy's sparse stack (and with it scipy.linalg),
+# while the package still re-exports the whole simulation layer
+_SPARSE_IMPORT_SCRIPT = _IMPORT_SET_SCRIPT + """
+from viralcm import all_reach, build, influenced_set
+
+
+def sparse_modules():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.linalg")))
+
+
+seen = {"analytic, evaluate": sparse_modules()}
+assert influenced_set(build(law.sample(200, seed=1), seed=1), 0).size >= 1
+seen["build, influenced_set"] = sparse_modules()
+assert main(["simulate", "--n", "200", "--out", str(out / "simulate")]) == 0
+seen["simulate"] = "scipy.sparse.csgraph" in sys.modules
+print(json.dumps(seen))
+"""
+
 
 class TestImportSet:
     def test_no_scipy_stats_or_optimize(self, tmp_path):
@@ -861,3 +898,19 @@ class TestImportSet:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    def test_sparse_stack_only_at_condensation(self, tmp_path):
+        src = str(Path(viralcm.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SPARSE_IMPORT_SCRIPT, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {
+            "analytic, evaluate": [],
+            "build, influenced_set": [],
+            "simulate": True,
+        }

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import networkx as nx
@@ -20,6 +21,8 @@ from viralcm.populations import (
     JointDegreeLaw,
     PoissonDegree,
 )
+
+from offspring_oracle import reach_pmf
 
 
 def graph_from_arcs(n, arcs, seed=None):
@@ -255,6 +258,45 @@ class TestCouponAsymmetry:
             g = build(s, seed=seed + 50)
             out = all_reach(g)
             assert out.alpha_bar_hat_sim > out.alpha_hat_sim
+
+
+class TestProgenyLaw:
+    """The small-reach histogram against the limit tree's progeny law."""
+
+    def test_oracle_is_borel_on_thinned_poisson(self):
+        # on Poisson(lam) thinned by Bernoulli(p) the pioneer and every friend
+        # have Poisson(mu) offspring, mu = lam p, so R is Borel(mu)
+        mu = 2.0 * 0.8
+        s = np.arange(1, 13)
+        log_borel = -mu * s + (s - 1) * np.log(mu * s) - [math.lgamma(k + 1.0) for k in s]
+        pmf = reach_pmf(JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8)), 12)
+        assert pmf[0] == 0.0
+        np.testing.assert_allclose(pmf[1:], np.exp(log_borel), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8)),
+            JointDegreeLaw(PoissonDegree(3.0), CouponCollector(2)),
+        ],
+        ids=["poisson2-bernoulli0.8", "poisson3-coupon2"],
+    )
+    def test_histogram_matches_progeny_law(self, law):
+        # the reaches of nodes in one tree are dependent: the spread between
+        # seeds was 0.9-3.1 times the binomial error, so the error of the
+        # seed mean comes from that spread (never below the binomial one)
+        n, seeds, smax = 40_000, 16, 12
+        frac = np.zeros((seeds, smax + 1))
+        for seed in range(seeds):
+            out = all_reach(build(law.sample(n, seed=seed), seed=seed + 100))
+            for rel, count in out.reach_histogram:
+                size = round(rel * n)
+                if size <= smax:
+                    frac[seed, size] = count / n
+        pmf = reach_pmf(law, smax)
+        binom = np.sqrt(pmf * (1.0 - pmf) / n)
+        stderr = np.maximum(frac.std(axis=0, ddof=1), binom) / math.sqrt(seeds)
+        assert np.all(np.abs(frac.mean(axis=0) - pmf) <= 5.0 * stderr)
 
 
 def nx_digraph(g):
