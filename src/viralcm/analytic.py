@@ -44,13 +44,17 @@ __all__ = [
 #: large-network approximation carries no information there.
 CRITICAL_MARGIN = 1e-9
 
-#: Root-scan abscissae, ascending: 1e-9, 1e-8, 1e-7; the steps of 1e-3 down
-#: from ``_SCAN_HI``; then ten per decade of 1 - x (uniform in -log(1 - x))
-#: from 1 - 10**-6.1 to 1 - 1e-12.
+#: Root-scan abscissae, ascending: the decades 1e-100 ... 1e-7; the steps of
+#: 1e-3 down from ``_SCAN_HI``; then ten per decade of 1 - x (uniform in
+#: -log(1 - x)) from 1 - 10**-6.1 to 1 - 1e-12.  The low decades reach zeros
+#: near 0, such as xi0 = 1.4e-11 of Poisson(25); they stop at 1e-100 so that
+#: x**2, the E[D] x^2 term of every H, stays a normal float and no value
+#: there underflows to an exact 0.  Each decade is parsed from its literal,
+#: so it is the correctly rounded power of ten.
 _SCAN_HI = 1.0 - 1e-6
 _SCAN_GRID = np.concatenate(
     [
-        [1e-9, 1e-8, 1e-7],
+        [float(f"1e{k}") for k in range(-100, -6)],
         _SCAN_HI - np.arange(999, -1, -1) * 1e-3,
         1.0 - 10.0 ** -(6.0 + np.arange(1, 61) / 10.0),
     ]

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .special import (
     DEFAULT_TAIL_MASS,
     DiscretePmf,
+    _horner,
     _unique,
     poisson_pmf,
     stirling2_row,
@@ -202,6 +202,8 @@ class PowerLawDegree:
 
     def pgf_prime(self, x):
         """``Li_(beta-1)(x) / (x zeta(beta))``, and P{D=1} at x = 0."""
+        if isinstance(x, float):
+            return (polylog(self.beta - 1.0, x) / x if x else 1.0) / self._zeta
         x = np.asarray(x, dtype=np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             out = np.where(x == 0.0, 1.0, polylog(self.beta - 1.0, x) / x) / self._zeta
@@ -493,16 +495,17 @@ class CouponCollector:
             return None
         cs, a, b = self._powerlaw_expansion(deg)
         karr = np.arange(self.K + 1, dtype=np.float64)
+        a_k, ka_k, b_ka_k = a.tolist(), (a * karr).tolist(), (b - a * karr).tolist()
         zb, mean_d = zeta(deg.beta), deg.mean
 
         def m_dt_xd(x):
             return sum(c * polylog(deg.beta + j - 1.0, x) for j, c in enumerate(cs, start=1)) / zb
 
         def g_dt(x):
-            return polyval(x, a)
+            return _horner(x, a_k)
 
         def hbar(x):
-            return mean_d * x * x - polyval(x, a * karr) - polyval(x, b - a * karr) * x
+            return mean_d * x * x - _horner(x, ka_k) - _horner(x, b_ka_k) * x
 
         return m_dt_xd, g_dt, hbar
 

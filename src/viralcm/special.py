@@ -8,11 +8,11 @@ the grouping of integer keys into distinct values and counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 from scipy import special as _sp
 
 __all__ = [
@@ -47,11 +47,19 @@ def polylog(beta: float, x):
     ``x`` is a scalar (a float is returned) or an array (an array of its
     shape, equal elementwise to the scalar results).  Up to x = 1/2 the
     direct series is complete to rounding after 60 terms (2**-59 < 2e-18);
-    above, Wood's expansion in log(x) takes 40 (:func:`_wood_expansion`).
-    The relative error is within 4e-15 of ``mpmath.polylog`` (tested for
-    orders 1.2 to 5.45, integers and orders 1e-8 off them included, at x
-    up to 1 - 1e-12).  At ``x == 1`` this is ``zeta(beta)``, for beta > 1.
+    above, Wood's expansion in log(x) takes 40; both are built once per
+    order (:func:`_order`).  The relative error is within 4e-15 of
+    ``mpmath.polylog`` (tested for orders 1.2 to 5.45, integers and orders
+    1e-8 off them included, at x up to 1 - 1e-12).  At ``x == 1`` this is
+    ``zeta(beta)``, for beta > 1.
     """
+    if isinstance(x, float):  # Brent's steps: no array plumbing
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"polylog requires x in [0, 1] (got x={x})")
+        if x == 1.0:
+            return zeta(beta)
+        direct, wood = _order(beta)
+        return _horner(x, direct) if x <= _WOOD_SWITCH else float(wood(float(np.log(x))))
     xa = np.asarray(x, dtype=np.float64)
     if not np.all((xa >= 0.0) & (xa <= 1.0)):
         raise ValueError(f"polylog requires x in [0, 1] (got x={x})")
@@ -63,19 +71,29 @@ def polylog(beta: float, x):
     if at_one.any():
         out[at_one] = zeta(beta)
     if direct.any():
-        out[direct] = _direct_series(beta, flat[direct])
+        out[direct] = _horner(flat[direct], _order(beta)[0])
     if wood.any():
-        out[wood] = _wood_expansion(beta, np.log(flat[wood]))
+        out[wood] = _order(beta)[1](np.log(flat[wood]))
     out = out.reshape(xa.shape)
     return out if out.ndim else float(out)
 
 
-def _direct_series(s: float, x):
-    return polyval(x, np.concatenate(([0.0], np.arange(1.0, 61.0) ** -s)))
+def _horner(x, c):
+    """``c[0] + c[1] x + ... + c[-1] x**(len(c)-1)`` at a float or an array x,
+    with the operations of numpy's ``polyval`` in its order, so a float x
+    gives the bits of an array entry."""
+    acc = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        acc = ci + acc * x
+    return acc
 
 
-def _wood_expansion(s: float, mu: np.ndarray) -> np.ndarray:
-    """``Li_s(e^mu)`` for ``-log 2 <= mu < 0``, after D. C. Wood, "The
+@functools.cache
+def _order(s: float):
+    """The direct series' coefficients 0, 1**-s, ..., 60**-s and Wood's
+    expansion ``mu -> Li_s(e^mu)`` for ``-log 2 <= mu < 0`` (a float or an
+    array), built at the first call for each order s and kept for the
+    process (about 100 floats an order).  After D. C. Wood, "The
     computation of polylogarithms", Univ. of Kent TR 15-92 (1992)::
 
         Li_s(e^mu) = Gamma(1-s) (-mu)^(s-1) + sum_k zeta(s-k) mu^k / k!
@@ -86,22 +104,35 @@ def _wood_expansion(s: float, mu: np.ndarray) -> np.ndarray:
     where A = m! Gamma(1-eps) / (1+eps)_m and C = zeta(1+eps) - A/eps are
     regular at eps = 0 (A = 1, C = H_m, the harmonic number).  C is fixed
     by matching the direct series at the switch point x = 1/2, so the two
-    poles never cancel numerically.
+    poles never cancel numerically.  ``log``, ``power`` and ``exprel`` are
+    ufuncs at a float too, so each value keeps the bits of an array entry.
     """
+    direct = (0.0, *(np.arange(1.0, 61.0) ** -s).tolist())
     n = math.floor(s + 0.5)
     k = np.arange(max(40, n + 1))
     with np.errstate(divide="ignore"):
         coef = _sp.zeta(s - k) / _sp.gamma(k + 1.0)
     if n < 1:  # no pole of zeta(s - k) among k >= 0
-        return polyval(mu, coef) + _sp.gamma(1.0 - s) * (-mu) ** (s - 1.0)
+        wood, g = tuple(coef.tolist()), float(_sp.gamma(1.0 - s))
+        return direct, lambda mu: _horner(mu, wood) + g * np.power(-mu, s - 1.0)
     m, eps = n - 1, s - n
     coef[m] = 0.0
-    a = _sp.gamma(1.0 - eps) / _sp.poch(1.0 + eps, m) * math.factorial(m)
-    mu = np.append(mu, math.log(_WOOD_SWITCH))  # the last entry fixes C
-    log_neg_mu = np.log(-mu)
-    pair = mu**m / math.factorial(m)
-    out = polyval(mu, coef) - pair * a * log_neg_mu * _sp.exprel(eps * log_neg_mu)
-    return out[:-1] + pair[:-1] * (_direct_series(s, _WOOD_SWITCH) - out[-1]) / pair[-1]
+    wood = tuple(coef.tolist())
+    a = float(_sp.gamma(1.0 - eps) / _sp.poch(1.0 + eps, m) * math.factorial(m))
+
+    def without_c(mu):  # the expansion less its C mu^m / m! term, and mu^m / m!
+        log_neg_mu = np.log(-mu)
+        pair = np.power(mu, m) / math.factorial(m)
+        return _horner(mu, wood) - pair * a * log_neg_mu * _sp.exprel(eps * log_neg_mu), pair
+
+    at_switch, pair_switch = without_c(math.log(_WOOD_SWITCH))
+    fix = _horner(_WOOD_SWITCH, direct) - at_switch
+
+    def expansion(mu):
+        out, pair = without_c(mu)
+        return out + pair * fix / pair_switch
+
+    return direct, expansion
 
 
 def weighted_sum(x, w: np.ndarray, terms):

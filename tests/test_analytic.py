@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import json
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from viralcm import analytic, populations
+from viralcm import analytic, populations, special
 from viralcm.analytic import (
     _SCAN_GRID,
     RootBracketingError,
@@ -143,6 +144,10 @@ class TestBundles:
             JointDegreeLaw(PowerLawDegree(2.8), CouponCollector(4)),
             JointDegreeLaw(EmpiricalDegree.from_degrees([0, 1, 2, 5, 9]), NodePercolation(0.6)),
             JointDegreeLaw(PoissonDegree(3.0), BernoulliTransmission(0.6)).sample(2000, seed=3),
+            JointDegreeLaw(PowerLawDegree(2.05), BernoulliTransmission(0.3)),
+            JointDegreeLaw(PowerLawDegree(4.45), NodePercolation(0.7)),
+            JointDegreeLaw(PowerLawDegree(2.05), CouponCollector(6)),
+            JointDegreeLaw(PowerLawDegree(4.45), CouponCollector(6)),
         ],
     )
     def test_array_calls_equal_scalar_calls(self, source):
@@ -151,7 +156,27 @@ class TestBundles:
         bundle = build_genfns(source)
         xs = np.concatenate([_SCAN_GRID[::25], _SCAN_GRID[-60:], [0.0, 1.0]])
         for f in (bundle.h, bundle.hbar, bundle.h0, bundle.g_d, bundle.g_dt):
-            assert np.array_equal(f(xs), [f(float(x)) for x in xs])
+            values = f(xs)
+            assert np.array_equal(values, [f(float(x)) for x in xs])
+            assert np.array_equal(values, [f(np.float64(x)) for x in xs])
+
+    def test_polylog_constants_built_once_per_order(self, monkeypatch):
+        # an order's constants include Wood's coefficients zeta(s - k) / k!,
+        # one array call of zeta; one analyze of a power-law coupon law uses
+        # Li_s for s = beta - 1 ... beta + 2, scanned and refined many times
+        special._order.cache_clear()
+        built = collections.Counter()
+        zeta_fn = special._sp.zeta
+
+        def counted(s, *args):
+            if np.ndim(s):
+                built[float(np.asarray(s)[0])] += 1
+            return zeta_fn(s, *args)
+
+        monkeypatch.setattr(special._sp, "zeta", counted)
+        beta = 2.45
+        analyze(JointDegreeLaw(PowerLawDegree(beta), CouponCollector(3)))
+        assert built == {beta + j: 1 for j in (-1.0, 0.0, 1.0, 2.0)}
 
     def test_coupon_zipf_bundle_vs_materialized(self):
         # Stirling-expansion coefficients against brute conditional sums:
@@ -364,6 +389,36 @@ class TestFindRoot:
             xi_bar = mpmath.findroot(lambda x: x - mpmath.exp(lam * p * (x - 1)), (0.99996, 0.99999))
         res = analyze(poisson_bernoulli(lam, p))
         assert res.xi_bar == pytest.approx(float(xi_bar), abs=1e-10)
+
+    @pytest.mark.parametrize("lam", [25.0, 100.0])
+    def test_dense_poisson_giant_root_below_1e_9(self, tmp_path, lam):
+        # xi0 = exp(-lam (1 - xi0)): 1.4e-11 at lam = 25, 3.7e-44 at 100
+        assert main(["analytic", "--lambda", repr(lam), "--out", str(tmp_path)]) == 0
+        xi0 = json.loads((tmp_path / "analysis.json").read_text())["result"]["xi0"]
+        with mpmath.workdps(50):
+            ref = mpmath.findroot(lambda x: x - mpmath.exp(-lam * (1 - x)), mpmath.exp(-lam))
+        assert 0.0 < xi0 < 1e-9
+        assert abs(xi0 - float(ref)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            JointDegreeLaw(EmpiricalDegree.from_degrees([3, 3, 4, 6, 9]), BernoulliTransmission(0.7)),
+            JointDegreeLaw(EmpiricalDegree.from_degrees([3, 3, 4, 6, 9]), NodePercolation(0.7)),
+            poisson_bernoulli(2.0, 1.0),
+            JointDegreeLaw(PowerLawDegree(2.45), BernoulliTransmission(1.0)),
+            JointDegreeLaw(PowerLawDegree(3.2), NodePercolation(1.0)),
+        ],
+        ids=["min3-bernoulli", "min3-nodeperc", "poisson-p1", "powerlaw2.45-p1", "powerlaw3.2-nodeperc1"],
+    )
+    def test_low_decades_have_no_exact_zero(self, law):
+        # an exact 0 at a scan abscissa ends its bracket there: the decades
+        # down to 1e-100 keep x^2 normal, so no H underflows to 0 on them
+        low = _SCAN_GRID[_SCAN_GRID < 1e-9]
+        assert low[0] == 1e-100 and low.size == 91
+        bundle = build_genfns(law)
+        for f in (bundle.h, bundle.hbar, bundle.h0):
+            assert np.all(f(low) != 0.0)
 
     @pytest.mark.parametrize(
         "factor,h_bracket,hbar_bracket",

@@ -19,6 +19,7 @@ from viralcm.populations import (
     CouponCollector,
     DegreeSample,
     JointDegreeLaw,
+    NodePercolation,
     PoissonDegree,
 )
 
@@ -278,8 +279,9 @@ class TestProgenyLaw:
         [
             JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8)),
             JointDegreeLaw(PoissonDegree(3.0), CouponCollector(2)),
+            JointDegreeLaw(PoissonDegree(2.0), NodePercolation(0.7)),
         ],
-        ids=["poisson2-bernoulli0.8", "poisson3-coupon2"],
+        ids=["poisson2-bernoulli0.8", "poisson3-coupon2", "poisson2-nodeperc0.7"],
     )
     def test_histogram_matches_progeny_law(self, law):
         # the reaches of nodes in one tree are dependent: the spread between

@@ -91,7 +91,7 @@ class TestPolylog:
         partial, tail = brute_polylog(1.45, 0.999, terms=200_000)
         assert polylog(1.45, 0.999) == pytest.approx(partial + tail / 2, abs=1e-9)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0])
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0, math.nan, np.float64(-0.5), np.array(1.1)])
     def test_domain_error(self, bad):
         with pytest.raises(ValueError):
             polylog(2.0, bad)
@@ -136,6 +136,8 @@ class TestPolylogOracle:
         got = polylog(beta, xs[None, :])
         assert got.shape == (1, xs.size)
         assert np.array_equal(got[0], [polylog(beta, float(x)) for x in xs])
+        assert np.array_equal(got[0], [polylog(beta, np.float64(x)) for x in xs])
+        assert np.array_equal(got[0], [polylog(beta, np.array(x)) for x in xs])
         assert isinstance(polylog(beta, 0.7), float)
 
     def test_array_domain_error(self):
