@@ -16,7 +16,6 @@ population law and for the plug-in estimators built from a degree sample.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -176,7 +175,7 @@ def _bundle_from_law(law: JointDegreeLaw, m_dt_xd, g_dt, hbar) -> GenFnBundle:
     model: H = E[D] x^2 - E[D(r)] x - E[D(t) x^D] and H0 = E[D] x^2 - x G_D'(x).
     """
     mom = law.moments()
-    mean_d, mean_dr = mom.mean_d, mom.mean_dr
+    mean_d, mean_dr = mom.mean_d, mom.mean_d - mom.mean_dt
     dg_d = law.degree.pgf_prime
 
     def h(x):
@@ -311,13 +310,6 @@ class AnalyticResult:
     alpha: float
     alpha_bar: float
     alpha0: float
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key in ("margin_viral", "margin_giant"):
-            if math.isinf(out[key]):
-                out[key] = "divergent"
-        return out
 
 
 def analyze(source) -> AnalyticResult:

@@ -201,21 +201,41 @@ def make_degree_law(cfg: RunConfig):
         raise ValueError(f"degree_file: {cfg.degree_file}: {exc}") from None
 
 
+#: Transmission model name -> (its class, the ``RunConfig`` field of its parameter).
+_TRANSMISSIONS = {
+    "bernoulli": (BernoulliTransmission, "p"),
+    "nodeperc": (NodePercolation, "p"),
+    "coupon": (CouponCollector, "K"),
+}
+
+
 def make_transmission(cfg: RunConfig):
-    if cfg.trans == "bernoulli":
-        return BernoulliTransmission(cfg.p)
-    if cfg.trans == "nodeperc":
-        return NodePercolation(cfg.p)
-    if cfg.trans == "coupon":
-        return CouponCollector(cfg.K)
-    raise ValueError(f"trans: unknown transmission model {cfg.trans!r}")
+    if cfg.trans not in _TRANSMISSIONS:
+        raise ValueError(f"trans: unknown transmission model {cfg.trans!r}")
+    cls, field = _TRANSMISSIONS[cfg.trans]
+    return cls(getattr(cfg, field))
+
+
+def _json_value(value, key: str = ""):
+    """``value`` as strict JSON holds it: an infinite float becomes
+    ``"divergent"``, and a NaN is an error naming its ``key``."""
+    if isinstance(value, dict):
+        return {k: _json_value(v, k) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v, key) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            raise ValueError(f"{key}: NaN has no JSON spelling")
+        return "divergent"
+    return value
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Write ``payload`` as strict JSON (:func:`_json_value`); nothing is
+    written unless all of it serialises."""
+    text = json.dumps(_json_value(payload), indent=2, sort_keys=True, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(text + "\n")
 
 
 def _write_csv(path: Path, cfg: RunConfig, header: list[str], rows) -> None:
@@ -252,7 +272,6 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
         sample = law.sample(cfg.n, rng)
         g = build(sample, rng)
         del sample
-        g.seed = cfg.seed
         outcome = all_reach(g, cfg.gamma, cfg.floor)
 
     out_dir = Path(cfg.out)
@@ -261,7 +280,14 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_dict(),
         "seed": cfg.seed,
-        **outcome.to_dict(),
+        "n": outcome.reach_sizes.size,
+        "alpha_hat_sim": outcome.alpha_hat_sim,
+        "alpha_bar_hat_sim": outcome.alpha_bar_hat_sim,
+        "good_pioneer_count": outcome.good_pioneers.size,
+        "gamma": cfg.gamma,
+        "floor": cfg.floor,
+        "method": "exact",  # from when large graphs were approximated; kept for readers
+        "histogram": outcome.reach_histogram,
     }
     _write_json(outcome_path, payload)
 
@@ -272,7 +298,7 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
 
     if cfg.dump_graph:
         graph_path = out_dir / "influence_arcs.txt"
-        write_edgelist(g, graph_path)
+        write_edgelist(g, graph_path, cfg.seed)
         written.append(graph_path)
     return written
 
@@ -283,7 +309,7 @@ def _grid_values(cfg: RunConfig):
     start, stop, step = cfg.grid
     count = int(round((stop - start) / step)) + 1
     values = [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]
-    if cfg.trans == "coupon":
+    if _TRANSMISSIONS[cfg.trans][1] == "K":
         ints = [int(round(v)) for v in values]
         if any(abs(v - i) > 1e-9 or i < 0 for v, i in zip(values, ints)):
             raise ValueError("grid: coupon sweeps need non-negative integer K values")
@@ -298,7 +324,7 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
     base = JointDegreeLaw(make_degree_law(cfg), make_transmission(cfg))
     values = _grid_values(cfg)
     # every point's law and closed form first: a bad point fails before any graph is built
-    field = "K" if cfg.trans == "coupon" else "p"
+    field = _TRANSMISSIONS[cfg.trans][1]
     laws = [replace(base, transmission=make_transmission(replace(cfg, **{field: v}))) for v in values]
     closed_forms = [analyze(law) for law in laws]
     rows = []
@@ -329,23 +355,21 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
 def cmd_analytic(cfg: RunConfig) -> list[Path]:
     law = JointDegreeLaw(make_degree_law(cfg), make_transmission(cfg))
     result = analyze(law)
-    mean_off = mean_offspring(law.moments())
     # the offspring process survives iff the law is viral; its extinction
     # probability is the zero of Hbar, and 1 - G_Dt there is alpha_bar
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_dict(),
-        "result": result.to_dict(),
+        "result": dataclasses.asdict(result),
         "branching": {
             "supercritical": result.viral_condition,
-            "mean_offspring": mean_off if math.isfinite(mean_off) else "divergent",
+            "mean_offspring": mean_offspring(law.moments()),
             "p_ext": result.xi_bar if result.viral_condition else 1.0,
             "alpha_bar_bp": result.alpha_bar,
         },
     }
-    if cfg.trans in ("bernoulli", "nodeperc"):
-        p_c = bernoulli_threshold(law.degree)
-        payload["bernoulli_threshold"] = p_c if math.isfinite(p_c) else "divergent"
+    if _TRANSMISSIONS[cfg.trans][1] == "p":  # the probability models have a threshold in p
+        payload["bernoulli_threshold"] = bernoulli_threshold(law.degree)
     path = Path(cfg.out) / "analysis.json"
     _write_json(path, payload)
     return [path]
@@ -358,7 +382,7 @@ def cmd_evaluate(csv_path: str, cfg: RunConfig) -> list[Path]:
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_dict(),
         "input_csv": str(csv_path),
-        "report": report.to_dict(),
+        "report": dataclasses.asdict(report),
     }
     path = Path(cfg.out) / "evaluation.json"
     _write_json(path, payload)
@@ -376,7 +400,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambda", dest="lam", type=float, help="Poisson mean degree")
     parser.add_argument("--beta", type=float, help="power-law exponent (> 2)")
     parser.add_argument("--degree-file", dest="degree_file", help="one degree per line")
-    parser.add_argument("--trans", choices=["bernoulli", "nodeperc", "coupon"])
+    parser.add_argument("--trans", choices=list(_TRANSMISSIONS))
     parser.add_argument("--p", type=float, help="transmission probability")
     parser.add_argument("--K", type=int, help="coupon-collector message count")
     parser.add_argument("--n", type=int, help="number of nodes / pioneers")

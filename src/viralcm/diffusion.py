@@ -112,31 +112,16 @@ class DiffusionOutcome:
     concentration cluster) and ``alpha_bar_hat_sim`` its relative size.
     """
 
-    n: int
     reach_sizes: np.ndarray
     good_pioneers: np.ndarray
     alpha_hat_sim: float
     alpha_bar_hat_sim: float
-    gamma: float
-    floor: float
 
     @property
     def reach_histogram(self) -> list[tuple[float, int]]:
         """Sorted (reach_size / n, count) pairs."""
         vals, counts = _unique(self.reach_sizes.copy(), return_counts=True)
-        return [(float(v) / self.n, int(c)) for v, c in zip(vals, counts)]
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha_hat_sim": self.alpha_hat_sim,
-            "alpha_bar_hat_sim": self.alpha_bar_hat_sim,
-            "good_pioneer_count": int(self.good_pioneers.size),
-            "gamma": self.gamma,
-            "floor": self.floor,
-            "method": "exact",
-            "histogram": [[v, c] for v, c in self.reach_histogram],
-        }
+        return [(float(v) / self.reach_sizes.size, int(c)) for v, c in zip(vals, counts)]
 
 
 def classify_good_pioneers(
@@ -177,13 +162,10 @@ def all_reach(
     alpha_bar = good.size / g.n
     alpha = float(reach_sizes[good].mean()) / g.n if good.size else 0.0
     return DiffusionOutcome(
-        n=g.n,
         reach_sizes=reach_sizes,
         good_pioneers=good,
         alpha_hat_sim=alpha,
         alpha_bar_hat_sim=alpha_bar,
-        gamma=gamma,
-        floor=floor,
     )
 
 

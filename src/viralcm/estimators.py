@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -131,9 +131,6 @@ class EstimationReport:
     success_after: Optional[list[float]] = None
     expected_cost_to_viral: Optional[float] = None
     value_rate_per_member: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def evaluate_campaign(

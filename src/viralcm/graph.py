@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -31,7 +30,7 @@ def index_dtype(count: int) -> type:
     return np.int32 if count < 2**31 else np.int64
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnhancedGraph:
     """Influence digraph of a realized enhanced configuration model.
 
@@ -45,7 +44,6 @@ class EnhancedGraph:
     arc_src: np.ndarray
     arc_dst: np.ndarray
     parity_fixed: bool
-    seed: Optional[int] = None
 
     @property
     def arc_count(self) -> int:
@@ -87,13 +85,12 @@ def build(sample: DegreeSample, seed) -> EnhancedGraph:
         arc_src=np.concatenate([owner[a[a_trans]], owner[b[b_trans]]]),
         arc_dst=np.concatenate([owner[b[a_trans]], owner[a[b_trans]]]),
         parity_fixed=parity_fixed,
-        seed=int(seed) if isinstance(seed, (int, np.integer)) else None,
     )
 
 
-def write_edgelist(g: EnhancedGraph, path) -> None:
-    """Dump the influence digraph: a JSON header line, then one arc per line."""
-    header = json.dumps({"n": g.n, "seed": g.seed, "parity_fixed": g.parity_fixed}, sort_keys=True)
+def write_edgelist(g: EnhancedGraph, path, seed) -> None:
+    """Dump the influence digraph: a JSON header line naming ``seed``, then one arc per line."""
+    header = json.dumps({"n": g.n, "seed": seed, "parity_fixed": g.parity_fixed}, sort_keys=True)
     src, dst = g.arc_src, g.arc_dst
     with open(path, "w") as fh:
         fh.write(header + "\n")

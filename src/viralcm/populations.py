@@ -20,6 +20,7 @@ import numpy as np
 
 from .special import (
     DEFAULT_TAIL_MASS,
+    ZETA_POLE_GAP,
     DiscretePmf,
     _horner,
     _unique,
@@ -115,11 +116,6 @@ class JointMoments:
     mean_dt: float
     mean_dt_d: float
 
-    @property
-    def mean_dr(self) -> float:
-        """E[D(r)] = E[D] - E[D(t)], with D(r) = D - D(t)."""
-        return self.mean_d - self.mean_dt
-
 
 # ---------------------------------------------------------------------------
 # Degree laws
@@ -166,10 +162,11 @@ class PoissonDegree:
 class PowerLawDegree:
     """Power-law ("zipf") degree: P{D=k} = k**-beta / zeta(beta), k >= 1.
 
-    Requires beta > 2 so the mean is finite.  The second moment is infinite
-    for beta <= 3 and reported as ``inf``.  Generating functions use the
-    polylogarithm rather than a materialized pmf: truncating the tail to
-    1e-12 would need ~1e8 atoms already at beta = 2.45.
+    Requires beta > 2 so the mean is finite, but not within ``ZETA_POLE_GAP``
+    above 2 or 3, where the mean or the second moment needs zeta at its pole.
+    The second moment is infinite for beta <= 3 and reported as ``inf``.
+    Generating functions use the polylogarithm rather than a materialized
+    pmf: truncating the tail to 1e-12 would need ~1e8 atoms at beta = 2.45.
     """
 
     #: Inverse-CDF sampling table size; draws beyond it extend on the fly.
@@ -179,6 +176,12 @@ class PowerLawDegree:
         self.beta = _float("beta", beta)
         if not (math.isfinite(self.beta) and self.beta > 2.0):
             raise ValueError(f"beta: exponent must be finite and > 2, got {self.beta}")
+        for shift in (1.0, 2.0):
+            if 1.0 < self.beta - shift <= 1.0 + ZETA_POLE_GAP:
+                raise ValueError(
+                    f"beta: exponent within {ZETA_POLE_GAP:g} above {shift + 1.0:g} puts "
+                    f"zeta(beta - {shift:g}) at its pole, got {self.beta}"
+                )
         self._zeta = zeta(self.beta)
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:

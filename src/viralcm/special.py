@@ -28,11 +28,13 @@ __all__ = [
 
 #: Tail mass dropped when materializing an infinite support.
 DEFAULT_TAIL_MASS = 1e-12
+#: ``zeta`` takes arguments more than this above its pole at 1.
+ZETA_POLE_GAP = 1e-6
 
 
 def zeta(beta: float) -> float:
     """Riemann zeta ``sum_{k>=1} k**-beta`` for real ``beta > 1``."""
-    if beta <= 1.0 + 1e-6:
+    if beta <= 1.0 + ZETA_POLE_GAP:
         raise ValueError(f"zeta requires beta > 1 (got beta={beta})")
     return float(_sp.zeta(beta, 1.0))
 

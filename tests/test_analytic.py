@@ -86,13 +86,19 @@ class TestConditions:
 
 
 class TestBundles:
+    @pytest.mark.parametrize("source", [PoissonDegree(2.0), BernoulliTransmission(0.5), None])
+    def test_rejects_other_sources(self, source):
+        with pytest.raises(TypeError) as exc:
+            build_genfns(source)
+        assert str(exc.value) == f"cannot build generating functions from {type(source).__name__}"
+
     def test_poisson_bernoulli_mixed_pgf(self):
         lam, p = 2.0, 0.8
         law = poisson_bernoulli(lam, p)
         bundle, mom = build_genfns(law), law.moments()
         for x in (0.0, 0.3, 0.7, 1.0):
             oracle = p * lam * x * math.exp(lam * (x - 1.0))
-            m_dt_xd = mom.mean_d * x * x - mom.mean_dr * x - bundle.h(x)
+            m_dt_xd = mom.mean_d * x * x - (mom.mean_d - mom.mean_dt) * x - bundle.h(x)
             assert m_dt_xd == pytest.approx(oracle, abs=1e-8)
 
     def test_single_pair_sample(self):
@@ -107,7 +113,7 @@ class TestBundles:
         for x in (0.3, 0.8):
             k = np.arange(1, 300_001, dtype=np.float64)
             oracle = float(np.sum(k ** (1.0 - beta) * x**k)) / zeta(beta)
-            m_dt_xd = mom.mean_d * x * x - mom.mean_dr * x - bundle.h(x)
+            m_dt_xd = mom.mean_d * x * x - (mom.mean_d - mom.mean_dt) * x - bundle.h(x)
             assert m_dt_xd == pytest.approx(oracle, abs=1e-8)
 
     @pytest.mark.parametrize(
@@ -128,10 +134,10 @@ class TestBundles:
         assert bundle.g_d(1.0) == pytest.approx(1.0, abs=1e-9)
         assert bundle.g_dt(1.0) == pytest.approx(1.0, abs=1e-9)
         # E[D(t) 1^D] from H(1), E[D(t) 1^D(t)] + E[D(r) 1^D(t)] from Hbar(1)
-        m_dt_xd = mom.mean_d - mom.mean_dr - bundle.h(1.0)
+        m_dt_xd = mom.mean_d - (mom.mean_d - mom.mean_dt) - bundle.h(1.0)
         m_xdt = mom.mean_d - bundle.hbar(1.0)
         assert m_dt_xd == pytest.approx(mom.mean_dt, abs=1e-8)
-        assert m_xdt == pytest.approx(mom.mean_dt + mom.mean_dr, abs=1e-8)
+        assert m_xdt == pytest.approx(mom.mean_dt + (mom.mean_d - mom.mean_dt), abs=1e-8)
 
     @pytest.mark.parametrize(
         "source",

@@ -25,6 +25,17 @@ from viralcm.populations import (
 from golden.regenerate import ANALYTIC_CASES, SIMULATE_CASES, SWEEP_CASES, check_case
 
 
+def reject_constant(constant):
+    raise AssertionError(f"non-JSON constant {constant}")
+
+
+def check_golden(case):
+    """``check_case``, and every JSON file it wrote is strict JSON."""
+    check_case(case)
+    for path in Path("out").rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=reject_constant)
+
+
 def read_sweep(path):
     rows = []
     with open(path) as fh:
@@ -562,29 +573,29 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("case", list(ANALYTIC_CASES))
     def test_analytic_bytes(self, tmp_path, monkeypatch, case):
         monkeypatch.chdir(tmp_path)
-        check_case(case)
+        check_golden(case)
 
     @pytest.mark.parametrize("case", list(SIMULATE_CASES))
     def test_simulate_bytes(self, tmp_path, monkeypatch, case):
         monkeypatch.chdir(tmp_path)
-        check_case(case)
+        check_golden(case)
 
     @pytest.mark.parametrize("case", list(SWEEP_CASES))
     def test_sweep_bytes(self, tmp_path, monkeypatch, case):
         monkeypatch.chdir(tmp_path)
-        check_case(case)
+        check_golden(case)
 
 
 class TestGoldenEvaluation:
     @pytest.mark.parametrize("verdict", ["fragmented", "ineffective", "viable", "inconclusive"])
     def test_evaluation_bytes(self, tmp_path, monkeypatch, verdict):
         monkeypatch.chdir(tmp_path)
-        check_case(f"evaluate-{verdict}")
+        check_golden(f"evaluate-{verdict}")
         assert json.loads(Path("out/evaluation.json").read_bytes())["report"]["verdict"] == verdict
 
     def test_multi_chunk_csv_bytes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        check_case("evaluate-lf-200000")
+        check_golden("evaluate-lf-200000")
         assert Path("pioneers.csv").stat().st_size > 2 * _READ_BYTES
 
 
@@ -684,6 +695,38 @@ class TestExitCodes:
             assert flag[2:].replace("-", "_") + ":" in capsys.readouterr().err
         assert not (tmp_path / "evaluation.json").exists()
 
+    def test_evaluate_overflowing_cost_is_divergent(self, tmp_path):
+        # 1.7e308 times the expected tries overflows to inf, which JSON cannot spell
+        csv_path = tmp_path / "pioneers.csv"
+        law = JointDegreeLaw(PoissonDegree(3.0), BernoulliTransmission(0.6))
+        write_sample_csv(law.sample(2000, seed=3), csv_path)
+        rc = main(["evaluate", str(csv_path), "--cost-per-pioneer", "1.7e308", "--out", str(tmp_path)])
+        assert rc == 0
+        text = (tmp_path / "evaluation.json").read_text()
+        report = json.loads(text, parse_constant=reject_constant)["report"]
+        assert report["verdict"] == "viable"
+        assert report["expected_cost_to_viral"] == "divergent"
+
+    @pytest.mark.parametrize(
+        "command, beta, trans",
+        [
+            ("analytic", beta, trans)
+            for beta in ("2.0000001", "3.0000001")
+            for trans in ("bernoulli", "nodeperc", "coupon")
+        ]
+        + [("sweep", "3.0000001", "bernoulli")],
+    )
+    def test_beta_just_above_a_zeta_pole_names_beta(self, tmp_path, capsys, command, beta, trans):
+        # the mean needs zeta(beta - 1) and, above 3, the second moment zeta(beta - 2)
+        shift = "1" if beta.startswith("2") else "2"
+        argv = [command, "--degree", "powerlaw", "--beta", beta, "--trans", trans, "--grid", "0:1:0.5"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: beta: exponent within 1e-06 above {beta[0]} puts zeta(beta - {shift}) "
+            f"at its pole, got {beta}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "grid", ["0:inf:0.1", "-inf:1:0.1", "0:1:nan", "0:x:1", "0:1", "0:1:0", "1:0:0.1"]
     )
@@ -733,7 +776,7 @@ class TestExitCodes:
             flags = [*flags, "--degree-file", str(path)]
         assert main(["analytic", *flags, "--out", str(tmp_path)]) == 0
         text = (tmp_path / "analysis.json").read_text()
-        payload = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+        payload = json.loads(text, parse_constant=reject_constant)
         assert payload["bernoulli_threshold"] == "divergent"
         assert payload["result"]["viral_condition"] is False
 

@@ -18,25 +18,21 @@ from viralcm.populations import (
     BernoulliTransmission,
     CouponCollector,
     DegreeSample,
+    EmpiricalDegree,
     JointDegreeLaw,
     NodePercolation,
     PoissonDegree,
 )
 
+from golden.regenerate import DEGREES
 from offspring_oracle import reach_pmf
 
 
-def graph_from_arcs(n, arcs, seed=None):
+def graph_from_arcs(n, arcs):
     """Fabricate a graph record directly from raw arcs."""
     src = np.array([a for a, _ in arcs], dtype=np.int64)
     dst = np.array([b for _, b in arcs], dtype=np.int64)
-    return EnhancedGraph(
-        n=n,
-        arc_src=src,
-        arc_dst=dst,
-        parity_fixed=False,
-        seed=seed,
-    )
+    return EnhancedGraph(n=n, arc_src=src, arc_dst=dst, parity_fixed=False)
 
 
 def closure_matrix(n, src, dst):
@@ -96,6 +92,12 @@ class TestReverseReach:
                 back = set(reverse_reach(g, int(v)).tolist())
                 oracle = {u for u in range(g.n) if int(v) in fwd[u]}
                 assert back == oracle
+
+    @pytest.mark.parametrize("target", [-1, 3])
+    def test_target_out_of_range(self, target):
+        with pytest.raises(ValueError) as exc:
+            reverse_reach(graph_from_arcs(3, [(0, 1)]), target)
+        assert str(exc.value) == f"target {target} outside 0..2"
 
 
 class TestAllReach:
@@ -280,8 +282,9 @@ class TestProgenyLaw:
             JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8)),
             JointDegreeLaw(PoissonDegree(3.0), CouponCollector(2)),
             JointDegreeLaw(PoissonDegree(2.0), NodePercolation(0.7)),
+            JointDegreeLaw(EmpiricalDegree.from_degrees(DEGREES), BernoulliTransmission(0.8)),
         ],
-        ids=["poisson2-bernoulli0.8", "poisson3-coupon2", "poisson2-nodeperc0.7"],
+        ids=["poisson2-bernoulli0.8", "poisson3-coupon2", "poisson2-nodeperc0.7", "empirical-bernoulli0.8"],
     )
     def test_histogram_matches_progeny_law(self, law):
         # the reaches of nodes in one tree are dependent: the spread between

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -235,7 +236,7 @@ class TestEvaluateCampaign:
 
     def test_report_round_trips_to_dict(self):
         report = evaluate_campaign(poisson_bernoulli().sample(500, seed=8))
-        d = report.to_dict()
+        d = dataclasses.asdict(report)
         assert d["verdict"] == report.verdict
         assert d["n_samples"] == 500
 

@@ -228,7 +228,7 @@ class TestMoments:
         mom = law.moments()
         assert mom.mean_dt == 0.0
         assert mom.mean_dt_d == 0.0
-        assert mom.mean_dr == pytest.approx(2.0)
+        assert mom.mean_d - mom.mean_dt == pytest.approx(2.0)
 
     def test_powerlaw_divergence_flag(self):
         law = JointDegreeLaw(PowerLawDegree(2.5), BernoulliTransmission(0.5))
@@ -307,7 +307,6 @@ class TestDegreeSample:
         assert mom.mean_d == pytest.approx(8 / 3)
         assert mom.mean_dt == pytest.approx(1.0)
         assert mom.mean_dt_d == pytest.approx((3 + 0 + 8) / 3)
-        assert mom.mean_dr == mom.mean_d - mom.mean_dt
 
 
 class TestValidation:
@@ -346,13 +345,55 @@ class TestValidation:
             (lambda: CouponCollector(2.5), "K: message count must be a non-negative integer, got 2.5"),
             (lambda: PoissonDegree(10**400), f"lam: {10**400} is too large for a float"),
             (lambda: PowerLawDegree(10**400), f"beta: {10**400} is too large for a float"),
+            (
+                lambda: PowerLawDegree(2.0000001),
+                "beta: exponent within 1e-06 above 2 puts zeta(beta - 1) at its pole, got 2.0000001",
+            ),
+            (
+                lambda: PowerLawDegree(3.0000001),
+                "beta: exponent within 1e-06 above 3 puts zeta(beta - 2) at its pole, got 3.0000001",
+            ),
         ],
-        ids=["lam", "beta", "bernoulli-p", "nodeperc-p", "K-negative", "K-fraction", "lam-1e400", "beta-1e400"],
+        ids=[
+            "lam", "beta", "bernoulli-p", "nodeperc-p", "K-negative", "K-fraction", "lam-1e400",
+            "beta-1e400", "beta-near-2", "beta-near-3",
+        ],
     )
     def test_constructor_names_the_field(self, make, message):
         # the same text the CLI prints after "error: "
         with pytest.raises(ValueError) as exc:
             make()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: DegreeSample(np.ones((2, 2), int), np.ones((2, 2), int)),
+                "degree and transmitter_degree must be 1-d arrays of equal length",
+            ),
+            (lambda: DegreeSample([2, -1], [0, 0]), "degrees must be non-negative"),
+            (
+                lambda: PowerLawDegree(2.45).atoms(),
+                "power-law degree (beta=2.45) has no materialized atoms; "
+                "use its closed-form generating functions",
+            ),
+            (
+                lambda: PowerLawDegree(2.45).neg_moment(-2),
+                "only E[D**-r] with r >= -1 is finite for all beta > 2",
+            ),
+            (lambda: BernoulliTransmission(0.5).conditional_pmf(-1), "degree must be non-negative"),
+            (lambda: NodePercolation(0.5).conditional_pmf(-1), "degree must be non-negative"),
+            (lambda: CouponCollector(2).conditional_pmf(-1), "degree must be non-negative"),
+        ],
+        ids=[
+            "sample-not-1d", "sample-negative", "powerlaw-atoms", "powerlaw-neg-moment",
+            "bernoulli-negative-degree", "nodeperc-negative-degree", "coupon-negative-degree",
+        ],
+    )
+    def test_raise_paths(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
         assert str(exc.value) == message
 
     def test_probability_range(self):

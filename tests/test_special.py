@@ -18,6 +18,7 @@ from viralcm.special import (
     weighted_sum,
     zeta,
     zipf_pmf,
+    zipf_tail_cutoff,
 )
 
 
@@ -103,6 +104,8 @@ class TestPolylog:
 
 ORACLE_BETAS = [1.2, 1.45, 2.0, 2.2, 2.45, 3.0, 3.2, 4.45, 5.45]
 ORACLE_BETAS += [2 - 1e-5, 2 + 1e-5, 3 - 1e-8, 3 + 1e-8]
+#: Orders below 1/2, where Wood's expansion has no pole term.
+POLE_FREE_ORDERS = [0.3, 0.0, -0.5, -1.5]
 ORACLE_XS = [
     1e-3,
     0.2,
@@ -119,7 +122,7 @@ ORACLE_XS = [
 
 
 class TestPolylogOracle:
-    @pytest.mark.parametrize("beta", ORACLE_BETAS)
+    @pytest.mark.parametrize("beta", ORACLE_BETAS + POLE_FREE_ORDERS)
     def test_relative_error_against_mpmath(self, beta):
         # Both sides of the direct-series/Wood switch, integer orders (the
         # harmonic-number term) and orders within 1e-5 and 1e-8 of an
@@ -216,6 +219,27 @@ class TestStirling:
             stirling2_row(-1, 0)
         with pytest.raises(ValueError):
             stirling2_row(3, -1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: DiscretePmf(np.zeros((2, 2)), np.ones((2, 2))),
+            "support and weights must be 1-d arrays of equal length",
+        ),
+        (lambda: DiscretePmf([], []), "empty pmf"),
+        (lambda: DiscretePmf([-1, 0], [0.5, 0.5]), "support must be non-negative"),
+        (lambda: DiscretePmf([1, 1], [0.5, 0.5]), "support must be strictly increasing"),
+        (lambda: poisson_pmf(0.0), "poisson_pmf requires lam > 0"),
+        (lambda: zipf_tail_cutoff(1.0, 1e-12), "zipf cutoff requires beta > 1"),
+    ],
+    ids=["pmf-not-1d", "pmf-empty", "pmf-negative", "pmf-not-increasing", "poisson-lam", "zipf-beta"],
+)
+def test_raise_paths(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestDiscretePmf:
