@@ -32,7 +32,7 @@ import numpy as np
 from .analytic import RootBracketingError, analyze, bernoulli_threshold, mean_offspring
 from .diffusion import DEFAULT_FLOOR, DEFAULT_GAMMA, all_reach
 from .estimators import DEFAULT_Z, evaluate_campaign, load_sample_csv
-from .graph import build, write_edgelist
+from .graph import HalfEdgeMemoryError, build, write_edgelist
 from .populations import (
     BernoulliTransmission,
     CouponCollector,
@@ -84,6 +84,8 @@ class RunConfig:
         builds none."""
         if self.n < 1:
             raise ValueError("n: need at least one node")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be non-negative, got {self.seed}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma: must lie in (0, 1]")
         if not 0.0 <= self.floor < 1.0:
@@ -256,22 +258,27 @@ def _write_csv(path: Path, cfg: RunConfig, header: list[str], rows) -> None:
 # ---------------------------------------------------------------------------
 
 
+#: Degree law name -> the ``RunConfig`` field whose law sets the half-edge count.
+_DEGREE_FIELDS = {"poisson": "lam", "powerlaw": "beta", "empirical": "degree_file"}
+
+
 @contextlib.contextmanager
-def _node_memory(n: int):
-    """Turn a failed allocation into a ``ValueError`` naming ``n``."""
+def _graph_memory(cfg: RunConfig):
+    """Turn a failed allocation into a ``ValueError`` naming the degree law's
+    field when the half-edges do not fit, and ``n`` otherwise."""
     try:
         yield
+    except HalfEdgeMemoryError as exc:
+        raise ValueError(f"{_DEGREE_FIELDS[cfg.degree]}: {exc}") from None
     except MemoryError as exc:
-        raise ValueError(f"n: {n} nodes do not fit in memory: {exc}") from None
+        raise ValueError(f"n: {cfg.n} nodes do not fit in memory: {exc}") from None
 
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
     law = JointDegreeLaw(make_degree_law(cfg), make_transmission(cfg))
     rng = np.random.default_rng(cfg.seed)
-    with _node_memory(cfg.n):
-        sample = law.sample(cfg.n, rng)
-        g = build(sample, rng)
-        del sample
+    with _graph_memory(cfg):
+        g = build(law.sample(cfg.n, rng), rng)  # build holds the only reference and frees it
         outcome = all_reach(g, cfg.gamma, cfg.floor)
 
     out_dir = Path(cfg.out)
@@ -330,7 +337,7 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
     rows = []
     for idx, (value, law, ana) in enumerate(zip(values, laws, closed_forms)):
         rng = np.random.default_rng(cfg.seed ^ idx)
-        with _node_memory(cfg.n):
+        with _graph_memory(cfg):
             sample = law.sample(cfg.n, rng)
             g = build(sample, rng)
             outcome = all_reach(g, cfg.gamma, cfg.floor)

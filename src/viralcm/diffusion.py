@@ -78,19 +78,51 @@ def _condensation(g: EnhancedGraph):
     """SCC labels, per-SCC sizes, and deduplicated condensation edges."""
     from scipy import sparse  # here, so that only the commands that condense a graph load it
     from scipy.sparse.csgraph import connected_components
+    ids = index_dtype(g.n)
+    # a node without an in-arc or without an out-arc lies on no cycle, so it
+    # is an SCC of its own; scipy labels only the core of the other nodes,
+    # numbered by their rank among them
+    core = np.zeros(g.n, dtype=bool)
+    core[g.arc_src] = True
+    has_in = np.zeros(g.n, dtype=bool)
+    has_in[g.arc_dst] = True
+    core &= has_in
+    del has_in
+    labels = np.cumsum(core, dtype=ids)
+    labels -= 1
+    n_core = int(labels[-1]) + 1
+    inner = core[g.arc_src] & core[g.arc_dst]
     # csr_matrix from COO sums duplicate arcs: on a CSR that holds duplicate
     # entries, scipy's strong labelling miscounts SCCs or does not finish
     adj = sparse.csr_matrix(
-        (np.ones(g.arc_count, dtype=bool), (g.arc_src, g.arc_dst)), shape=(g.n, g.n)
+        (np.ones(int(inner.sum()), dtype=bool), (labels[g.arc_src[inner]], labels[g.arc_dst[inner]])),
+        shape=(n_core, n_core),
     )
-    n_scc, labels = connected_components(adj, directed=True, connection="strong")
+    del inner
+    n_core_scc, core_labels = connected_components(adj, directed=True, connection="strong")
     del adj
-    ids = index_dtype(g.n)
-    sizes = np.bincount(labels, minlength=n_scc).astype(ids)
-    cs, cd = labels[g.arc_src], labels[g.arc_dst]
+    n_scc = n_core_scc + g.n - n_core
+    sizes = np.ones(n_scc, dtype=ids)
+    sizes[:n_core_scc] = np.bincount(core_labels)
+    labels[core] = core_labels
+    labels[~core] = np.arange(n_core_scc, n_scc, dtype=ids)
+    del core, core_labels
+
+    # the keys are built in place and each arc-sized array is freed once
+    # used: at n = 1e6 the one-expression form raised simulate's peak by up
+    # to 2 MB
+    cs = labels[g.arc_src]
+    cd = labels[g.arc_dst]
     keep = cs != cd
-    keys = _unique(cs[keep].astype(np.int64) * n_scc + cd[keep])
-    return n_scc, labels, sizes, (keys // n_scc).astype(ids), (keys % n_scc).astype(ids)
+    keys = cs[keep].astype(np.int64)
+    del cs
+    keys *= n_scc
+    keys += cd[keep]
+    del cd, keep
+    keys = _unique(keys)
+    cs = (keys // n_scc).astype(ids)
+    keys %= n_scc
+    return n_scc, labels, sizes, cs, keys.astype(ids)
 
 
 def _csr_from_edges(src, dst, n):
@@ -120,8 +152,10 @@ class DiffusionOutcome:
     @property
     def reach_histogram(self) -> list[tuple[float, int]]:
         """Sorted (reach_size / n, count) pairs."""
-        vals, counts = _unique(self.reach_sizes.copy(), return_counts=True)
-        return [(float(v) / self.reach_sizes.size, int(c)) for v, c in zip(vals, counts)]
+        n = self.reach_sizes.size
+        # no reach exceeds n, so the copy that is sorted takes the narrow dtype
+        vals, counts = _unique(self.reach_sizes.astype(index_dtype(n)), return_counts=True)
+        return [(float(v) / n, int(c)) for v, c in zip(vals, counts)]
 
 
 def classify_good_pioneers(
@@ -181,28 +215,39 @@ def _reach_sizes(g: EnhancedGraph) -> np.ndarray:
     """
     n_scc, labels, sizes, cs, cd = _condensation(g)
     giant = int(np.argmax(sizes))
+    fwd = _bfs(*_csr_from_edges(cs, cd, n_scc), giant, n_scc)
+    bwd = _bfs(*_csr_from_edges(cd, cs, n_scc), giant, n_scc)
+    # in place, freeing each array once used: the one-expression mask
+    # `~(bwd[cs] & fwd[cd])` raised simulate's peak at n = 1e6 by 8 MB
+    keep = bwd[cs]
+    keep &= fwd[cd]
+    np.logical_not(keep, out=keep)
+    cs, cd = cs[keep], cd[keep]
+    del keep
     ptr, idx = _csr_from_edges(cs, cd, n_scc)
-    fwd = _bfs(ptr, idx, giant, n_scc)
-    ptr, idx = _csr_from_edges(cd, cs, n_scc)
-    bwd = _bfs(ptr, idx, giant, n_scc)
-    keep = ~(bwd[cs] & fwd[cd])
-    ptr, idx = _csr_from_edges(cs[keep], cd[keep], n_scc)
-    del cs, cd, keep
+    del cs, cd
+    fwd_size = int(np.sum(sizes, where=fwd))
     outside = np.where(fwd, 0, sizes)
-    fwd_size = int(sizes[fwd].sum())
     del fwd
 
-    tot, out = _closure_sums(ptr, idx, sizes, outside)
-    reach = np.where(bwd, fwd_size + out, tot)
-    return reach.astype(np.int64)[labels]
+    _closure_sums(ptr, idx, sizes, outside)
+    del ptr, idx
+    outside += fwd_size  # at most n: outside counts no node of F
+    np.copyto(sizes, outside, where=bwd)
+    del outside, bwd
+    reach = sizes.astype(np.int64)
+    del sizes
+    return reach[labels]
 
 
 def _closure_sums(ptr, idx, sizes, outside):
-    """Sums of ``sizes`` and ``outside`` over each DAG node's closure."""
+    """Replace ``sizes`` and ``outside``, in place, by their sums over each
+    DAG node's closure."""
     n = sizes.size
     outdeg = np.diff(ptr)
-    tot = np.zeros(n, dtype=sizes.dtype)
-    out = np.zeros(n, dtype=sizes.dtype)
+    multi = np.nonzero(outdeg > 1)[0]
+    single = outdeg == 1
+    del outdeg
 
     # A node with two or more successors enumerates its closure as
     # (block row, node) pairs, one successor level at a time; the graph is
@@ -210,8 +255,10 @@ def _closure_sums(ptr, idx, sizes, outside):
     # checked against earlier ones: a node at several depths (an
     # unequal-length diamond) recurs until the final dedup, which on
     # configuration-model graphs costs a few percent of extra pairs and is
-    # far cheaper than merging a visited set at every level.
-    multi = np.nonzero(outdeg > 1)[0]
+    # far cheaper than merging a visited set at every level.  The sums are
+    # stored once every closure has read the sizes.
+    multi_tot = np.empty(multi.size, dtype=sizes.dtype)
+    multi_out = np.empty(multi.size, dtype=sizes.dtype)
     for lo in range(0, multi.size, _CLOSURE_BLOCK):
         block = multi[lo : lo + _CLOSURE_BLOCK]
         rows, nodes = np.arange(block.size, dtype=np.int64), block
@@ -223,25 +270,23 @@ def _closure_sums(ptr, idx, sizes, outside):
         rows, nodes = np.divmod(_unique(np.concatenate(levels)), n)
         del levels
         starts = np.searchsorted(rows, np.arange(block.size))
-        tot[block] = np.add.reduceat(sizes[nodes], starts)
-        out[block] = np.add.reduceat(outside[nodes], starts)
+        multi_tot[lo : lo + block.size] = np.add.reduceat(sizes[nodes], starts)
+        multi_out[lo : lo + block.size] = np.add.reduceat(outside[nodes], starts)
+    sizes[multi], outside[multi] = multi_tot, multi_out
+    del multi, multi_tot, multi_out
 
     # The sums end at a node with no successor (its own size) or with
     # several; a chain of single-successor nodes adds its own sizes on top,
     # summed by pointer jumping.
-    end = outdeg == 0
-    tot[end], out[end] = sizes[end], outside[end]
-    single = outdeg == 1
-    acc_tot, acc_out = np.where(single, sizes, 0), np.where(single, outside, 0)
     nxt = np.arange(n, dtype=index_dtype(n))
     nxt[single] = idx[ptr[:-1][single]]
     active = np.nonzero(single & single[nxt])[0]
     while active.size:
         step = nxt[active]
-        acc_tot[active] += acc_tot[step]
-        acc_out[active] += acc_out[step]
+        sizes[active] += sizes[step]
+        outside[active] += outside[step]
         nxt[active] = nxt[step]
         active = active[single[nxt[active]]]
-    acc_tot += tot[nxt]
-    acc_out += out[nxt]
-    return acc_tot, acc_out
+    last = nxt[single]
+    sizes[single] += sizes[last]
+    outside[single] += outside[last]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .populations import DegreeSample
 
-__all__ = ["EnhancedGraph", "build", "index_dtype", "write_edgelist"]
+__all__ = ["EnhancedGraph", "HalfEdgeMemoryError", "build", "index_dtype", "write_edgelist"]
 
 #: Arcs formatted per ``write`` call by ``write_edgelist``.
 _WRITE_ARCS = 1 << 16
@@ -50,42 +50,54 @@ class EnhancedGraph:
         return int(self.arc_src.size)
 
 
+class HalfEdgeMemoryError(MemoryError):
+    """The half-edges of a sample, not its nodes, do not fit in memory."""
+
+
 def build(sample: DegreeSample, seed) -> EnhancedGraph:
     """Influence arcs induced by a uniform random perfect matching of the sample's half-edges.
 
     An odd total half-edge count is repaired by handing one extra receiver
     half-edge to a uniformly chosen node; the O(1/n) bias is standard
-    configuration-model practice.
+    configuration-model practice.  The sample's columns are released once
+    the half-edges exist, so a caller that keeps no reference of its own
+    frees them before the matching.  An allocation sized by the half-edge
+    count that numpy refuses raises :class:`HalfEdgeMemoryError`.
     """
     rng = np.random.default_rng(seed)
     n = len(sample)
-    d = sample.degree.copy()
+    d, t = sample.degree, sample.transmitter_degree
+    del sample
     parity_fixed = int(d.sum()) % 2 == 1
     if parity_fixed:
+        d = d.copy()
         d[int(rng.integers(n))] += 1
     total = int(d.sum())
 
     # each node's first t half-edges transmit, the rest (repair stub included)
     # receive; np.repeat takes its counts as intp, so int32 ones would be copied
-    t = sample.transmitter_degree
     counts = np.empty(2 * n, dtype=np.intp)
     counts[0::2] = t
     np.subtract(d, t, out=counts[1::2])
-    transmitter = np.repeat(np.tile([True, False], n), counts)
-    del counts
-    owner = np.repeat(np.arange(n, dtype=index_dtype(n)), d)
-    del d
-    pairs = np.arange(total, dtype=index_dtype(total))
-    rng.shuffle(pairs)  # the draws and the permutation of rng.permutation(total)
-    a, b = pairs[0::2], pairs[1::2]
-    a_trans, b_trans = transmitter[a], transmitter[b]
-    del transmitter
-    return EnhancedGraph(
-        n=n,
-        arc_src=np.concatenate([owner[a[a_trans]], owner[b[b_trans]]]),
-        arc_dst=np.concatenate([owner[b[a_trans]], owner[a[b_trans]]]),
-        parity_fixed=parity_fixed,
-    )
+    flags = np.tile([True, False], n)
+    try:
+        transmitter = np.repeat(flags, counts)
+        del flags, counts, t
+        owner = np.repeat(np.arange(n, dtype=index_dtype(n)), d)
+        del d
+        pairs = np.arange(total, dtype=index_dtype(total))
+        rng.shuffle(pairs)  # the draws and the permutation of rng.permutation(total)
+        a, b = pairs[0::2], pairs[1::2]
+        a_trans, b_trans = transmitter[a], transmitter[b]
+        del transmitter
+        return EnhancedGraph(
+            n=n,
+            arc_src=np.concatenate([owner[a[a_trans]], owner[b[b_trans]]]),
+            arc_dst=np.concatenate([owner[b[a_trans]], owner[a[b_trans]]]),
+            parity_fixed=parity_fixed,
+        )
+    except MemoryError as exc:
+        raise HalfEdgeMemoryError(f"{total} half-edges do not fit in memory: {exc}") from None
 
 
 def write_edgelist(g: EnhancedGraph, path, seed) -> None:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,7 +74,7 @@ _valid_configs = st.builds(
     p=st.floats(0.0, 1.0),
     K=st.integers(0, 50),
     n=st.integers(1, 10**9),
-    seed=st.integers(),
+    seed=st.integers(min_value=0),
     # a step of at least a thousandth of the span keeps the grid within MAX_GRID_POINTS
     grid=st.none()
     | st.tuples(_grid_bound, _grid_bound, st.floats(0.0, 1e300, exclude_min=True)).map(
@@ -799,6 +800,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: n: 10000000000000 nodes do not fit in memory: Unable to allocate")
         assert not any(tmp_path.iterdir())
+
+    def test_half_edges_beyond_memory_name_the_degree_law(self, tmp_path, capsys):
+        # three Poisson(1e12) degrees fit, but numpy refuses the 2.73 TiB of
+        # their ~3e12 half-edges outright; the node count is not at fault
+        argv = ["simulate", "--n", "3", "--degree", "poisson", "--lambda", "1e12", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.match(r"error: lam: \d{13} half-edges do not fit in memory: Unable to allocate", err)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, seed",
+        [(["simulate", "--seed", "-1"], -1), (["sweep", "--seed", "-3", "--grid", "0:1:0.5"], -3), (["simulate"], -4)],
+        ids=["simulate", "sweep", "config"],
+    )
+    def test_negative_seed_names_the_field(self, tmp_path, capsys, argv, seed):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=-4\n")
+        assert main(argv + ["--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: seed: must be non-negative, got {seed}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unresolvable_root_exits_2(self, tmp_path, capsys):
         # 1.001 times the Bernoulli threshold of beta = 3.2: 1 - xi ~ 3e-16

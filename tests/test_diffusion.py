@@ -1,9 +1,12 @@
+import functools
 import math
 import tracemalloc
 
 import networkx as nx
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import breadth_first_order
 
 from viralcm.analytic import mean_offspring
 from viralcm.diffusion import (
@@ -165,7 +168,8 @@ class TestAllReach:
         assert out.alpha_hat_sim == float(out.reach_sizes[good].mean()) / g.n
 
     def test_peak_memory(self):
-        # int64 ids and closure sums peaked at 12.8 MiB here; int32, 7.4
+        # int64 ids and closure sums peaked at 12.8 MiB here; int32, 7.4; the
+        # core-only labelling and the in-place reach pass, 6.1
         law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.55))
         g = build(law.sample(200_000, seed=1), seed=2)
         tracemalloc.start()
@@ -174,7 +178,7 @@ class TestAllReach:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 9.5 * 2**20
+        assert peak < 6.75 * 2**20
         assert out.reach_sizes.dtype == np.int64
 
     def test_monotone_in_added_arc(self):
@@ -263,6 +267,25 @@ class TestCouponAsymmetry:
             assert out.alpha_bar_hat_sim > out.alpha_hat_sim
 
 
+PROGENY_LAWS = {
+    "poisson2-bernoulli0.8": JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8)),
+    "poisson3-coupon2": JointDegreeLaw(PoissonDegree(3.0), CouponCollector(2)),
+    "poisson2-nodeperc0.7": JointDegreeLaw(PoissonDegree(2.0), NodePercolation(0.7)),
+    "empirical-bernoulli0.8": JointDegreeLaw(EmpiricalDegree.from_degrees(DEGREES), BernoulliTransmission(0.8)),
+}
+PROGENY_N, PROGENY_SEEDS = 40_000, range(16)
+
+
+@functools.cache
+def progeny_reach(law: str):
+    """The progeny-law graphs of one law, one per seed, with their reach outcomes."""
+    out = []
+    for seed in PROGENY_SEEDS:
+        g = build(PROGENY_LAWS[law].sample(PROGENY_N, seed=seed), seed=seed + 100)
+        out.append((g, all_reach(g)))
+    return out
+
+
 class TestProgenyLaw:
     """The small-reach histogram against the limit tree's progeny law."""
 
@@ -276,31 +299,21 @@ class TestProgenyLaw:
         assert pmf[0] == 0.0
         np.testing.assert_allclose(pmf[1:], np.exp(log_borel), rtol=1e-12)
 
-    @pytest.mark.parametrize(
-        "law",
-        [
-            JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8)),
-            JointDegreeLaw(PoissonDegree(3.0), CouponCollector(2)),
-            JointDegreeLaw(PoissonDegree(2.0), NodePercolation(0.7)),
-            JointDegreeLaw(EmpiricalDegree.from_degrees(DEGREES), BernoulliTransmission(0.8)),
-        ],
-        ids=["poisson2-bernoulli0.8", "poisson3-coupon2", "poisson2-nodeperc0.7", "empirical-bernoulli0.8"],
-    )
+    @pytest.mark.parametrize("law", list(PROGENY_LAWS))
     def test_histogram_matches_progeny_law(self, law):
         # the reaches of nodes in one tree are dependent: the spread between
         # seeds was 0.9-3.1 times the binomial error, so the error of the
         # seed mean comes from that spread (never below the binomial one)
-        n, seeds, smax = 40_000, 16, 12
-        frac = np.zeros((seeds, smax + 1))
-        for seed in range(seeds):
-            out = all_reach(build(law.sample(n, seed=seed), seed=seed + 100))
+        n, smax = PROGENY_N, 12
+        frac = np.zeros((len(PROGENY_SEEDS), smax + 1))
+        for seed, (_, out) in enumerate(progeny_reach(law)):
             for rel, count in out.reach_histogram:
                 size = round(rel * n)
                 if size <= smax:
                     frac[seed, size] = count / n
-        pmf = reach_pmf(law, smax)
+        pmf = reach_pmf(PROGENY_LAWS[law], smax)
         binom = np.sqrt(pmf * (1.0 - pmf) / n)
-        stderr = np.maximum(frac.std(axis=0, ddof=1), binom) / math.sqrt(seeds)
+        stderr = np.maximum(frac.std(axis=0, ddof=1), binom) / math.sqrt(len(PROGENY_SEEDS))
         assert np.all(np.abs(frac.mean(axis=0) - pmf) <= 5.0 * stderr)
 
 
@@ -309,6 +322,19 @@ def nx_digraph(g):
     G.add_nodes_from(range(g.n))
     G.add_edges_from(zip(g.arc_src.tolist(), g.arc_dst.tolist()))
     return G
+
+
+def assert_condensation_matches_networkx(h):
+    """``_condensation(h)``: SCC labels, sizes and deduplicated edges as networkx condenses ``h``."""
+    n_scc, labels, sizes, cs, cd = _condensation(h)
+    C = nx.condensation(nx_digraph(h))
+    theirs = np.array([C.graph["mapping"][v] for v in range(h.n)])
+    assert n_scc == len(C) == len(set(zip(labels.tolist(), theirs.tolist())))
+    assert set(labels.tolist()) == set(range(n_scc))
+    to_nx = dict(zip(labels.tolist(), theirs.tolist()))
+    assert sizes.tolist() == np.bincount(theirs)[[to_nx[c] for c in range(n_scc)]].tolist()
+    assert cs.size == C.number_of_edges()
+    assert {(to_nx[a], to_nx[b]) for a, b in zip(cs.tolist(), cd.tolist())} == set(C.edges)
 
 
 # (n, Bernoulli p) on Poisson(2): sub-, near- and supercritical (p_c = 1/2)
@@ -337,15 +363,25 @@ class TestNetworkxOracle:
         order = rng.permutation(g.arc_count + extra.size + loops.size)
         src = np.concatenate([g.arc_src, g.arc_src[extra], loops])[order].astype(dtype)
         dst = np.concatenate([g.arc_dst, g.arc_dst[extra], loops])[order].astype(dtype)
-        h = EnhancedGraph(n=g.n, arc_src=src, arc_dst=dst, parity_fixed=False)
-        n_scc, labels, sizes, cs, cd = _condensation(h)
-        C = nx.condensation(nx_digraph(h))
-        theirs = np.array([C.graph["mapping"][v] for v in range(h.n)])
-        assert n_scc == len(C) == len(set(zip(labels.tolist(), theirs.tolist())))
-        to_nx = dict(zip(labels.tolist(), theirs.tolist()))
-        assert sizes.tolist() == np.bincount(theirs)[[to_nx[c] for c in range(n_scc)]].tolist()
-        assert cs.size == C.number_of_edges()
-        assert {(to_nx[a], to_nx[b]) for a, b in zip(cs.tolist(), cd.tolist())} == set(C.edges)
+        assert_condensation_matches_networkx(EnhancedGraph(n=g.n, arc_src=src, arc_dst=dst, parity_fixed=False))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_condensation_of_degenerate_digraphs(self, dtype):
+        # isolated nodes, pure sources and sinks, self-loops and repeated
+        # arcs: scipy labels only the nodes with an in-arc and an out-arc,
+        # and every other node takes a label of its own
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            n = int(rng.integers(1, 25))
+            role = rng.integers(4, size=n)  # 0 isolated, 1 source, 2 sink, 3 either
+            tails, heads = np.nonzero(role % 2 == 1)[0], np.nonzero(role >= 2)[0]
+            m = int(rng.integers(3 * n + 1)) if tails.size and heads.size else 0
+            src, dst = rng.choice(tails, m), rng.choice(heads, m)
+            loops = rng.integers(n, size=int(rng.integers(3)))
+            repeats = rng.integers(m, size=int(rng.integers(m + 1)))
+            src = np.concatenate([src, loops, src[repeats]]).astype(dtype)
+            dst = np.concatenate([dst, loops, dst[repeats]]).astype(dtype)
+            assert_condensation_matches_networkx(EnhancedGraph(n=n, arc_src=src, arc_dst=dst, parity_fixed=False))
 
     @pytest.mark.parametrize("n, p", ORACLE_GRAPHS)
     def test_exact_reach_sizes(self, n, p):
@@ -367,3 +403,33 @@ class TestNetworkxOracle:
         upstream = nx.ancestors(G, v) | giant
         assert out.reach_sizes[list(upstream)].min() >= len(nx.descendants(G, v)) + 1
         assert set(out.good_pioneers.tolist()) == upstream
+
+
+def structural_good_set(g):
+    """B: the nodes whose SCC reaches the largest SCC, by one backward BFS
+    over the condensation."""
+    n_scc, labels, sizes, cs, cd = _condensation(g)
+    reverse = sparse.csr_matrix((np.ones(cs.size, dtype=bool), (cd, cs)), shape=(n_scc, n_scc))
+    upstream = np.zeros(n_scc, dtype=bool)
+    upstream[breadth_first_order(reverse, int(np.argmax(sizes)), return_predecessors=False)] = True
+    return np.nonzero(upstream[labels])[0]
+
+
+class TestStructuralGoodSet:
+    """In the limit the good pioneers are B; the finite-n rule must find B
+    where the largest SCC stands clear of the rest."""
+
+    @pytest.mark.parametrize("n", [2000, 30_000])
+    def test_golden_supercritical_cases(self, n):
+        # the graph of `simulate --degree poisson --lambda 2 --p 0.8 --seed 7`.
+        # Near the threshold the sets differ: at p = 0.52, 99 good against 164
+        # in B at n = 2 000, and 852 against 1 081, not a subset, at 30 000
+        law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8))
+        rng = np.random.default_rng(7)
+        g = build(law.sample(n, rng), rng)
+        np.testing.assert_array_equal(all_reach(g).good_pioneers, structural_good_set(g))
+
+    @pytest.mark.parametrize("law", list(PROGENY_LAWS))
+    def test_progeny_law_graphs(self, law):
+        for g, out in progeny_reach(law):
+            np.testing.assert_array_equal(out.good_pioneers, structural_good_set(g))

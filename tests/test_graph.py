@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import weakref
 from collections import Counter
 from types import SimpleNamespace
 
@@ -127,6 +128,7 @@ class TestChecksums:
         assert int(m.transmitter.sum()) == 2
         assert m.owner.size % 2 == 0
         assert build(s, seed=2).parity_fixed
+        assert s.degree.tolist() == [1, 1, 1]  # the repair stub goes to a copy
 
     def test_rebuild_same_seed_identical(self):
         law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.5))
@@ -217,6 +219,21 @@ class TestIndexWidth:
         g = build(near_critical_sample(1000), seed=2)
         assert g.arc_src.dtype == g.arc_dst.dtype == np.int32
         assert index_dtype(2**31 - 1) is np.int32 and index_dtype(2**31) is np.int64
+
+    def test_build_releases_the_sample(self, monkeypatch):
+        # a sample passed straight in has no other reference, so its columns
+        # are freed before build gathers the arcs
+        events = []
+        sample = near_critical_sample(1000)
+        weakref.finalize(sample.degree, events.append, "degree freed")
+        weakref.finalize(sample.transmitter_degree, events.append, "transmitter degree freed")
+        samples, rng = [sample], np.random.default_rng(2)
+        del sample
+        concatenate = np.concatenate
+        monkeypatch.setattr(np, "concatenate", lambda *a, **k: events.append("arcs") or concatenate(*a, **k))
+        build(samples.pop(), rng)
+        assert sorted(events[:2]) == ["degree freed", "transmitter degree freed"]
+        assert events[2:] == ["arcs", "arcs"]
 
     def test_build_peak_memory(self):
         # int32 owners and half-edge ids peak at 5.95 MiB here; int64
