@@ -111,39 +111,26 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        types = _field_types(cls)
+        """Read ``key=value`` lines; a value may be quoted.  Each value goes
+        through :func:`_set_field`, the rule for flags too."""
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ValueError(f"{path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         cfg = cls()
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, value = (s.strip() for s in line.split("=", 1))
-                if key == "grid":
-                    try:
-                        setattr(cfg, key, _parse_grid(value))
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{lineno}: {exc}") from None
-                    continue
-                if key not in types:
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                typ = types[key]
-                if typ is bool:
-                    if value.lower() not in _BOOLS:
-                        raise ValueError(
-                            f"{path}:{lineno}: {key}: expected one of {'/'.join(_BOOLS)}, "
-                            f"got {value!r}"
-                        )
-                    setattr(cfg, key, _BOOLS[value.lower()])
-                elif typ is str:
-                    setattr(cfg, key, value.strip("'\""))
-                else:
-                    try:
-                        setattr(cfg, key, typ(value))
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+        for lineno, raw in enumerate(text.split("\n"), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, value = (s.strip() for s in line.split("=", 1))
+            try:
+                _set_field(cfg, key, value.strip("'\""))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
         return cfg
 
     def to_dict(self) -> dict:
@@ -157,16 +144,31 @@ class RunConfig:
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _field_types(cls) -> dict:
-    """Field name -> scalar type of a dataclass, with ``Optional`` unwrapped."""
-    hints = typing.get_type_hints(cls)
-    types = {}
-    for f in dataclasses.fields(cls):
-        typ = hints[f.name]
-        if typing.get_origin(typ) is typing.Union:
-            (typ,) = (a for a in typing.get_args(typ) if a is not type(None))
-        types[f.name] = typ
-    return types
+#: Field name -> the type its text converts to, ``Optional`` unwrapped; read once, at import.
+_FIELD_TYPES = {
+    key: typing.get_args(typ)[0] if typing.get_origin(typ) is typing.Union else typ
+    for key, typ in typing.get_type_hints(RunConfig).items()
+}
+
+
+def _set_field(cfg: RunConfig, key: str, text: str) -> None:
+    """Set ``cfg.<key>`` from ``text``: the one rule for flags and config
+    lines.  A bad value raises a ``ValueError`` that starts with ``key:``."""
+    if key not in _FIELD_TYPES:
+        raise ValueError(f"unknown key {key!r}")
+    typ = _FIELD_TYPES[key]
+    if key == "grid":
+        value = _parse_grid(text)
+    elif typ is bool:
+        if text.lower() not in _BOOLS:
+            raise ValueError(f"{key}: expected one of {'/'.join(_BOOLS)}, got {text!r}")
+        value = _BOOLS[text.lower()]
+    else:
+        try:
+            value = typ(text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    setattr(cfg, key, value)
 
 
 def _parse_grid(text: str) -> tuple[float, float, float]:
@@ -266,6 +268,8 @@ _DEGREE_FIELDS = {"poisson": "lam", "powerlaw": "beta", "empirical": "degree_fil
 def _graph_memory(cfg: RunConfig):
     """Turn a failed allocation into a ``ValueError`` naming the degree law's
     field when the half-edges do not fit, and ``n`` otherwise."""
+    if cfg.n > sys.maxsize // 8:  # numpy refuses such an int64 array without trying
+        raise ValueError(f"n: {cfg.n} nodes do not fit in memory: no int64 array is that long")
     try:
         yield
     except HalfEdgeMemoryError as exc:
@@ -338,10 +342,10 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
     for idx, (value, law, ana) in enumerate(zip(values, laws, closed_forms)):
         rng = np.random.default_rng(cfg.seed ^ idx)
         with _graph_memory(cfg):
-            sample = law.sample(cfg.n, rng)
-            g = build(sample, rng)
+            sample = [law.sample(cfg.n, rng)]
+            est = analyze(sample[0])
+            g = build(sample.pop(), rng)  # popped: build holds the only reference and frees it
             outcome = all_reach(g, cfg.gamma, cfg.floor)
-        est = analyze(sample)
         rows.append(
             {
                 "param": value,
@@ -403,31 +407,33 @@ def cmd_evaluate(csv_path: str, cfg: RunConfig) -> list[Path]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file; flags override it")
-    parser.add_argument("--degree", choices=["poisson", "powerlaw", "empirical"])
-    parser.add_argument("--lambda", dest="lam", type=float, help="Poisson mean degree")
-    parser.add_argument("--beta", type=float, help="power-law exponent (> 2)")
+    parser.add_argument("--degree", help=f"degree law: {', '.join(_DEGREE_FIELDS)}")
+    parser.add_argument("--lambda", dest="lam", help="Poisson mean degree")
+    parser.add_argument("--beta", help="power-law exponent (> 2)")
     parser.add_argument("--degree-file", dest="degree_file", help="one degree per line")
-    parser.add_argument("--trans", choices=list(_TRANSMISSIONS))
-    parser.add_argument("--p", type=float, help="transmission probability")
-    parser.add_argument("--K", type=int, help="coupon-collector message count")
-    parser.add_argument("--n", type=int, help="number of nodes / pioneers")
-    parser.add_argument("--seed", type=int, help="RNG seed")
+    parser.add_argument("--trans", help=f"transmission model: {', '.join(_TRANSMISSIONS)}")
+    parser.add_argument("--p", help="transmission probability")
+    parser.add_argument("--K", help="coupon-collector message count")
+    parser.add_argument("--n", help="number of nodes / pioneers")
+    parser.add_argument("--seed", help="RNG seed")
     parser.add_argument("--grid", help="sweep grid start:stop:step")
-    parser.add_argument("--gamma", type=float, help="good-pioneer cutoff vs max reach")
-    parser.add_argument("--floor", type=float, help="good-pioneer cutoff vs population")
-    parser.add_argument("--z", type=float, help="confidence multiplier for the tests")
-    parser.add_argument("--cost-per-pioneer", dest="cost_per_pioneer", type=float)
-    parser.add_argument("--value-per-influenced", dest="value_per_influenced", type=float)
+    parser.add_argument("--gamma", help="good-pioneer cutoff vs max reach")
+    parser.add_argument("--floor", help="good-pioneer cutoff vs population")
+    parser.add_argument("--z", help="confidence multiplier for the tests")
+    parser.add_argument("--cost-per-pioneer", dest="cost_per_pioneer")
+    parser.add_argument("--value-per-influenced", dest="value_per_influenced")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--dump-graph", dest="dump_graph", action="store_true", default=None)
+    parser.add_argument(
+        "--dump-graph", dest="dump_graph", nargs="?", const="true", help="simulate: write the influence arcs"
+    )
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, _parse_grid(value) if f.name == "grid" else value)
+    for key in _FIELD_TYPES:
+        text = getattr(args, key)
+        if text is not None:
+            _set_field(cfg, key, text)
     return cfg
 
 
@@ -462,7 +468,8 @@ def main(argv=None) -> int:
         else:
             written = cmd_evaluate(args.csv, cfg)
     except (ValueError, OSError, RootBracketingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # every input file names itself in a ValueError, so an OSError is an output's
+        print(f"error: {'out: ' if isinstance(exc, OSError) else ''}{exc}", file=sys.stderr)
         return 2
     for path in written:
         print(path)

@@ -129,6 +129,8 @@ class PoissonDegree:
         self.lam = _float("lam", lam)
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam: Poisson mean must be finite and positive, got {self.lam}")
+        if not math.isfinite(self.mean_square):  # the condition margins would be inf - inf
+            raise ValueError(f"lam: E[D^2] = lam^2 + lam overflows a float, got {self.lam}")
 
     @cached_property
     def _pmf(self) -> DiscretePmf:
@@ -153,6 +155,10 @@ class PoissonDegree:
         return self.lam * np.exp(self.lam * (x - 1.0))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        try:
+            rng.poisson(self.lam, 0)  # numpy's bound on the mean; draws nothing
+        except ValueError as exc:
+            raise ValueError(f"lam: {exc}") from None
         return rng.poisson(self.lam, n).astype(np.int64)
 
     def __repr__(self):

@@ -1,10 +1,14 @@
+import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +18,16 @@ from hypothesis import strategies as st
 
 import viralcm
 from viralcm.analytic import analyze
-from viralcm.cli import MAX_GRID_POINTS, RunConfig, _parse_grid, main, make_degree_law
+from viralcm.cli import (
+    MAX_GRID_POINTS,
+    RunConfig,
+    _add_common,
+    _config_from_args,
+    _parse_grid,
+    main,
+    make_degree_law,
+    make_transmission,
+)
 from viralcm.estimators import _READ_BYTES, write_sample_csv
 from viralcm.populations import (
     BernoulliTransmission,
@@ -200,6 +213,29 @@ class TestConfig:
         with pytest.raises(ValueError) as exc:
             make_degree_law(cfg)
         assert "beta" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "make, problem",
+        [
+            (lambda path: None, "No such file or directory"),
+            (lambda path: path.mkdir(), "Is a directory"),
+            (lambda path: path.write_bytes(b"n=5\n\xff\n"), "'utf-8' codec can't decode byte 0xff in position 4"),
+        ],
+        ids=["missing", "directory", "not-utf-8"],
+    )
+    def test_unreadable_config_names_the_path(self, tmp_path, capsys, make, problem):
+        path = tmp_path / "run.cfg"
+        make(path)
+        assert main(["analytic", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {path}: {problem}")
+        assert not (tmp_path / "out").exists()
+
+    def test_quoted_values(self, tmp_path):
+        # a config value may be quoted, whatever its type
+        path = tmp_path / "run.cfg"
+        path.write_text("n='7'\ngrid=\"0:1:0.5\"\ndump_graph='yes'\nout=\"runs\"\n")
+        assert RunConfig.from_file(path) == RunConfig(n=7, grid=(0.0, 1.0, 0.5), dump_graph=True, out="runs")
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
@@ -458,6 +494,25 @@ class TestSweep:
             sim = float(row["alpha_sim"])
             assert abs(ana - semi) <= abs(ana - sim) + 0.1
 
+    def test_each_sample_is_freed_before_its_reach(self, tmp_path, monkeypatch):
+        # the plug-in estimate comes first, so build holds the sample's only
+        # reference and all_reach never runs beside its arrays
+        samples, freed = [], []
+        real_build, real_reach = viralcm.cli.build, viralcm.cli.all_reach
+
+        def build(sample, rng):
+            samples.append(weakref.ref(sample))
+            return real_build(sample, rng)
+
+        def all_reach(g, *args):
+            freed.append(samples[-1]() is None)
+            return real_reach(g, *args)
+
+        monkeypatch.setattr("viralcm.cli.build", build)
+        monkeypatch.setattr("viralcm.cli.all_reach", all_reach)
+        assert main(["sweep", "--grid", "0.3:0.9:0.3", "--n", "300", "--out", str(tmp_path)]) == 0
+        assert freed == [True, True, True]
+
     def test_grid_required(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path)]) == 2
         assert "grid" in capsys.readouterr().err
@@ -615,12 +670,18 @@ _BAD_LAW_FIELDS = {
     "trans-unknown": ({"trans": "bar"}, "trans: unknown transmission model 'bar'"),
     "degree_file-required": ({"degree": "empirical"}, "degree_file: required for the empirical degree law"),
 }
-#: the unknown names are not among the flags' choices, so only a config file can give them
-_BAD_LAW_FIELD_FORMS = [
-    (case, via)
-    for case in _BAD_LAW_FIELDS
-    for via in (("config",) if case.endswith("-unknown") else ("flags", "config"))
-]
+def _common_flags() -> dict:
+    """``RunConfig`` field (and ``config``) -> its flag, from the parser itself."""
+    parser = argparse.ArgumentParser()
+    _add_common(parser)
+    return {a.dest: a.option_strings[0] for a in parser._actions if a.dest != "help"}
+
+
+_FLAGS = _common_flags()
+#: every field whose value has a type other than str or bool
+_TYPED_FIELDS = ["lam", "beta", "p", "K", "n", "seed", "grid", "gamma", "floor", "z"]
+_TYPED_FIELDS += ["cost_per_pioneer", "value_per_influenced"]
+_BAD_LAW_FIELD_FORMS = [(case, via) for case in _BAD_LAW_FIELDS for via in ("flags", "config")]
 
 
 class TestExitCodes:
@@ -810,6 +871,72 @@ class TestExitCodes:
         assert re.match(r"error: lam: \d{13} half-edges do not fit in memory: Unable to allocate", err)
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("n", [2**60, 2**63, 10**400], ids=["2^60", "2^63", "1e400"])
+    def test_n_beyond_any_array_names_n(self, tmp_path, capsys, command, n):
+        # numpy refuses an int64 array of 2**60 or more entries before allocating
+        argv = [command, "--n", str(n), "--grid", "0:1:0.5", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: n: {n} nodes do not fit in memory: no int64 array is that long\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, lam, reason",
+        [
+            ("simulate", "1e19", "lam value too large"),  # numpy's bound on a Poisson mean
+            ("simulate", "1e308", "E[D^2] = lam^2 + lam overflows a float, got 1e+308"),
+            ("analytic", "1e308", "E[D^2] = lam^2 + lam overflows a float, got 1e+308"),
+        ],
+    )
+    def test_poisson_mean_beyond_float_or_sampling_names_lam(self, tmp_path, capsys, command, lam, reason):
+        argv = [command, "--n", "5", "--lambda", lam, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: lam: {reason}\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "out, problem", [("x" * 300, "File name too long"), ("taken", "File exists")], ids=["long", "file"]
+    )
+    def test_refused_output_directory_names_out(self, tmp_path, capsys, monkeypatch, out, problem):
+        monkeypatch.chdir(tmp_path)
+        Path("taken").write_text("")
+        assert main(["analytic", "--out", out]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: out: [Errno ") and problem in line
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [(key, text) for key in _TYPED_FIELDS for text in ("abc", "")]
+        + [(key, "2.5") for key in ("K", "n", "seed", "grid")],
+    )
+    def test_flag_and_config_line_fail_alike(self, tmp_path, capsys, key, text):
+        # one rule converts both; argparse only splits the command line
+        out = str(tmp_path / "out")
+        assert main(["simulate", f"{_FLAGS[key]}={text}", "--out", out]) == 2
+        flag_err = capsys.readouterr().err
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"{key}={text}\n")
+        assert main(["simulate", "--config", str(cfg_path), "--out", out]) == 2
+        config_err = capsys.readouterr().err
+        assert flag_err.startswith(f"error: {key}: ")
+        assert config_err == flag_err.replace("error: ", f"error: {cfg_path}:1: ", 1)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_evaluate_checks_no_law_field(self, tmp_path, via):
+        # evaluate builds no law, so neither source of a law field is checked beyond its type
+        csv_path = tmp_path / "pioneers.csv"
+        write_sample_csv(JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8)).sample(500, seed=1), csv_path)
+        fields = {"degree": "foo", "lam": "-5", "beta": "1", "trans": "bar", "p": "7", "K": "-1"}
+        if via == "flags":
+            args = [f"{_FLAGS[key]}={value}" for key, value in fields.items()]
+        else:
+            (tmp_path / "run.cfg").write_text("".join(f"{key}={value}\n" for key, value in fields.items()))
+            args = ["--config", str(tmp_path / "run.cfg")]
+        assert main(["evaluate", str(csv_path), *args, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "evaluation.json").exists()
+
     @pytest.mark.parametrize(
         "argv, seed",
         [(["simulate", "--seed", "-1"], -1), (["sweep", "--seed", "-3", "--grid", "0:1:0.5"], -3), (["simulate"], -4)],
@@ -906,6 +1033,138 @@ class TestExitCodes:
         assert main(argv) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: degree_file: {path}: ") and detail in line
+
+
+#: values the property test draws for every field, after the field's own valid ones
+_HOSTILE = ["0", "-1", "nan", "inf", "-inf", "1e308", str(2**63), str(10**400), "abc", ""]
+#: valid values; the paths are relative to an example's working directory
+_VALID = {
+    "config": ["../base.cfg"],
+    "degree": ["poisson", "powerlaw", "empirical"],
+    "lam": ["3"],
+    "beta": ["3.2"],
+    "degree_file": ["../degrees.txt"],
+    "trans": ["bernoulli", "nodeperc", "coupon"],
+    "p": ["0.6"],
+    "K": ["3"],
+    "n": ["300"],
+    "seed": ["5"],
+    "grid": ["0:1:0.5"],
+    "gamma": ["0.5"],
+    "floor": ["0.01"],
+    "z": ["2"],
+    "cost_per_pioneer": ["10"],
+    "value_per_influenced": ["1"],
+    "out": ["o"],
+    "dump_graph": ["true", "no"],
+}
+#: the messages of the root step (RootBracketingError) name no field: a law
+#: whose root float64 cannot resolve is ROADMAP item 2, not bad input
+_ROOT_STEP = ("H ", "Hbar ", "H0 ", "viral condition ", "giant condition ")
+
+
+@st.composite
+def _cli_calls(draw):
+    """A subcommand, and one to three fields, each with a value and its source."""
+    command = draw(st.sampled_from(["simulate", "sweep", "analytic", "evaluate"]))
+    keys = draw(st.lists(st.sampled_from(list(_FLAGS)), min_size=1, max_size=3, unique=True))
+    values = {key: draw(st.sampled_from(_VALID[key] + _HOSTILE)) for key in keys}
+    # a config file drawn as a value leaves no room for config lines of our own
+    sources = st.just("flag") if "config" in keys else st.sampled_from(["flag", "line"])
+    return command, values, {key: "flag" if key == "config" else draw(sources) for key in keys}
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _runnable(command, values) -> bool:
+    """Whether running ``command`` with ``values`` commits no real memory or
+    time.  A value that numpy or a law constructor refuses outright is safe;
+    a large one that might be granted is not."""
+    n, lam, K = (_number(values.get(key, "0")) for key in ("n", "lam", "K"))
+    coupon_table = values.get("trans") == "coupon" and values.get("degree") != "powerlaw"
+    try:
+        start, stop, step = _parse_grid(values.get("grid", "0:1:1"))
+        points = (stop - start) / step + 1
+    except ValueError:
+        points = 0
+    return not (
+        2000 < n < 2**60
+        or 10 < lam < 1e19
+        or 50 < K < 2**60
+        or (K > 50 and coupon_table and command in ("analytic", "sweep"))
+        or points > 20
+    )
+
+
+def _names_its_source(line: str, paths) -> bool:
+    """``error: <field>: ``, ``error: <path>:<line>: <key>: ``, ``error: <path>: ``
+    or a root-step message."""
+    if not line.startswith("error: "):
+        return False
+    body = line.removeprefix("error: ")
+    fields = [re.escape(f.name) for f in dataclasses.fields(RunConfig)]
+    field = f"({'|'.join(fields)}): "
+    return (
+        body.startswith(_ROOT_STEP)
+        or re.match(field, body) is not None
+        or any(re.match(re.escape(path) + r":\d+: " + field, body) for path in paths)
+        or any(body.startswith(f"{path}: ") for path in paths)
+    )
+
+
+class TestExitStatusProperty:
+    """Every CLI call ends with exit 0, or exit 2 and a message that names
+    the field, line or file at fault."""
+
+    @settings(
+        derandomize=True,
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(call=_cli_calls())
+    def test_exit_0_or_2_naming_the_source(self, tmp_path, capsys, monkeypatch, call):
+        command, values, sources = call
+        if not (tmp_path / "pioneers.csv").exists():
+            law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8))
+            write_sample_csv(law.sample(300, seed=1), tmp_path / "pioneers.csv")
+            (tmp_path / "degrees.txt").write_text("1\n2\n2\n3\n")
+            (tmp_path / "base.cfg").write_text("n=200\n")
+        # hostile out values are relative paths: each example has a directory of its own
+        monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
+        # the "=" form: in "--lambda -inf", argparse would read -inf as an option
+        flags = [f"{_FLAGS[key]}={value}" for key, value in values.items() if sources[key] == "flag"]
+        flags += [] if "n" in values else ["--n=300"]
+        flags += [] if "grid" in values or command != "sweep" else ["--grid=0:1:0.5"]
+        lines = [f"{key}={value}\n" for key, value in values.items() if sources[key] == "line"]
+        if lines:
+            Path("run.cfg").write_text("".join(lines))
+            flags.append("--config=run.cfg")
+        paths = [values.get("config", "run.cfg"), "../pioneers.csv"]
+        if not _runnable(command, values):
+            # checked as far as the law's constructors, without running
+            common = argparse.ArgumentParser()
+            _add_common(common)
+            try:
+                cfg = _config_from_args(common.parse_args(flags))
+                cfg.validate()
+                if command != "evaluate":
+                    make_degree_law(cfg), make_transmission(cfg)
+            except ValueError as exc:
+                assert _names_its_source(f"error: {exc}", paths), exc
+            return
+        capsys.readouterr()
+        argv = [command, *(["../pioneers.csv"] if command == "evaluate" else []), *flags]
+        rc = main(argv)
+        assert rc in (0, 2)
+        if rc == 2:
+            err = capsys.readouterr().err
+            assert _names_its_source(err.splitlines()[-1], paths), (argv, err)
 
 
 _IMPORT_SET_SCRIPT = """
