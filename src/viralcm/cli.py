@@ -1,20 +1,7 @@
-"""Command-line front end: reproducible runs, sweeps, and evaluations.
-
-Subcommands
------------
-simulate   build one enhanced configuration model and measure reach
-sweep      vary the transmission parameter over a grid; write one CSV row
-           per grid point with simulated, plug-in, and closed-form fractions
-analytic   closed-form conditions, roots, fractions, and the offspring process
-evaluate   campaign decision procedure on a pioneer CSV
-
-Every output embeds the full run configuration and seed.  Configuration can
-come from a flat key=value file (``--config``); explicit flags override it.
-"""
+"""Command-line front end: reproducible runs, sweeps, and evaluations (see ``_USAGE``)."""
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
 import dataclasses
@@ -234,9 +221,11 @@ def _json_value(value, key: str = ""):
     return value
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """Write ``payload`` as strict JSON (:func:`_json_value`); nothing is
-    written unless all of it serialises."""
+def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
+    """A JSON output: ``payload`` with the config and the schema version, as
+    strict JSON (:func:`_json_value`); nothing is written unless all of it
+    serialises."""
+    payload = {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(), **payload}
     text = json.dumps(_json_value(payload), indent=2, sort_keys=True, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n")
@@ -288,8 +277,6 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
     out_dir = Path(cfg.out)
     outcome_path = out_dir / "outcome.json"
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
         "seed": cfg.seed,
         "n": outcome.reach_sizes.size,
         "alpha_hat_sim": outcome.alpha_hat_sim,
@@ -300,7 +287,7 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
         "method": "exact",  # from when large graphs were approximated; kept for readers
         "histogram": outcome.reach_histogram,
     }
-    _write_json(outcome_path, payload)
+    _write_json(outcome_path, cfg, payload)
 
     hist_path = out_dir / "reach_histogram.csv"
     histogram = [[f"{frac:.10g}", count] for frac, count in payload["histogram"]]
@@ -369,8 +356,6 @@ def cmd_analytic(cfg: RunConfig) -> list[Path]:
     # the offspring process survives iff the law is viral; its extinction
     # probability is the zero of Hbar, and 1 - G_Dt there is alpha_bar
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
         "result": dataclasses.asdict(result),
         "branching": {
             "supercritical": result.viral_condition,
@@ -382,91 +367,100 @@ def cmd_analytic(cfg: RunConfig) -> list[Path]:
     if _TRANSMISSIONS[cfg.trans][1] == "p":  # the probability models have a threshold in p
         payload["bernoulli_threshold"] = bernoulli_threshold(law.degree)
     path = Path(cfg.out) / "analysis.json"
-    _write_json(path, payload)
+    _write_json(path, cfg, payload)
     return [path]
 
 
 def cmd_evaluate(csv_path: str, cfg: RunConfig) -> list[Path]:
     sample = load_sample_csv(csv_path)
     report = evaluate_campaign(sample, cfg.z, cfg.cost_per_pioneer, cfg.value_per_influenced)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
-        "input_csv": str(csv_path),
-        "report": dataclasses.asdict(report),
-    }
+    payload = {"input_csv": str(csv_path), "report": dataclasses.asdict(report)}
     path = Path(cfg.out) / "evaluation.json"
-    _write_json(path, payload)
+    _write_json(path, cfg, payload)
     return [path]
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Command line
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file; flags override it")
-    parser.add_argument("--degree", help=f"degree law: {', '.join(_DEGREE_FIELDS)}")
-    parser.add_argument("--lambda", dest="lam", help="Poisson mean degree")
-    parser.add_argument("--beta", help="power-law exponent (> 2)")
-    parser.add_argument("--degree-file", dest="degree_file", help="one degree per line")
-    parser.add_argument("--trans", help=f"transmission model: {', '.join(_TRANSMISSIONS)}")
-    parser.add_argument("--p", help="transmission probability")
-    parser.add_argument("--K", help="coupon-collector message count")
-    parser.add_argument("--n", help="number of nodes / pioneers")
-    parser.add_argument("--seed", help="RNG seed")
-    parser.add_argument("--grid", help="sweep grid start:stop:step")
-    parser.add_argument("--gamma", help="good-pioneer cutoff vs max reach")
-    parser.add_argument("--floor", help="good-pioneer cutoff vs population")
-    parser.add_argument("--z", help="confidence multiplier for the tests")
-    parser.add_argument("--cost-per-pioneer", dest="cost_per_pioneer")
-    parser.add_argument("--value-per-influenced", dest="value_per_influenced")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument(
-        "--dump-graph", dest="dump_graph", nargs="?", const="true", help="simulate: write the influence arcs"
-    )
+_COMMANDS = {"simulate": cmd_simulate, "sweep": cmd_sweep, "analytic": cmd_analytic, "evaluate": cmd_evaluate}
+
+_USAGE = """\
+usage: viralcm {simulate,sweep,analytic} [--flag VALUE | --flag=VALUE ...]
+       viralcm evaluate CSV [--flag VALUE | --flag=VALUE ...]
+
+  simulate   build one enhanced configuration model and measure reach
+  sweep      simulated, plug-in and closed-form fractions over a transmission grid
+  analytic   closed-form conditions, roots, fractions, and the offspring process
+  evaluate   campaign decision procedure on a pioneer CSV (degree,transmitter_degree)
+
+flags, spelled out in full (a repeated flag's last value wins):"""
+
+#: Flag -> (the ``RunConfig`` field it sets, or ``config``; its help text).
+#: Each field's flag is ``--<field>`` with ``-`` for ``_``; ``lam``'s is ``--lambda``.
+_FLAGS = {
+    "--config": ("config", "flat key=value config file; flags override it"),
+    "--degree": ("degree", f"degree law: {', '.join(_DEGREE_FIELDS)}"),
+    "--lambda": ("lam", "Poisson mean degree"),
+    "--beta": ("beta", "power-law exponent (> 2)"),
+    "--degree-file": ("degree_file", "one degree per line"),
+    "--trans": ("trans", f"transmission model: {', '.join(_TRANSMISSIONS)}"),
+    "--p": ("p", "transmission probability"),
+    "--K": ("K", "coupon-collector message count"),
+    "--n": ("n", "number of nodes / pioneers"),
+    "--seed": ("seed", "RNG seed"),
+    "--grid": ("grid", "sweep grid start:stop:step"),
+    "--gamma": ("gamma", "good-pioneer cutoff vs max reach"),
+    "--floor": ("floor", "good-pioneer cutoff vs population"),
+    "--z": ("z", "confidence multiplier for the tests"),
+    "--cost-per-pioneer": ("cost_per_pioneer", "evaluate: cost of one pioneer"),
+    "--value-per-influenced": ("value_per_influenced", "evaluate: value of one influenced member"),
+    "--out": ("out", "output directory"),
+    "--dump-graph": ("dump_graph", "simulate: write the influence arcs; a switch, or =<bool>"),
+}
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    for key in _FIELD_TYPES:
-        text = getattr(args, key)
-        if text is not None:
-            _set_field(cfg, key, text)
-    return cfg
+def _split(argv) -> tuple[str, list[str], RunConfig]:
+    """The command, its positional words and its run settings.  A flag takes its
+    ``=value`` or else the next word; ``--dump-graph`` alone means true."""
+    command = argv[0] if argv else ""
+    if command not in _COMMANDS:
+        raise ValueError(f"command: expected one of {', '.join(_COMMANDS)}, got {command!r}")
+    words, texts, positionals = iter(argv[1:]), {}, []
+    for word in words:
+        flag, eq, text = word.partition("=")
+        if not word.startswith("-"):
+            positionals.append(word)
+            continue
+        if flag not in _FLAGS:
+            raise ValueError(f"{flag}: unknown flag")
+        if not eq:
+            text = "true" if flag == "--dump-graph" else next(words, None)
+            if text is None:
+                raise ValueError(f"{flag}: expected a value")
+        texts[_FLAGS[flag][0]] = text
+    config = texts.pop("config", None)
+    cfg = RunConfig.from_file(config) if config else RunConfig()
+    for key, text in texts.items():
+        _set_field(cfg, key, text)
+    if len(positionals) != (command == "evaluate"):
+        wanted = "one" if command == "evaluate" else "no"
+        raise ValueError(f"csv: {command} takes {wanted} pioneer CSV, got {positionals}")
+    return command, positionals, cfg
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="viralcm",
-        description="Influence diffusion on enhanced configuration models",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("simulate", "build a graph and measure per-pioneer reach"),
-        ("sweep", "sweep the transmission parameter over a grid"),
-        ("analytic", "closed-form conditions, roots, and fractions"),
-        ("evaluate", "campaign decision procedure on a pioneer CSV"),
-    ]:
-        p = sub.add_parser(name, help=help_text, parents=[common])
-        if name == "evaluate":
-            p.add_argument("csv", help="pioneer data: degree,transmitter_degree")
-
-    args = parser.parse_args(argv)
+    """0, or 2 after an ``error: …`` line naming the flag or field at fault; never ``SystemExit``."""
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_USAGE + "".join(f"\n  {flag:<23} {text}" for flag, (_, text) in _FLAGS.items()))
+        return 0
     try:
-        cfg = _config_from_args(args)
+        command, positionals, cfg = _split(argv)
         cfg.validate()
-        if args.command == "simulate":
-            written = cmd_simulate(cfg)
-        elif args.command == "sweep":
-            written = cmd_sweep(cfg)
-        elif args.command == "analytic":
-            written = cmd_analytic(cfg)
-        else:
-            written = cmd_evaluate(args.csv, cfg)
+        written = _COMMANDS[command](*positionals, cfg)
     except (ValueError, OSError, RootBracketingError) as exc:
         # every input file names itself in a ValueError, so an OSError is an output's
         print(f"error: {'out: ' if isinstance(exc, OSError) else ''}{exc}", file=sys.stderr)

@@ -28,6 +28,8 @@ __all__ = [
 
 #: Tail mass dropped when materializing an infinite support.
 DEFAULT_TAIL_MASS = 1e-12
+#: Most atoms a materialized pmf may hold.
+MAX_ATOMS = 20_000_000
 #: ``zeta`` takes arguments more than this above its pole at 1.
 ZETA_POLE_GAP = 1e-6
 
@@ -234,11 +236,21 @@ def poisson_pmf(lam: float, tail_mass: float = DEFAULT_TAIL_MASS) -> DiscretePmf
         raise ValueError("poisson_pmf requires lam > 0")
     # smallest k with P{X <= k} >= q, by the rule of scipy.stats.poisson.ppf
     q = 1.0 - tail_mass / 10.0
-    top = math.ceil(_sp.pdtrik(q, lam))
+    top = _sp.pdtrik(q, lam)
+    if not math.isfinite(top):  # pdtrik is NaN from about lam = 5e11
+        raise ValueError(f"lam: poisson({lam}) has no finite cutoff for tail mass {tail_mass}")
+    top = math.ceil(top)
     below = max(top - 1, 0)
     hi = (below if _sp.pdtr(below, lam) >= q else top) + 2
+    _check_atoms(f"lam: poisson({lam})", hi + 1, tail_mass, MAX_ATOMS)
     support = np.arange(hi + 1)
     return DiscretePmf(support, np.exp(_sp.xlogy(support, lam) - _sp.gammaln(support + 1) - lam))
+
+
+def _check_atoms(pmf: str, n: int, tail_mass: float, max_atoms: int) -> None:
+    """Refuse a pmf of more than ``max_atoms`` atoms before it is allocated."""
+    if n > max_atoms:
+        raise ValueError(f"{pmf} needs {n} atoms for tail mass {tail_mass}; exceeds max_atoms={max_atoms}")
 
 
 def zipf_tail_cutoff(beta: float, tail_mass: float) -> int:
@@ -253,11 +265,7 @@ def zipf_tail_cutoff(beta: float, tail_mass: float) -> int:
     return max(1, int(math.ceil(m)))
 
 
-def zipf_pmf(
-    beta: float,
-    tail_mass: float = DEFAULT_TAIL_MASS,
-    max_atoms: int = 20_000_000,
-) -> DiscretePmf:
+def zipf_pmf(beta: float, tail_mass: float = DEFAULT_TAIL_MASS, max_atoms: int = MAX_ATOMS) -> DiscretePmf:
     """Power-law pmf ``P{D=k} = k**-beta / zeta(beta)`` truncated at ``tail_mass``.
 
     Raises if the required support exceeds ``max_atoms`` (heavy tails near
@@ -265,11 +273,7 @@ def zipf_pmf(
     instead of a materialized pmf there).
     """
     cutoff = zipf_tail_cutoff(beta, tail_mass)
-    if cutoff > max_atoms:
-        raise ValueError(
-            f"zipf(beta={beta}) needs {cutoff} atoms for tail mass {tail_mass}; "
-            f"exceeds max_atoms={max_atoms}"
-        )
+    _check_atoms(f"zipf(beta={beta})", cutoff, tail_mass, max_atoms)
     support = np.arange(1, cutoff + 1)
     weights = support.astype(np.float64) ** (-beta) / zeta(beta)
     return DiscretePmf(support, weights)

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import dataclasses
 import json
@@ -21,9 +20,8 @@ from viralcm.analytic import analyze
 from viralcm.cli import (
     MAX_GRID_POINTS,
     RunConfig,
-    _add_common,
-    _config_from_args,
     _parse_grid,
+    _split,
     main,
     make_degree_law,
     make_transmission,
@@ -48,6 +46,15 @@ def check_golden(case):
     check_case(case)
     for path in Path("out").rglob("*.json"):
         json.loads(path.read_text(), parse_constant=reject_constant)
+
+
+def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter that imports this checkout's viralcm."""
+    src = str(Path(viralcm.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
 
 
 def read_sweep(path):
@@ -671,13 +678,27 @@ _BAD_LAW_FIELDS = {
     "degree_file-required": ({"degree": "empirical"}, "degree_file: required for the empirical degree law"),
 }
 def _common_flags() -> dict:
-    """``RunConfig`` field (and ``config``) -> its flag, from the parser itself."""
-    parser = argparse.ArgumentParser()
-    _add_common(parser)
-    return {a.dest: a.option_strings[0] for a in parser._actions if a.dest != "help"}
+    """``RunConfig`` field (and ``config``) -> its flag, from the CLI's flag table."""
+    return {field: flag for flag, (field, _) in viralcm.cli._FLAGS.items()}
 
 
 _FLAGS = _common_flags()
+#: a Poisson coupon law's atom table, through the law and through the CLI,
+#: under a 2 GiB address-space limit
+_POISSON_TABLE_SCRIPT = """
+import resource
+import sys
+
+from viralcm.cli import main
+from viralcm.populations import PoissonDegree
+
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+try:
+    PoissonDegree(float(sys.argv[1])).atoms()
+except ValueError as exc:
+    print(exc)
+sys.exit(main(["analytic", "--trans", "coupon", "--lambda", sys.argv[1], "--out", sys.argv[2]]))
+"""
 #: every field whose value has a type other than str or bool
 _TYPED_FIELDS = ["lam", "beta", "p", "K", "n", "seed", "grid", "gamma", "floor", "z"]
 _TYPED_FIELDS += ["cost_per_pioneer", "value_per_influenced"]
@@ -699,6 +720,69 @@ class TestExitCodes:
         assert main([command, *args, "--grid", "0:1:1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analytic", "--bogus", "1"], "--bogus: unknown flag"),
+            (["analytic", "--lam", "3"], "--lam: unknown flag"),
+            (["evaluate", "pioneers.csv", "--cost=1"], "--cost: unknown flag"),
+            (["analytic", "--lambda"], "--lambda: expected a value"),
+            ([], "command: expected one of simulate, sweep, analytic, evaluate, got ''"),
+            (["--n", "5"], "command: expected one of simulate, sweep, analytic, evaluate, got '--n'"),
+            (["simulat"], "command: expected one of simulate, sweep, analytic, evaluate, got 'simulat'"),
+            (["evaluate"], "csv: evaluate takes one pioneer CSV, got []"),
+            (["evaluate", "a.csv", "b.csv"], "csv: evaluate takes one pioneer CSV, got ['a.csv', 'b.csv']"),
+            (["simulate", "--n", "5", "stray"], "csv: simulate takes no pioneer CSV, got ['stray']"),
+        ],
+        ids=[
+            "unknown",
+            "abbreviated",
+            "abbreviated-eq",
+            "no-value",
+            "empty",
+            "flag-first",
+            "command",
+            "no-csv",
+            "two-csvs",
+            "stray-word",
+        ],
+    )
+    def test_malformed_command_lines_exit_2(self, tmp_path, capsys, monkeypatch, argv, message):
+        # a unique prefix of a flag (--lam, --cost) is no flag either
+        monkeypatch.chdir(tmp_path)  # the default out is "."
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_dump_graph_takes_a_value_after_equals_alone(self, tmp_path, capsys):
+        csv_path = tmp_path / "pioneers.csv"
+        write_sample_csv(JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8)).sample(200, seed=1), csv_path)
+        assert main(["evaluate", "--dump-graph", str(csv_path), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "evaluation.json").read_text())["config"]["dump_graph"] is True
+        out = tmp_path / "out"
+        assert main(["simulate", "--n", "20", "--dump-graph", "no", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: csv: simulate takes no pioneer CSV, got ['no']\n"
+        assert main(["simulate", "--n", "20", "--dump-graph=no", "--out", str(out)]) == 0
+        assert not (out / "influence_arcs.txt").exists()
+
+    @pytest.mark.parametrize(
+        "lam, detail",
+        [
+            ("1e9", r"poisson\(1000000000\.0\) needs \d+ atoms for tail mass 1e-12; exceeds max_atoms=20000000"),
+            ("1e12", r"poisson\(1000000000000\.0\) has no finite cutoff for tail mass 1e-12"),
+        ],
+        ids=["1e9", "1e12"],
+    )
+    def test_poisson_table_beyond_bound_names_lam(self, tmp_path, lam, detail):
+        # the table is refused before any array is allocated; the address-space
+        # limit makes one that is built anyway fail here instead of exhausting memory
+        proc = run_python(_POISSON_TABLE_SCRIPT, lam, str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        (message,) = proc.stdout.splitlines()
+        assert re.fullmatch("lam: " + detail, message), message
+        assert proc.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_rejects_bad_base_p(self, tmp_path, capsys):
         # the grid replaces p at every point, but the base value is still checked
@@ -911,7 +995,7 @@ class TestExitCodes:
         + [(key, "2.5") for key in ("K", "n", "seed", "grid")],
     )
     def test_flag_and_config_line_fail_alike(self, tmp_path, capsys, key, text):
-        # one rule converts both; argparse only splits the command line
+        # one rule converts both; the command line is only split
         out = str(tmp_path / "out")
         assert main(["simulate", f"{_FLAGS[key]}={text}", "--out", out]) == 2
         flag_err = capsys.readouterr().err
@@ -1065,13 +1149,19 @@ _ROOT_STEP = ("H ", "Hbar ", "H0 ", "viral condition ", "giant condition ")
 
 @st.composite
 def _cli_calls(draw):
-    """A subcommand, and one to three fields, each with a value and its source."""
+    """A command, and one to three fields, each with a value and its source."""
     command = draw(st.sampled_from(["simulate", "sweep", "analytic", "evaluate"]))
     keys = draw(st.lists(st.sampled_from(list(_FLAGS)), min_size=1, max_size=3, unique=True))
     values = {key: draw(st.sampled_from(_VALID[key] + _HOSTILE)) for key in keys}
-    # a config file drawn as a value leaves no room for config lines of our own
-    sources = st.just("flag") if "config" in keys else st.sampled_from(["flag", "line"])
-    return command, values, {key: "flag" if key == "config" else draw(sources) for key in keys}
+    # a flag is "--flag=value" or "--flag value"; a config file drawn as a
+    # value leaves no room for config lines of our own
+    forms = ["flag", "space"] if "config" in keys else ["flag", "space", "line"]
+    # --dump-graph is a switch, which takes a value after "=" alone
+    sources = {
+        key: draw(st.sampled_from([form for form in forms if (key, form) != ("dump_graph", "space")]))
+        for key in keys
+    }
+    return command, values, sources
 
 
 def _number(text):
@@ -1117,6 +1207,19 @@ def _names_its_source(line: str, paths) -> bool:
     )
 
 
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["-h"], ["analytic", "--help"]], ids=["bare", "command"])
+    def test_help_lists_every_field_once(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: viralcm ") and err == ""
+        assert not any(tmp_path.iterdir())
+        for field in dataclasses.fields(RunConfig):
+            flag = "--lambda" if field.name == "lam" else "--" + field.name.replace("_", "-")
+            assert len(re.findall(rf"(?<![\w-]){flag}(?![\w-])", out)) == 1, flag
+
+
 class TestExitStatusProperty:
     """Every CLI call ends with exit 0, or exit 2 and a message that names
     the field, line or file at fault."""
@@ -1137,8 +1240,12 @@ class TestExitStatusProperty:
             (tmp_path / "base.cfg").write_text("n=200\n")
         # hostile out values are relative paths: each example has a directory of its own
         monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
-        # the "=" form: in "--lambda -inf", argparse would read -inf as an option
-        flags = [f"{_FLAGS[key]}={value}" for key, value in values.items() if sources[key] == "flag"]
+        flags = []
+        for key, value in values.items():
+            if sources[key] == "flag":
+                flags.append(f"{_FLAGS[key]}={value}")
+            elif sources[key] == "space":
+                flags += [_FLAGS[key], value]
         flags += [] if "n" in values else ["--n=300"]
         flags += [] if "grid" in values or command != "sweep" else ["--grid=0:1:0.5"]
         lines = [f"{key}={value}\n" for key, value in values.items() if sources[key] == "line"]
@@ -1146,12 +1253,11 @@ class TestExitStatusProperty:
             Path("run.cfg").write_text("".join(lines))
             flags.append("--config=run.cfg")
         paths = [values.get("config", "run.cfg"), "../pioneers.csv"]
+        argv = [command, *(["../pioneers.csv"] if command == "evaluate" else []), *flags]
         if not _runnable(command, values):
             # checked as far as the law's constructors, without running
-            common = argparse.ArgumentParser()
-            _add_common(common)
             try:
-                cfg = _config_from_args(common.parse_args(flags))
+                cfg = _split(argv)[2]
                 cfg.validate()
                 if command != "evaluate":
                     make_degree_law(cfg), make_transmission(cfg)
@@ -1159,7 +1265,6 @@ class TestExitStatusProperty:
                 assert _names_its_source(f"error: {exc}", paths), exc
             return
         capsys.readouterr()
-        argv = [command, *(["../pioneers.csv"] if command == "evaluate" else []), *flags]
         rc = main(argv)
         assert rc in (0, 2)
         if rc == 2:
@@ -1212,26 +1317,12 @@ print(json.dumps(seen))
 class TestImportSet:
     def test_no_scipy_stats_or_optimize(self, tmp_path):
         # a fresh interpreter: this test session may have loaded both already
-        src = str(Path(viralcm.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_SET_SCRIPT, str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_python(_IMPORT_SET_SCRIPT, str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
 
     def test_sparse_stack_only_at_condensation(self, tmp_path):
-        src = str(Path(viralcm.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _SPARSE_IMPORT_SCRIPT, str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_python(_SPARSE_IMPORT_SCRIPT, str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == {
             "analytic, evaluate": [],

@@ -232,9 +232,23 @@ class TestStirling:
         (lambda: DiscretePmf([-1, 0], [0.5, 0.5]), "support must be non-negative"),
         (lambda: DiscretePmf([1, 1], [0.5, 0.5]), "support must be strictly increasing"),
         (lambda: poisson_pmf(0.0), "poisson_pmf requires lam > 0"),
+        (
+            lambda: poisson_pmf(2.1e7),
+            "lam: poisson(21000000.0) needs 21033687 atoms for tail mass 1e-12; exceeds max_atoms=20000000",
+        ),
+        (lambda: poisson_pmf(1e12), "lam: poisson(1000000000000.0) has no finite cutoff for tail mass 1e-12"),
         (lambda: zipf_tail_cutoff(1.0, 1e-12), "zipf cutoff requires beta > 1"),
     ],
-    ids=["pmf-not-1d", "pmf-empty", "pmf-negative", "pmf-not-increasing", "poisson-lam", "zipf-beta"],
+    ids=[
+        "pmf-not-1d",
+        "pmf-empty",
+        "pmf-negative",
+        "pmf-not-increasing",
+        "poisson-lam",
+        "poisson-atoms",
+        "poisson-cutoff",
+        "zipf-beta",
+    ],
 )
 def test_raise_paths(call, message):
     with pytest.raises(ValueError) as exc:
