@@ -2,14 +2,14 @@
 
 The forward dynamic (an influenced node pushes along its transmitter
 half-edges) and the reverse acknowledgement dynamic reveal exactly the
-uniform matching, so component membership reduces to reachability in the
-static influence digraph: the set a pioneer influences is its forward
-closure, and the pioneers that can influence a target form the target's
-backward closure.  Exact reach sizes for every node, at every n, come from
-one pass over the condensation of strongly connected components: the
-components upstream of the largest one share its forward closure, chains
-of single-successor components add up by pointer jumping, and only the
-components with several successors enumerate their closures.
+uniform matching, so a pioneer's reach is its forward closure in the static
+influence digraph, and a target's possible pioneers are its backward closure.
+Exact reach sizes for every node, at every n, come from one pass over the
+condensation of strongly connected components: the components upstream of
+the largest one share its forward closure, chains of single-successor
+components add up by pointer jumping, and only the components with several
+successors enumerate their closures.  Arcs and closure pairs travel as one
+packed key, row << shift | col, so sorted distinct keys are in CSR order.
 """
 
 from __future__ import annotations
@@ -38,13 +38,12 @@ DEFAULT_FLOOR = 0.01
 _CLOSURE_BLOCK = 1 << 12
 
 
-def _gather(indptr, indices, frontier):
-    """Successors of every frontier node, and how many each one has."""
-    counts = indptr[frontier + 1] - indptr[frontier]
+def _gather(indptr, indices, frontier, counts):
+    """Successors of every frontier node, which has ``counts`` of them."""
     starts = np.cumsum(counts) - counts
     offsets = np.arange(int(counts.sum()), dtype=np.int64)
     offsets += np.repeat(indptr[frontier] - starts, counts)
-    return indices[offsets], counts
+    return indices[offsets]
 
 
 def _bfs(indptr, indices, start: int, n: int) -> np.ndarray:
@@ -52,7 +51,7 @@ def _bfs(indptr, indices, start: int, n: int) -> np.ndarray:
     visited[start] = True
     frontier = np.array([start], dtype=np.int64)
     while frontier.size:
-        neigh = _gather(indptr, indices, frontier)[0]
+        neigh = _gather(indptr, indices, frontier, indptr[frontier + 1] - indptr[frontier])
         frontier = _unique(neigh[~visited[neigh]])
         visited[frontier] = True
     return visited
@@ -75,7 +74,7 @@ def reverse_reach(g: EnhancedGraph, target: int) -> np.ndarray:
 
 
 def _condensation(g: EnhancedGraph):
-    """SCC labels, per-SCC sizes, and deduplicated condensation edges."""
+    """SCC labels, per-SCC sizes, and distinct condensation edges sorted by (source, target)."""
     from scipy import sparse  # here, so that only the commands that condense a graph load it
     from scipy.sparse.csgraph import connected_components
     ids = index_dtype(g.n)
@@ -91,14 +90,18 @@ def _condensation(g: EnhancedGraph):
     labels = np.cumsum(core, dtype=ids)
     labels -= 1
     n_core = int(labels[-1]) + 1
+    # the core arcs as distinct keys row << shift | col, in CSR order: scipy's
+    # strong labelling miscounts SCCs, or does not finish, on duplicate entries
     inner = core[g.arc_src] & core[g.arc_dst]
-    # csr_matrix from COO sums duplicate arcs: on a CSR that holds duplicate
-    # entries, scipy's strong labelling miscounts SCCs or does not finish
-    adj = sparse.csr_matrix(
-        (np.ones(int(inner.sum()), dtype=bool), (labels[g.arc_src[inner]], labels[g.arc_dst[inner]])),
-        shape=(n_core, n_core),
-    )
-    del inner
+    shift = (n_core - 1).bit_length()
+    keys = labels[g.arc_src[inner]].astype(np.int64)
+    keys <<= shift
+    keys |= labels[g.arc_dst[inner]]
+    keys = _unique(keys)
+    cols = (keys & ((1 << shift) - 1)).astype(ids)
+    keys >>= shift
+    adj = sparse.csr_matrix((np.ones(cols.size, dtype=bool), cols, _indptr(keys, n_core)), shape=(n_core, n_core))
+    del inner, keys, cols
     n_core_scc, core_labels = connected_components(adj, directed=True, connection="strong")
     del adj
     n_scc = n_core_scc + g.n - n_core
@@ -111,27 +114,31 @@ def _condensation(g: EnhancedGraph):
     # the keys are built in place and each arc-sized array is freed once
     # used: at n = 1e6 the one-expression form raised simulate's peak by up
     # to 2 MB
+    shift = (n_scc - 1).bit_length()
     cs = labels[g.arc_src]
     cd = labels[g.arc_dst]
     keep = cs != cd
     keys = cs[keep].astype(np.int64)
     del cs
-    keys *= n_scc
-    keys += cd[keep]
+    keys <<= shift
+    keys |= cd[keep]
     del cd, keep
     keys = _unique(keys)
-    cs = (keys // n_scc).astype(ids)
-    keys %= n_scc
+    cs = (keys >> shift).astype(ids)
+    keys &= (1 << shift) - 1
     return n_scc, labels, sizes, cs, keys.astype(ids)
 
 
+def _indptr(rows, n):
+    """CSR row pointers over ``n`` rows of the arcs whose rows are ``rows``."""
+    indptr = np.zeros(n + 1, dtype=index_dtype(rows.size))
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
 def _csr_from_edges(src, dst, n):
-    # any order within a row will do: BFS keeps a visited set and the
-    # closure sums dedupe, and the default sort is several times faster
-    order = np.argsort(src)
-    indptr = np.zeros(n + 1, dtype=index_dtype(src.size))
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[order]
+    # any order within a row will do for BFS, and the default sort is fastest
+    return _indptr(src, n), dst[np.argsort(src)]
 
 
 @dataclass(frozen=True)
@@ -215,17 +222,18 @@ def _reach_sizes(g: EnhancedGraph) -> np.ndarray:
     """
     n_scc, labels, sizes, cs, cd = _condensation(g)
     giant = int(np.argmax(sizes))
-    fwd = _bfs(*_csr_from_edges(cs, cd, n_scc), giant, n_scc)
+    # the arcs come sorted by (source, target), and filtering keeps that order
+    fwd = _bfs(_indptr(cs, n_scc), cd, giant, n_scc)
     bwd = _bfs(*_csr_from_edges(cd, cs, n_scc), giant, n_scc)
     # in place, freeing each array once used: the one-expression mask
     # `~(bwd[cs] & fwd[cd])` raised simulate's peak at n = 1e6 by 8 MB
     keep = bwd[cs]
     keep &= fwd[cd]
     np.logical_not(keep, out=keep)
-    cs, cd = cs[keep], cd[keep]
-    del keep
-    ptr, idx = _csr_from_edges(cs, cd, n_scc)
-    del cs, cd
+    cs, idx = cs[keep], cd[keep]
+    del cd, keep
+    ptr = _indptr(cs, n_scc)
+    del cs
     fwd_size = int(np.sum(sizes, where=fwd))
     outside = np.where(fwd, 0, sizes)
     del fwd
@@ -246,32 +254,36 @@ def _closure_sums(ptr, idx, sizes, outside):
     n = sizes.size
     outdeg = np.diff(ptr)
     multi = np.nonzero(outdeg > 1)[0]
-    single = outdeg == 1
-    del outdeg
+    single = np.nonzero(outdeg == 1)[0]
 
-    # A node with two or more successors enumerates its closure as
-    # (block row, node) pairs, one successor level at a time; the graph is
-    # acyclic, so the levels run out.  Each level is deduplicated but not
-    # checked against earlier ones: a node at several depths (an
+    # A node with two or more successors enumerates its closure as packed
+    # (block row << shift | node) keys, one successor level at a time; the
+    # graph is acyclic, so the levels run out.  Each level is deduplicated
+    # but not checked against earlier ones: a node at several depths (an
     # unequal-length diamond) recurs until the final dedup, which on
     # configuration-model graphs costs a few percent of extra pairs and is
     # far cheaper than merging a visited set at every level.  The sums are
     # stored once every closure has read the sizes.
+    shift = (n - 1).bit_length()
+    mask = (1 << shift) - 1
     multi_tot = np.empty(multi.size, dtype=sizes.dtype)
     multi_out = np.empty(multi.size, dtype=sizes.dtype)
     for lo in range(0, multi.size, _CLOSURE_BLOCK):
         block = multi[lo : lo + _CLOSURE_BLOCK]
-        rows, nodes = np.arange(block.size, dtype=np.int64), block
-        levels = [rows * n + block]
+        heads = np.arange(block.size, dtype=np.int64) << shift
+        rows, nodes, levels = heads, block, [heads | block]
         while nodes.size:
-            neigh, counts = _gather(ptr, idx, nodes)
-            levels.append(_unique(np.repeat(rows, counts) * n + neigh))
-            rows, nodes = np.divmod(levels[-1], n)
-        rows, nodes = np.divmod(_unique(np.concatenate(levels)), n)
+            counts = outdeg[nodes]
+            keys = np.repeat(rows, counts)
+            keys |= _gather(ptr, idx, nodes, counts)
+            levels.append(_unique(keys))
+            rows, nodes = levels[-1] & ~mask, levels[-1] & mask
+        keys = _unique(np.concatenate(levels))
         del levels
-        starts = np.searchsorted(rows, np.arange(block.size))
-        multi_tot[lo : lo + block.size] = np.add.reduceat(sizes[nodes], starts)
-        multi_out[lo : lo + block.size] = np.add.reduceat(outside[nodes], starts)
+        starts = np.searchsorted(keys, heads)
+        keys &= mask
+        multi_tot[lo : lo + block.size] = np.add.reduceat(sizes[keys], starts)
+        multi_out[lo : lo + block.size] = np.add.reduceat(outside[keys], starts)
     sizes[multi], outside[multi] = multi_tot, multi_out
     del multi, multi_tot, multi_out
 
@@ -279,14 +291,14 @@ def _closure_sums(ptr, idx, sizes, outside):
     # several; a chain of single-successor nodes adds its own sizes on top,
     # summed by pointer jumping.
     nxt = np.arange(n, dtype=index_dtype(n))
-    nxt[single] = idx[ptr[:-1][single]]
-    active = np.nonzero(single & single[nxt])[0]
+    nxt[single] = idx[ptr[single]]
+    active = single[outdeg[nxt[single]] == 1]
     while active.size:
         step = nxt[active]
         sizes[active] += sizes[step]
         outside[active] += outside[step]
         nxt[active] = nxt[step]
-        active = active[single[nxt[active]]]
+        active = active[outdeg[nxt[active]] == 1]
     last = nxt[single]
     sizes[single] += sizes[last]
     outside[single] += outside[last]

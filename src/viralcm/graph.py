@@ -87,15 +87,20 @@ def build(sample: DegreeSample, seed) -> EnhancedGraph:
         del d
         pairs = np.arange(total, dtype=index_dtype(total))
         rng.shuffle(pairs)  # the draws and the permutation of rng.permutation(total)
-        a, b = pairs[0::2], pairs[1::2]
-        a_trans, b_trans = transmitter[a], transmitter[b]
+        trans = transmitter[pairs]
         del transmitter
-        return EnhancedGraph(
-            n=n,
-            arc_src=np.concatenate([owner[a[a_trans]], owner[b[b_trans]]]),
-            arc_dst=np.concatenate([owner[b[a_trans]], owner[a[b_trans]]]),
-            parity_fixed=parity_fixed,
-        )
+        ends = owner[pairs]
+        del owner, pairs
+        # ends 2i and 2i + 1 are matched, and the arcs from the even ends come
+        # first; take in mode "clip" writes to out directly, "raise" via a copy
+        arc_src, arc_dst = np.empty((2, int(np.count_nonzero(trans))), dtype=ends.dtype)
+        lo = 0
+        for half, src, dst in ((0, ends[0::2], ends[1::2]), (1, ends[1::2], ends[0::2])):
+            at = np.flatnonzero(trans[half::2])
+            np.take(src, at, out=arc_src[lo : lo + at.size], mode="clip")
+            np.take(dst, at, out=arc_dst[lo : lo + at.size], mode="clip")
+            lo += at.size
+        return EnhancedGraph(n=n, arc_src=arc_src, arc_dst=arc_dst, parity_fixed=parity_fixed)
     except MemoryError as exc:
         raise HalfEdgeMemoryError(f"{total} half-edges do not fit in memory: {exc}") from None
 

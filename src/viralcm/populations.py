@@ -159,7 +159,7 @@ class PoissonDegree:
             rng.poisson(self.lam, 0)  # numpy's bound on the mean; draws nothing
         except ValueError as exc:
             raise ValueError(f"lam: {exc}") from None
-        return rng.poisson(self.lam, n).astype(np.int64)
+        return rng.poisson(self.lam, n).astype(np.int64, copy=False)
 
     def __repr__(self):
         return f"PoissonDegree(lam={self.lam})"
@@ -365,7 +365,7 @@ class BernoulliTransmission(_Thinning):
         return DiscretePmf(k, w / w.sum())
 
     def sample_given(self, d: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return rng.binomial(d, self.p).astype(np.int64)
+        return rng.binomial(d, self.p).astype(np.int64, copy=False)
 
     def closed_forms(self, deg):
         """(E[D(t) x^D], G_Dt, Hbar) as functions of x on the degree law

@@ -244,7 +244,10 @@ def poisson_pmf(lam: float, tail_mass: float = DEFAULT_TAIL_MASS) -> DiscretePmf
     hi = (below if _sp.pdtr(below, lam) >= q else top) + 2
     _check_atoms(f"lam: poisson({lam})", hi + 1, tail_mass, MAX_ATOMS)
     support = np.arange(hi + 1)
-    return DiscretePmf(support, np.exp(_sp.xlogy(support, lam) - _sp.gammaln(support + 1) - lam))
+    try:  # from about lam = 1.5e7 the rounding of xlogy and gammaln adds up beyond 1e-9
+        return DiscretePmf(support, np.exp(_sp.xlogy(support, lam) - _sp.gammaln(support + 1) - lam))
+    except ValueError as exc:
+        raise ValueError(f"lam: poisson({lam}): {exc}") from None
 
 
 def _check_atoms(pmf: str, n: int, tail_mass: float, max_atoms: int) -> None:

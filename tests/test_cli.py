@@ -771,12 +771,16 @@ class TestExitCodes:
         [
             ("1e9", r"poisson\(1000000000\.0\) needs \d+ atoms for tail mass 1e-12; exceeds max_atoms=20000000"),
             ("1e12", r"poisson\(1000000000000\.0\) has no finite cutoff for tail mass 1e-12"),
+            ("1.5e7", r"poisson\(15000000\.0\): weights sum to 0\.99999999\d+, not 1 within 1e-9"),
         ],
-        ids=["1e9", "1e12"],
+        ids=["1e9", "1e12", "1.5e7"],
     )
     def test_poisson_table_beyond_bound_names_lam(self, tmp_path, lam, detail):
-        # the table is refused before any array is allocated; the address-space
-        # limit makes one that is built anyway fail here instead of exhausting memory
+        # the first two tables are refused before any array is allocated; the
+        # address-space limit makes one that is built anyway fail here instead
+        # of exhausting memory.  The 1.5e7 table is built (0.53 GB VmHWM and
+        # 1.5 s in all under the 2 GiB limit), and its weights miss 1 by the
+        # rounding of their logarithms
         proc = run_python(_POISSON_TABLE_SCRIPT, lam, str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
         (message,) = proc.stdout.splitlines()

@@ -8,6 +8,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
 
+from viralcm import diffusion
 from viralcm.analytic import mean_offspring
 from viralcm.diffusion import (
     _condensation,
@@ -169,7 +170,7 @@ class TestAllReach:
 
     def test_peak_memory(self):
         # int64 ids and closure sums peaked at 12.8 MiB here; int32, 7.4; the
-        # core-only labelling and the in-place reach pass, 6.1
+        # core-only labelling and the in-place reach pass, 6.1; packed keys, 6.2
         law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.55))
         g = build(law.sample(200_000, seed=1), seed=2)
         tracemalloc.start()
@@ -335,6 +336,24 @@ def assert_condensation_matches_networkx(h):
     assert sizes.tolist() == np.bincount(theirs)[[to_nx[c] for c in range(n_scc)]].tolist()
     assert cs.size == C.number_of_edges()
     assert {(to_nx[a], to_nx[b]) for a, b in zip(cs.tolist(), cd.tolist())} == set(C.edges)
+    # distinct and sorted by (source, target): the reach pass reads the
+    # forward CSR off them unsorted
+    arcs = list(zip(cs.tolist(), cd.tolist()))
+    assert arcs == sorted(set(arcs))
+
+
+def scc_dag(rng, n_scc):
+    """A digraph of exactly ``n_scc`` SCCs, each a lone node or a cycle of two
+    or three, joined by random arcs that run forward in one SCC order; node
+    ids are shuffled."""
+    size = rng.integers(1, 4, size=n_scc)
+    first = np.cumsum(size) - size
+    node = rng.permutation(int(size.sum()))
+    within = [(first[c] + i, first[c] + (i + 1) % size[c]) for c in np.nonzero(size > 1)[0] for i in range(size[c])]
+    a, b = np.sort(rng.integers(n_scc, size=(2, 2 * n_scc)), axis=0)
+    a, b = a[a < b], b[a < b]
+    across = zip((first[a] + rng.integers(size[a])).tolist(), (first[b] + rng.integers(size[b])).tolist())
+    return graph_from_arcs(node.size, [(int(node[u]), int(node[v])) for u, v in [*within, *across]])
 
 
 # (n, Bernoulli p) on Poisson(2): sub-, near- and supercritical (p_c = 1/2)
@@ -390,6 +409,37 @@ class TestNetworkxOracle:
         G = nx_digraph(g)
         expected = [len(nx.descendants(G, v)) + 1 for v in range(n)]
         assert all_reach(g).reach_sizes.tolist() == expected
+
+    @pytest.mark.parametrize("n_scc", [1, 2, 3, 4, 5, 8, 9, 64, 65, 1024, 1025])
+    def test_reach_at_key_shift_boundaries(self, n_scc):
+        # condensations of 2**k and 2**k + 1 SCCs: the packed (row, node)
+        # keys take k and k + 1 bits for the node
+        rng = np.random.default_rng(n_scc)
+        for _ in range(5):
+            g = scc_dag(rng, n_scc)
+            assert _condensation(g)[0] == n_scc
+            assert_condensation_matches_networkx(g)
+            G = nx_digraph(g)
+            assert all_reach(g).reach_sizes.tolist() == [len(nx.descendants(G, v)) + 1 for v in range(g.n)]
+
+    def test_unequal_diamonds_across_closure_blocks(self, monkeypatch):
+        # chained diamonds u -> v -> w -> x, u -> x beside a larger 3-cycle:
+        # x is at depths 1 and 3 of u's closure, and the 20 closures that
+        # every u and v enumerate (each has two successors) fill seven blocks
+        monkeypatch.setattr(diffusion, "_CLOSURE_BLOCK", 3)
+        arcs = [(0, 1), (1, 2), (2, 0)]
+        for k in range(10):
+            u, v, w, x = range(3 + 4 * k, 7 + 4 * k)
+            arcs += [(u, v), (v, w), (w, x), (u, x), (v, x + 1)]
+        g = graph_from_arcs(44, arcs)
+        G = nx_digraph(g)
+        assert all_reach(g).reach_sizes.tolist() == [len(nx.descendants(G, v)) + 1 for v in range(g.n)]
+        rng = np.random.default_rng(21)
+        for n, p in ORACLE_GRAPHS[:3]:
+            law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(p))
+            g = build(law.sample(n, rng), rng)
+            G = nx_digraph(g)
+            assert all_reach(g).reach_sizes.tolist() == [len(nx.descendants(G, v)) + 1 for v in range(n)]
 
     def test_giant_good_set_is_backward_closure_of_largest_scc(self):
         law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.7))
