@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 #: Required residual at a returned root, and so the most rounding error a
-#: power-law coupon sum may carry (:meth:`CouponCollector._powerlaw_expansion`).
+#: power-law coupon sum may carry (:func:`_coupon_expansion`).
 ROOT_RESIDUAL = 1e-12
 
 
@@ -175,7 +175,7 @@ class PowerLawDegree:
     pmf: truncating the tail to 1e-12 would need ~1e8 atoms at beta = 2.45.
     """
 
-    #: Inverse-CDF sampling table size; draws beyond it extend on the fly.
+    #: Inverse-CDF sampling table size; draws beyond it walk on in chunks.
     _TABLE = 1 << 20
 
     def __init__(self, beta: float):
@@ -218,45 +218,30 @@ class PowerLawDegree:
             out = np.where(x == 0.0, 1.0, polylog(self.beta - 1.0, x) / x) / self._zeta
         return out if out.ndim else float(out)
 
-    def neg_moment(self, r: int) -> float:
-        """E[D**-r] for integer r >= -1 (r = -1 is the mean)."""
-        if r == -1:
-            return self.mean
-        if r < -1:
-            raise ValueError("only E[D**-r] with r >= -1 is finite for all beta > 2")
-        return zeta(self.beta + r) / self._zeta if r > 0 else 1.0
-
     @cached_property
     def _cdf_table(self) -> np.ndarray:
         k = np.arange(1, self._TABLE + 1, dtype=np.float64)
         return np.cumsum(k ** (-self.beta)) / self._zeta
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Inverse-CDF sampling on the pmf truncated at tail mass 1e-12."""
+        """Inverse-CDF sampling on the pmf truncated at tail mass 1e-12: the
+        cached table, then doubling chunks past it, each built once for all
+        the draws still beyond it; the mass past the cutoff clamps to it."""
         u = rng.random(n)
         out = np.searchsorted(self._cdf_table, u, side="right") + 1
-        high = out > self._TABLE
-        if np.any(high):
-            cutoff = zipf_tail_cutoff(self.beta, DEFAULT_TAIL_MASS)
-            for i in np.nonzero(high)[0]:
-                out[i] = self._extend_quantile(float(u[i]), cutoff)
-        return out.astype(np.int64)
-
-    def _extend_quantile(self, u: float, cutoff: int) -> int:
-        total = float(self._cdf_table[-1])
-        k0 = self._TABLE + 1
-        chunk = self._TABLE
-        while k0 <= cutoff:
-            hi = min(k0 + chunk - 1, cutoff)
+        rest = np.flatnonzero(out > self._TABLE)
+        cutoff = zipf_tail_cutoff(self.beta, DEFAULT_TAIL_MASS)
+        out[rest] = cutoff
+        cdf, k0 = self._cdf_table, self._TABLE + 1
+        while rest.size and k0 <= cutoff:
+            hi = min(2 * k0 - 2, cutoff)  # the chunk is as long as all before it
             k = np.arange(k0, hi + 1, dtype=np.float64)
-            cdf = total + np.cumsum(k ** (-self.beta)) / self._zeta
-            j = np.searchsorted(cdf, u, side="right")
-            if j < cdf.size:
-                return k0 + int(j)
-            total = float(cdf[-1])
-            k0 = hi + 1
-            chunk *= 2
-        return cutoff  # mass beyond the truncation point (< 1e-12) clamps
+            cdf = cdf[-1] + np.cumsum(k ** (-self.beta)) / self._zeta
+            j = np.searchsorted(cdf, u[rest], side="right")
+            found = j < cdf.size
+            out[rest[found]] = k0 + j[found]
+            rest, k0 = rest[~found], hi + 1
+        return out.astype(np.int64, copy=False)
 
     def __repr__(self):
         return f"PowerLawDegree(beta={self.beta})"
@@ -430,7 +415,6 @@ class CouponCollector:
             raise ValueError(f"K: message count must be a non-negative integer, got {K}")
         self.K = int(K)
         self._stirling_row: list[int] = []
-        self._expansions: dict[float, tuple[list[float], np.ndarray, np.ndarray]] = {}
 
     def conditional_pmf(self, d: int) -> DiscretePmf:
         if d < 0:
@@ -479,14 +463,10 @@ class CouponCollector:
         return out
 
     def moments(self, deg) -> tuple[float, float]:
-        """(E[D(t)], E[D(t) D]): on a power law, zeta ratios weighted by the
-        signed binomials of :meth:`_powerlaw_expansion`; otherwise summed
-        over the degree atoms."""
+        """(E[D(t)], E[D(t) D]): on a power law, from :func:`_coupon_expansion`;
+        otherwise summed over the degree atoms."""
         if isinstance(deg, PowerLawDegree):
-            cs = self._powerlaw_expansion(deg)[0]
-            mean_dt = sum((c * deg.neg_moment(j - 1) for j, c in enumerate(cs, start=1)), 0.0)
-            mean_dt_d = sum((c * deg.neg_moment(j - 2) for j, c in enumerate(cs, start=1)), 0.0)
-            return mean_dt, mean_dt_d
+            return _coupon_expansion(deg.beta, self.K)[:2]
         support, weights = deg.atoms()
         mt = self.mean_t(support)
         return float(np.dot(weights, mt)), float(np.dot(weights, support * mt))
@@ -494,7 +474,7 @@ class CouponCollector:
     def closed_forms(self, deg):
         """(E[D(t) x^D], G_Dt, Hbar) as functions of x on a power law ``deg``:
         sum_j c_j Li_{beta+j-1}(x) / zeta(beta) and polynomials with the
-        coefficients a_k, k a_k and b_k - k a_k of :meth:`_powerlaw_expansion`.
+        coefficients a_k, k a_k and b_k - k a_k of :func:`_coupon_expansion`.
         ``None`` on a law with atoms, whose exact (d, t) table stands in once
         K passes the check of :meth:`mean_t`: no Stirling row is built for a K
         that the moments reject.
@@ -502,7 +482,7 @@ class CouponCollector:
         if not isinstance(deg, PowerLawDegree):
             _float("K", self.K)
             return None
-        cs, a, b = self._powerlaw_expansion(deg)
+        cs, a, b = _coupon_expansion(deg.beta, self.K)[2:]
         karr = np.arange(self.K + 1, dtype=np.float64)
         a_k, ka_k, b_ka_k = a.tolist(), (a * karr).tolist(), (b - a * karr).tolist()
         zb, mean_d = zeta(deg.beta), deg.mean
@@ -518,56 +498,62 @@ class CouponCollector:
 
         return m_dt_xd, g_dt, hbar
 
-    def _powerlaw_expansion(self, deg: PowerLawDegree) -> tuple[list[float], np.ndarray, np.ndarray]:
-        """Signed binomials c_j = (-1)**(j+1) C(K, j), j = 1..K, and the
-        coefficients a_k = P{D(t)=k} and b_k = E[D 1{D(t)=k}], k = 0..K, on
-        the power law ``deg``; kept on the instance per beta for later calls.
-
-        d(1 - (1 - 1/d)**K) = sum_j c_j d**(1-j), and P{D(t)=k | D=d} =
-        (d)_k {K over k} / d^K with (d)_k = sum_s s1(k, s) d^s, so both reduce
-        to zeta ratios E[D^-r]; s1(k, s) is carried from k - 1 by (d)_k =
-        (d)_(k-1) (d - k + 1).  Both sums cancel more as K grows: when one's
-        rounding bound u * sum|term| (u = 2**-53) exceeds ``ROOT_RESIDUAL``, a
-        ValueError names K, which admits K <= 6 for beta from 2.05 to 4.45.
-        The binomials' bound is checked term by term, so a large K is rejected
-        before any binomial can overflow a float or any Stirling row is built.
-        """
-        if deg.beta in self._expansions:
-            return self._expansions[deg.beta]
-        K, moment = self.K, deg.neg_moment
-
-        def check(total):
-            if 2.0**-53 * total > ROOT_RESIDUAL:
-                raise ValueError(
-                    f"K: {K} is too large for the power-law coupon expansion at beta={deg.beta}: its "
-                    f"rounding bound u*sum|term| = {2.0**-53 * total:.2g} exceeds {ROOT_RESIDUAL:g}"
-                )
-
-        cs, total = [], 0.0
-        for j in range(1, K + 1):
-            binom = math.comb(K, j)
-            # only K itself, at j = 1, can lie beyond float range; its bound is then inf
-            size = binom if binom <= sys.float_info.max else math.inf
-            total += size * (moment(j - 1) + moment(j - 2))
-            check(total)
-            cs.append((-1.0) ** (j + 1) * binom)
-        a = np.zeros(K + 1)
-        b = np.zeros(K + 1)
-        s1 = [1]
-        total = 0.0
-        for k, s2 in enumerate(stirling2_row(K, K)):
-            if k:
-                s1 = [hi - (k - 1) * lo for hi, lo in zip([0, *s1], [*s1, 0])]
-            for s, c in enumerate(s1):
-                w, ma, mb = float(s2) * float(c), moment(K - s), moment(K - s - 1)
-                a[k] += w * ma
-                b[k] += w * mb
-                total += abs(w) * (ma + mb)
-        check(total)
-        return self._expansions.setdefault(deg.beta, (cs, a, b))
-
     def __repr__(self):
         return f"CouponCollector(K={self.K})"
+
+
+@cache
+def _coupon_expansion(beta: float, K: int):
+    """E[D(t)] and E[D(t) D] of K coupons on the power law of exponent
+    ``beta``, the signed binomials c_j = (-1)**(j+1) C(K, j), j = 1..K, and
+    the coefficients a_k = P{D(t)=k} and b_k = E[D 1{D(t)=k}], k = 0..K;
+    built at the first call for each (beta, K) and kept for the process, so
+    c_j is a tuple and a_k and b_k are read-only.
+
+    d(1 - (1 - 1/d)**K) = sum_j c_j d**(1-j), and P{D(t)=k | D=d} =
+    (d)_k {K over k} / d^K with (d)_k = sum_s s1(k, s) d^s, so all reduce
+    to zeta ratios E[D^-r]; s1(k, s) is carried from k - 1 by (d)_k =
+    (d)_(k-1) (d - k + 1).  Both sums cancel more as K grows: when one's
+    rounding bound u * sum|term| (u = 2**-53) exceeds ``ROOT_RESIDUAL``, a
+    ValueError names K, which admits K <= 6 for beta from 2.05 to 4.45.
+    The binomials' bound is checked term by term, so a large K is rejected
+    before any binomial can overflow a float or any Stirling row is built.
+    """
+    zb = zeta(beta)
+
+    def moment(r):  # E[D**-r] for r >= -1
+        return zeta(beta + r) / zb if r else 1.0
+
+    def check(total):
+        if 2.0**-53 * total > ROOT_RESIDUAL:
+            raise ValueError(
+                f"K: {K} is too large for the power-law coupon expansion at beta={beta}: its "
+                f"rounding bound u*sum|term| = {2.0**-53 * total:.2g} exceeds {ROOT_RESIDUAL:g}"
+            )
+
+    cs, total = [], 0.0
+    for j in range(1, K + 1):
+        binom = math.comb(K, j)
+        # only K itself, at j = 1, can lie beyond float range; its bound is then inf
+        size = binom if binom <= sys.float_info.max else math.inf
+        total += size * (moment(j - 1) + moment(j - 2))
+        check(total)
+        cs.append((-1.0) ** (j + 1) * binom)
+    a, b = np.zeros(K + 1), np.zeros(K + 1)
+    s1, total = [1], 0.0
+    for k, s2 in enumerate(stirling2_row(K, K)):
+        if k:
+            s1 = [hi - (k - 1) * lo for hi, lo in zip([0, *s1], [*s1, 0])]
+        for s, c in enumerate(s1):
+            w, ma, mb = float(s2) * float(c), moment(K - s), moment(K - s - 1)
+            a[k] += w * ma
+            b[k] += w * mb
+            total += abs(w) * (ma + mb)
+    check(total)
+    a.flags.writeable = b.flags.writeable = False
+    mean_dt = sum((c * moment(j - 1) for j, c in enumerate(cs, start=1)), 0.0)
+    mean_dt_d = sum((c * moment(j - 2) for j, c in enumerate(cs, start=1)), 0.0)
+    return mean_dt, mean_dt_d, tuple(cs), a, b
 
 
 # ---------------------------------------------------------------------------

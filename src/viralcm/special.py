@@ -230,19 +230,19 @@ class DiscretePmf:
         return float(np.dot(self.weights, self.support.astype(np.float64) ** order))
 
 
-def poisson_pmf(lam: float, tail_mass: float = DEFAULT_TAIL_MASS) -> DiscretePmf:
-    """Poisson(``lam``) truncated so the dropped tail mass is <= ``tail_mass``."""
+def poisson_pmf(lam: float) -> DiscretePmf:
+    """Poisson(``lam``) truncated so the dropped tail mass is <= ``DEFAULT_TAIL_MASS``."""
     if lam <= 0:
         raise ValueError("poisson_pmf requires lam > 0")
     # smallest k with P{X <= k} >= q, by the rule of scipy.stats.poisson.ppf
-    q = 1.0 - tail_mass / 10.0
+    q = 1.0 - DEFAULT_TAIL_MASS / 10.0
     top = _sp.pdtrik(q, lam)
     if not math.isfinite(top):  # pdtrik is NaN from about lam = 5e11
-        raise ValueError(f"lam: poisson({lam}) has no finite cutoff for tail mass {tail_mass}")
+        raise ValueError(f"lam: poisson({lam}) has no finite cutoff for tail mass {DEFAULT_TAIL_MASS}")
     top = math.ceil(top)
     below = max(top - 1, 0)
     hi = (below if _sp.pdtr(below, lam) >= q else top) + 2
-    _check_atoms(f"lam: poisson({lam})", hi + 1, tail_mass, MAX_ATOMS)
+    _check_atoms(f"lam: poisson({lam})", hi + 1, DEFAULT_TAIL_MASS, MAX_ATOMS)
     support = np.arange(hi + 1)
     try:  # from about lam = 1.5e7 the rounding of xlogy and gammaln adds up beyond 1e-9
         return DiscretePmf(support, np.exp(_sp.xlogy(support, lam) - _sp.gammaln(support + 1) - lam))

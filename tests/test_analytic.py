@@ -192,7 +192,7 @@ class TestBundles:
         beta, K = 3.2, 3
         law = JointDegreeLaw(PowerLawDegree(beta), CouponCollector(K))
         bundle = build_genfns(law)
-        a, b = law.transmission._powerlaw_expansion(law.degree)[1:]
+        a, b = populations._coupon_expansion(beta, K)[3:]
         k = np.arange(K + 1, dtype=np.float64)
         pmf = zipf_pmf(beta, tail_mass=1e-10)
         tr = law.transmission
@@ -219,7 +219,6 @@ class TestBundles:
         # bound u * sum |term| (u = 2**-53), at most 1e-12 up to K = 6, plus
         # 4 u of its value for the float zeta ratios' own error.
         u = 2.0**-53
-        deg = PowerLawDegree(beta)
         with mpmath.workdps(50):
             zb = mpmath.zeta(beta)
 
@@ -227,7 +226,7 @@ class TestBundles:
                 return mpmath.zeta(beta - r) / zb
 
             for K in range(7):
-                a, b = CouponCollector(K)._powerlaw_expansion(deg)[1:]
+                a, b = populations._coupon_expansion(beta, K)[3:]
                 terms = [
                     [mpmath.stirling2(K, k, exact=True) * mpmath.stirling1(k, s, exact=True) for s in range(k + 1)]
                     for k in range(K + 1)
@@ -241,7 +240,7 @@ class TestBundles:
                         want = sum(t * moment(s + r) for s, t in enumerate(row))
                         assert abs(got - want) <= bound + 4 * u * abs(want)
         with pytest.raises(ValueError, match=r"^K: 7 is too large .* = [0-9.e-]+ exceeds 1e-12$"):
-            CouponCollector(7)._powerlaw_expansion(deg)
+            populations._coupon_expansion(beta, 7)
 
     @pytest.mark.parametrize("K", [40, 2000, 20_000])
     def test_coupon_K_rejected_before_any_stirling_row(self, monkeypatch, K):
@@ -261,8 +260,9 @@ class TestBundles:
             assert str(error.value).startswith(f"K: {K} is too large")
 
     def test_coupon_expansion_built_once_per_beta(self, monkeypatch):
-        # the moments and closed forms of one law share one expansion, and
-        # another beta on the same model gets its own
+        # the moments and closed forms of one law share one expansion, another
+        # beta gets its own, and another model of the same K reuses it
+        populations._coupon_expansion.cache_clear()
         rows = []
         monkeypatch.setattr(populations, "stirling2_row", lambda *a: rows.append(a) or stirling2_row(*a))
         coupon = CouponCollector(3)
@@ -273,6 +273,7 @@ class TestBundles:
             build_genfns(law)
             assert rows == [(3, 3)] * (1 + (beta == 3.2))
         assert analyze(JointDegreeLaw(PowerLawDegree(3.2), CouponCollector(3))) == analyze(law)
+        assert rows == [(3, 3)] * 2
 
     @pytest.mark.parametrize(
         "degree", [PoissonDegree(2.0), EmpiricalDegree.from_degrees([0, 1, 3, 3, 8])], ids=["poisson", "empirical"]

@@ -378,16 +378,12 @@ class TestValidation:
                 "power-law degree (beta=2.45) has no materialized atoms; "
                 "use its closed-form generating functions",
             ),
-            (
-                lambda: PowerLawDegree(2.45).neg_moment(-2),
-                "only E[D**-r] with r >= -1 is finite for all beta > 2",
-            ),
             (lambda: BernoulliTransmission(0.5).conditional_pmf(-1), "degree must be non-negative"),
             (lambda: NodePercolation(0.5).conditional_pmf(-1), "degree must be non-negative"),
             (lambda: CouponCollector(2).conditional_pmf(-1), "degree must be non-negative"),
         ],
         ids=[
-            "sample-not-1d", "sample-negative", "powerlaw-atoms", "powerlaw-neg-moment",
+            "sample-not-1d", "sample-negative", "powerlaw-atoms",
             "bernoulli-negative-degree", "nodeperc-negative-degree", "coupon-negative-degree",
         ],
     )
