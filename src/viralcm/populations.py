@@ -175,7 +175,7 @@ class PowerLawDegree:
     pmf: truncating the tail to 1e-12 would need ~1e8 atoms at beta = 2.45.
     """
 
-    #: Inverse-CDF sampling table size; draws beyond it walk on in chunks.
+    #: Inverse-CDF sampling table size; draws beyond it bisect on the Hurwitz zeta tail.
     _TABLE = 1 << 20
 
     def __init__(self, beta: float):
@@ -225,22 +225,20 @@ class PowerLawDegree:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF sampling on the pmf truncated at tail mass 1e-12: the
-        cached table, then doubling chunks past it, each built once for all
-        the draws still beyond it; the mass past the cutoff clamps to it."""
+        cached table, then one bisection, over all the draws past it at once,
+        for the least k with zeta(beta, k + 1) < (1 - u) zeta(beta); every
+        draw clamps to the cutoff."""
         u = rng.random(n)
-        out = np.searchsorted(self._cdf_table, u, side="right") + 1
-        rest = np.flatnonzero(out > self._TABLE)
         cutoff = zipf_tail_cutoff(self.beta, DEFAULT_TAIL_MASS)
-        out[rest] = cutoff
-        cdf, k0 = self._cdf_table, self._TABLE + 1
-        while rest.size and k0 <= cutoff:
-            hi = min(2 * k0 - 2, cutoff)  # the chunk is as long as all before it
-            k = np.arange(k0, hi + 1, dtype=np.float64)
-            cdf = cdf[-1] + np.cumsum(k ** (-self.beta)) / self._zeta
-            j = np.searchsorted(cdf, u[rest], side="right")
-            found = j < cdf.size
-            out[rest[found]] = k0 + j[found]
-            rest, k0 = rest[~found], hi + 1
+        out = np.minimum(np.searchsorted(self._cdf_table, u, side="right") + 1, cutoff)
+        rest = np.flatnonzero(out > self._TABLE)
+        v = (1.0 - u[rest]) * self._zeta  # 1 - u is exact: u > P{D=1} > 1/2
+        lo, hi = np.full(rest.size, self._TABLE), np.full(rest.size, cutoff)
+        while np.any(hi - lo > 1):  # k lies in (lo, hi]; the table, not zeta, put k past lo = _TABLE
+            mid = (lo + hi) // 2
+            below = (zeta(self.beta, mid + 1.0) < v) & (mid > lo)  # a settled draw (hi = lo + 1) keeps its hi
+            hi, lo = np.where(below, mid, hi), np.where(below, lo, mid)
+        out[rest] = hi
         return out.astype(np.int64, copy=False)
 
     def __repr__(self):

@@ -1,6 +1,6 @@
 """Special functions backing the closed-form network analysis.
 
-Provides the Riemann zeta function, the polylogarithm on [0, 1] (scalar or
+Provides the Hurwitz zeta function, the polylogarithm on [0, 1] (scalar or
 array argument), weighted row sums over a pmf-like table, rows of Stirling
 numbers of the second kind (for occupancy laws), a finite discrete pmf, and
 the grouping of integer keys into distinct values and counts.
@@ -34,11 +34,12 @@ MAX_ATOMS = 20_000_000
 ZETA_POLE_GAP = 1e-6
 
 
-def zeta(beta: float) -> float:
-    """Riemann zeta ``sum_{k>=1} k**-beta`` for real ``beta > 1``."""
+def zeta(beta: float, q=1.0):
+    """Hurwitz zeta ``sum_{k>=0} (k + q)**-beta`` for real ``beta > 1``; Riemann
+    zeta at q = 1.  A float ``q`` gives a float, an array ``q`` an array."""
     if beta <= 1.0 + ZETA_POLE_GAP:
         raise ValueError(f"zeta requires beta > 1 (got beta={beta})")
-    return float(_sp.zeta(beta, 1.0))
+    return float(_sp.zeta(beta, q)) if isinstance(q, float) else _sp.zeta(beta, q)
 
 
 #: ``polylog`` sums the direct series up to this x, Wood's expansion above.

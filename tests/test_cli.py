@@ -699,6 +699,23 @@ except ValueError as exc:
     print(exc)
 sys.exit(main(["analytic", "--trans", "coupon", "--lambda", sys.argv[1], "--out", sys.argv[2]]))
 """
+#: the seed-177 power-law sample near beta = 2 (one draw of 3.2e8) and its
+#: VmHWM in kB, then its simulate, under a 1 GiB address-space limit
+_POWERLAW_TAIL_SCRIPT = """
+import resource
+import sys
+
+from viralcm.cli import main
+from viralcm.populations import BernoulliTransmission, JointDegreeLaw, PowerLawDegree
+
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+law = JointDegreeLaw(PowerLawDegree(2.0000011), BernoulliTransmission(0.5))
+print(int(law.sample(1_000_000, 177).degree.max()))
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+argv = ["--degree", "powerlaw", "--beta", "2.0000011", "--n", "1000000", "--trans", "bernoulli", "--p", "0.5"]
+sys.exit(main(["simulate", *argv, "--seed", "177", "--out", sys.argv[1]]))
+"""
 #: every field whose value has a type other than str or bool
 _TYPED_FIELDS = ["lam", "beta", "p", "K", "n", "seed", "grid", "gamma", "floor", "z"]
 _TYPED_FIELDS += ["cost_per_pioneer", "value_per_influenced"]
@@ -958,6 +975,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert re.match(r"error: lam: \d{13} half-edges do not fit in memory: Unable to allocate", err)
         assert not any(tmp_path.iterdir())
+
+    def test_powerlaw_far_tail_draw_is_small_and_its_half_edges_name_beta(self, tmp_path):
+        # the draw of 320 055 290 bisects the Hurwitz zeta tail past the table
+        # (0.12 s, 88 MB VmHWM); the graph's 3.28e8 half-edges, not its 1e6
+        # nodes, are what cannot fit in 1 GiB
+        proc = run_python(_POWERLAW_TAIL_SCRIPT, str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        largest, hwm_kb = map(int, proc.stdout.split())
+        assert largest == 320_055_290
+        assert hwm_kb < 256 * 1024
+        assert proc.stderr.startswith("error: beta: 327939334 half-edges do not fit in memory: "), proc.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("n", [2**60, 2**63, 10**400], ids=["2^60", "2^63", "1e400"])

@@ -19,7 +19,7 @@ from viralcm.populations import (
     PoissonDegree,
     PowerLawDegree,
 )
-from viralcm.special import zeta, zipf_pmf
+from viralcm.special import DEFAULT_TAIL_MASS, zeta, zipf_pmf, zipf_tail_cutoff
 
 
 def enumerate_coupon_pmf(d, K):
@@ -29,6 +29,23 @@ def enumerate_coupon_pmf(d, K):
         k = len(set(seq))
         counts[k] = counts.get(k, 0) + 1
     return {k: Fraction(c, d**K) for k, c in counts.items()}
+
+
+class _FixedDraws:
+    """A generator stand-in whose one ``random(n)`` call returns the given draws."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u
+
+
+class _TinyTable(PowerLawDegree):
+    """The power law with a 64-entry table, so that many draws land past it."""
+
+    _TABLE = 64
 
 
 class TestConditionalPmf:
@@ -208,6 +225,38 @@ class TestSampling:
         tiny = TinyTable(2.45).sample(5000, np.random.default_rng(13))
         assert int(full.max()) > 64  # the extension path actually ran
         assert np.array_equal(full, tiny)
+
+    @pytest.mark.parametrize("beta", [2.45, 3.2, 4.45, 6.0])
+    def test_powerlaw_table_and_tail_share_one_quantile_and_cutoff(self, beta):
+        # a draw in the table past the truncation cutoff clamps to it as a
+        # draw past the table does (3 731 > 2 068 at beta = 4.45 unclamped);
+        # the last entry of a 64-entry table is the first u past it, and its
+        # draw stays 65 while a far draw bisects beside it, though at these
+        # beta the rounded table puts that u above the exact CDF at 64
+        cutoff = zipf_tail_cutoff(beta, DEFAULT_TAIL_MASS)
+        laws = (PowerLawDegree(beta), _TinyTable(beta))
+        far = [law.sample(3, _FixedDraws(np.full(3, 1.0 - 2.0**-43))) for law in laws]
+        assert np.array_equal(*far) and int(far[0].max()) <= cutoff
+        edge = np.array([laws[1]._cdf_table[-1], 1.0 - 2.0**-43])
+        assert [law.sample(2, _FixedDraws(edge))[0] for law in laws] == [65, 65]
+
+    @pytest.mark.parametrize("beta", [2.0000011, 2.45, 3.2])
+    def test_powerlaw_tail_draws_invert_the_hurwitz_tail(self, beta):
+        # 100 draws forced past a 64-entry table, each checked against a
+        # 50-digit mpmath tail: zeta(beta, k) >= (1 - u) zeta(beta) > zeta(beta, k + 1)
+        law = _TinyTable(beta)
+        first = law._cdf_table[-1]
+        u = first + (1.0 - first) * np.random.default_rng(5).random(100)
+        k = law.sample(u.size, _FixedDraws(u))
+        cutoff = zipf_tail_cutoff(beta, DEFAULT_TAIL_MASS)
+        assert int(k.min()) >= 65 and int(k.max()) <= cutoff
+        with mpmath.workdps(50):
+            b = mpmath.mpf(beta)
+            z = mpmath.zeta(b)
+            for ki, ui in zip(k.tolist(), u.tolist()):
+                v = 1 - mpmath.mpf(ui)
+                assert mpmath.zeta(b, ki) / z >= v, (ki, ui)
+                assert ki == cutoff or v > mpmath.zeta(b, ki + 1) / z, (ki, ui)
 
 
 class TestMoments:

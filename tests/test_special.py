@@ -62,10 +62,23 @@ class TestZeta:
         mean = zeta(1.45) / zeta(2.45)
         assert mean == pytest.approx(2.0, rel=0.05)
 
+    @pytest.mark.parametrize("beta", [2.0000011, 2.45, 6.0])
+    def test_hurwitz_float_and_array_q_match_mpmath(self, beta):
+        # the power-law sampler bisects on zeta(beta, k + 1) with an array q
+        q = [1.0, 65.0, 1048577.0, 320055291.0]
+        got = [zeta(beta, x) for x in q]
+        assert all(type(g) is float for g in got)
+        assert np.array_equal(zeta(beta, np.array(q)), got)
+        with mpmath.workdps(30):
+            for x, g in zip(q, got):
+                assert abs(g / mpmath.zeta(beta, x) - 1) < 1e-14, x
+
     @pytest.mark.parametrize("bad", [1.0, 0.5, -3.0, 1.0000005])
     def test_domain_error(self, bad):
         with pytest.raises(ValueError):
             zeta(bad)
+        with pytest.raises(ValueError):
+            zeta(bad, np.array([65.0]))
 
 
 class TestPolylog:
