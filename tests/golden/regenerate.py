@@ -4,7 +4,8 @@
 
 runs every case in a fresh temporary directory and rewrites
 ``manifest.json`` beside this file: the SHA-256 of each file a case writes,
-and the Python, numpy and scipy versions that made them.  The tests run
+and the Python, numpy and scipy versions that made them.  It names on
+stderr each case whose hashes changed, appeared or vanished.  The tests run
 the same cases and compare.  Each case runs from its own working directory
 with a relative ``--out`` (and relative input paths), so the configuration
 embedded in the outputs is the same string on every run.  A change that
@@ -223,8 +224,16 @@ def regenerate() -> dict:
                 cases[name] = run_case(name)
             finally:
                 os.chdir(here)
+    old = json.loads(MANIFEST.read_text())["cases"] if MANIFEST.exists() else {}
     manifest = {"versions": versions(), "cases": cases}
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    for name in sorted(set(old) | set(cases)):
+        if name not in cases:
+            print(f"vanished: {name}", file=sys.stderr)
+        elif name not in old:
+            print(f"appeared: {name}", file=sys.stderr)
+        elif old[name] != cases[name]:
+            print(f"changed: {name}", file=sys.stderr)
     return manifest
 
 
