@@ -11,7 +11,9 @@ fractions come from the unique zeros in (0, 1) of
 as alpha = 1 - G_D(xi), alpha_bar = 1 - G_Dt(xi_bar) (good pioneers), and
 alpha0 = 1 - G_D(xi0) (the giant component of the undirected graph, which
 exists iff E[D(D-2)] > 0).  All of this works both for a parametric
-population law and for the plug-in estimators built from a degree sample.
+population law and for the plug-in estimators built from a degree sample:
+a law's functions come from its transmission model's closed forms on its
+degree law, a sample's from its weighted (degree, transmitter degree) table.
 """
 
 from __future__ import annotations
@@ -106,19 +108,28 @@ def _is_critical(margin: float) -> bool:
 def build_genfns(source) -> GenFnBundle:
     """Generating-function bundle from a JointDegreeLaw or a DegreeSample.
 
-    A law goes through its transmission model's closed forms
-    (:func:`_bundle_from_law`); a sample, and a law whose model has none on
-    its degree law (the coupon model on a law with atoms), through a
-    weighted (degree, transmitter degree) table.
+    A sample goes through its weighted (degree, transmitter degree) table
+    (:func:`_bundle_from_pairs`).  A law goes through its transmission
+    model's closed forms E[D(t) x^D], G_Dt and Hbar on its degree law,
+    completed with the two functions common to every model:
+    H = E[D] x^2 - E[D(r)] x - E[D(t) x^D] and H0 = E[D] x^2 - x G_D'(x).
     """
     if isinstance(source, DegreeSample):
         return _bundle_from_pairs(*_sample_pairs(source))
     if not isinstance(source, JointDegreeLaw):
         raise TypeError(f"cannot build generating functions from {type(source).__name__}")
-    forms = source.transmission.closed_forms(source.degree)
-    if forms is None:
-        return _bundle_from_pairs(*_pair_table(source))
-    return _bundle_from_law(source, *forms)
+    m_dt_xd, g_dt, hbar = source.transmission.closed_forms(source.degree)
+    mom = source.moments()
+    mean_d, mean_dr = mom.mean_d, mom.mean_d - mom.mean_dt
+    dg_d = source.degree.pgf_prime
+
+    def h(x):
+        return mean_d * x * x - mean_dr * x - m_dt_xd(x)
+
+    def h0(x):
+        return mean_d * x * x - x * dg_d(x)
+
+    return GenFnBundle(h=h, hbar=hbar, h0=h0, g_d=source.degree.pgf, g_dt=g_dt)
 
 
 def _sample_pairs(sample: DegreeSample):
@@ -134,19 +145,6 @@ def _sample_pairs(sample: DegreeSample):
     keys += t
     keys, counts = _unique(keys, return_counts=True)
     return keys // base, keys % base, counts.astype(np.float64) / len(sample)
-
-
-def _pair_table(law: JointDegreeLaw):
-    """(d, t, P{D=d, D(t)=t}) over the degree atoms and their conditional pmfs."""
-    support, weights = law.degree.atoms()
-    tr = law.transmission
-    ds, ts, ws = [], [], []
-    for di, wi in zip(support, weights):
-        cpmf = tr.conditional_pmf(int(di))
-        ds.append(np.full(cpmf.support.size, di, dtype=np.int64))
-        ts.append(cpmf.support)
-        ws.append(wi * cpmf.weights)
-    return np.concatenate(ds), np.concatenate(ts), np.concatenate(ws)
 
 
 def _bundle_from_pairs(d: np.ndarray, t: np.ndarray, w: np.ndarray) -> GenFnBundle:
@@ -167,24 +165,6 @@ def _bundle_from_pairs(d: np.ndarray, t: np.ndarray, w: np.ndarray) -> GenFnBund
         g_d=partial(weighted_sum, w=w, terms=lambda c: c**d),
         g_dt=partial(weighted_sum, w=w, terms=lambda c: c**t),
     )
-
-
-def _bundle_from_law(law: JointDegreeLaw, m_dt_xd, g_dt, hbar) -> GenFnBundle:
-    """Bundle of a law from its transmission model's closed forms
-    E[D(t) x^D], G_Dt and Hbar, with the two functions common to every
-    model: H = E[D] x^2 - E[D(r)] x - E[D(t) x^D] and H0 = E[D] x^2 - x G_D'(x).
-    """
-    mom = law.moments()
-    mean_d, mean_dr = mom.mean_d, mom.mean_d - mom.mean_dt
-    dg_d = law.degree.pgf_prime
-
-    def h(x):
-        return mean_d * x * x - mean_dr * x - m_dt_xd(x)
-
-    def h0(x):
-        return mean_d * x * x - x * dg_d(x)
-
-    return GenFnBundle(h=h, hbar=hbar, h0=h0, g_d=law.degree.pgf, g_dt=g_dt)
 
 
 # ---------------------------------------------------------------------------

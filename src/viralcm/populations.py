@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -470,23 +470,37 @@ class CouponCollector:
         return float(np.dot(weights, mt)), float(np.dot(weights, support * mt))
 
     def closed_forms(self, deg):
-        """(E[D(t) x^D], G_Dt, Hbar) as functions of x on a power law ``deg``:
-        sum_j c_j Li_{beta+j-1}(x) / zeta(beta) and polynomials with the
-        coefficients a_k, k a_k and b_k - k a_k of :func:`_coupon_expansion`.
-        ``None`` on a law with atoms, whose exact (d, t) table stands in once
-        K passes the check of :meth:`mean_t`: no Stirling row is built for a K
-        that the moments reject.
+        """(E[D(t) x^D], G_Dt, Hbar) as functions of x on the degree law
+        ``deg``.  D(t) <= K, so G_Dt and Hbar are polynomials with the
+        coefficients a_k, k a_k and b_k - k a_k, where a_k = P{D(t)=k} and
+        b_k = E[D 1{D(t)=k}].  On a power law, a_k, b_k and E[D(t) x^D] =
+        sum_j c_j Li_{beta+j-1}(x) / zeta(beta) come from
+        :func:`_coupon_expansion`.  On a law with atoms, a_k and b_k are
+        summed once over the atoms' conditional pmfs, for k up to min(K,
+        largest atom); E[D(t) x^D] sums E[D(t) | D=d] x^d over the atoms; and
+        Hbar's E[D] is the atoms' own, sum_k b_k, so Hbar(1) cancels to
+        rounding.  :meth:`mean_t` checks K first: no Stirling row is built
+        for a K that the moments reject.
         """
-        if not isinstance(deg, PowerLawDegree):
-            _float("K", self.K)
-            return None
-        cs, a, b = _coupon_expansion(deg.beta, self.K)[2:]
-        karr = np.arange(self.K + 1, dtype=np.float64)
-        a_k, ka_k, b_ka_k = a.tolist(), (a * karr).tolist(), (b - a * karr).tolist()
-        zb, mean_d = zeta(deg.beta), deg.mean
+        if isinstance(deg, PowerLawDegree):
+            cs, a, b = _coupon_expansion(deg.beta, self.K)[2:]
+            zb, mean_d = zeta(deg.beta), deg.mean
 
-        def m_dt_xd(x):
-            return sum(c * polylog(deg.beta + j - 1.0, x) for j, c in enumerate(cs, start=1)) / zb
+            def m_dt_xd(x):
+                return sum(c * polylog(deg.beta + j - 1.0, x) for j, c in enumerate(cs, start=1)) / zb
+
+        else:
+            support, weights = deg.atoms()
+            m_dt_xd = partial(weighted_sum, w=weights * self.mean_t(support), terms=lambda c: c**support)
+            a = np.zeros(min(self.K, int(support[-1])) + 1)
+            b = np.zeros_like(a)
+            for d, w in zip(support.tolist(), weights.tolist()):
+                cpmf = self.conditional_pmf(d)
+                a[cpmf.support] += w * cpmf.weights
+                b[cpmf.support] += w * d * cpmf.weights
+            mean_d = float(b.sum())
+        karr = np.arange(a.size, dtype=np.float64)
+        a_k, ka_k, b_ka_k = a.tolist(), (a * karr).tolist(), (b - a * karr).tolist()
 
         def g_dt(x):
             return _horner(x, a_k)

@@ -37,6 +37,7 @@ from viralcm.populations import (
 )
 from viralcm.special import DiscretePmf, stirling2_row, zeta, zipf_pmf
 
+from golden.regenerate import DEGREES
 from offspring_oracle import extinction_bracket
 
 
@@ -770,6 +771,124 @@ class TestBundleOracle:
         for name, oracle in zip(names, brute_bundle(law, x)):
             assert getattr(bundle, name)(x) == pytest.approx(oracle, abs=1e-10), name
 
+
+
+def coupon_polynomials(atoms, K):
+    """Coefficients, lowest power first, of H, Hbar, H0, G_D and G_Dt for K
+    coupons on the degree law ``atoms`` ((d, P{D=d}) pairs), summed at 50
+    digits over the (d, t) rows of their definitions (module docstring of
+    ``viralcm.analytic``).  P{D(t)=t | D=d} = C(d, t) surj(K, t) / d**K,
+    with surj(K, t), the maps of K picks onto t friends, by
+    inclusion-exclusion."""
+    with mpmath.workdps(50):
+        top = max(d for d, _ in atoms) + 2
+        h, hbar, h0, g_d, g_dt = ([mpmath.mpf(0)] * top for _ in range(5))
+        for d, wd in atoms:
+            for t in range(min(d, K) + 1):
+                surj = sum((-1) ** i * math.comb(t, i) * (t - i) ** K for i in range(t + 1))
+                w = wd * (mpmath.mpf(math.comb(d, t) * surj) / mpmath.mpf(d) ** K if d else 1)
+                for poly in (h, hbar, h0):
+                    poly[2] += w * d
+                h[1] -= w * (d - t)
+                h[d] -= w * t
+                hbar[t] -= w * t
+                hbar[t + 1] -= w * (d - t)
+                h0[d] -= w * d
+                g_d[d] += w
+                g_dt[t] += w
+    return h, hbar, h0, g_d, g_dt
+
+
+def poisson_atoms(lam):
+    """(d, P{D=d}) of Poisson(lam) at 50 digits, up to the first atom below 1e-50 past the mean."""
+    with mpmath.workdps(50):
+        atoms, w = [], mpmath.exp(-mpmath.mpf(lam))
+        while len(atoms) <= lam or w >= mpmath.mpf(10) ** -50:
+            atoms.append((len(atoms), w))
+            w = w * lam / len(atoms)
+    return atoms
+
+
+def empirical_atoms(degrees):
+    """(d, P{D=d}) of a degree list at 50 digits."""
+    counts = collections.Counter(degrees)
+    with mpmath.workdps(50):
+        return [(d, mpmath.mpf(c) / len(degrees)) for d, c in sorted(counts.items())]
+
+
+class TestCouponOnAtoms:
+    """The coupon model on a law with atoms goes through its closed forms:
+    polynomials in x whose coefficients are summed over the atoms."""
+
+    @pytest.mark.parametrize(
+        "degree",
+        [PoissonDegree(2.0), PoissonDegree(3.5), EmpiricalDegree.from_degrees(DEGREES)],
+        ids=["poisson2", "poisson3.5", "golden-empirical"],
+    )
+    def test_degree_law_quantities_shared_by_every_model(self, degree):
+        # xi0, alpha0 and G_D belong to the degree law alone, so every
+        # transmission model gives the same floats; alpha is 1 - G_D(xi)
+        laws = [
+            JointDegreeLaw(degree, tr)
+            for tr in (BernoulliTransmission(0.8), NodePercolation(0.8), CouponCollector(3), CouponCollector(25))
+        ]
+        results = [analyze(law) for law in laws]
+        g_d = [build_genfns(law).g_d for law in laws]
+        for res, g in zip(results, g_d):
+            assert (res.xi0, res.alpha0) == (results[0].xi0, results[0].alpha0)
+            assert np.array_equal(g(_SCAN_GRID), g_d[0](_SCAN_GRID))
+            assert res.alpha == 1.0 - g_d[0](res.xi)
+
+    @pytest.mark.parametrize(
+        "atoms,degree,K",
+        [
+            (poisson_atoms(2), PoissonDegree(2.0), 3),
+            (poisson_atoms(2), PoissonDegree(2.0), 25),
+            (poisson_atoms(5), PoissonDegree(5.0), 3),
+            (empirical_atoms(DEGREES), EmpiricalDegree.from_degrees(DEGREES), 3),
+            (empirical_atoms(DEGREES), EmpiricalDegree.from_degrees(DEGREES), 25),
+        ],
+        ids=["poisson2-K3", "poisson2-K25", "poisson5-K3", "empirical-K3", "empirical-K25"],
+    )
+    def test_fractions_match_mpmath_sums_over_rows(self, atoms, degree, K):
+        # each root of the 50-digit polynomials is refined inside a bracket
+        # of +-1e-9 around the returned one, where it must change sign
+        res = analyze(JointDegreeLaw(degree, CouponCollector(K)))
+        h, hbar, h0, g_d, g_dt = coupon_polynomials(atoms, K)
+        with mpmath.workdps(50):
+            for root, f, g, fraction in (
+                (res.xi, h, g_d, res.alpha),
+                (res.xi_bar, hbar, g_dt, res.alpha_bar),
+                (res.xi0, h0, g_d, res.alpha0),
+            ):
+
+                def poly(x, c=f[::-1]):
+                    return mpmath.polyval(c, x)
+
+                lo, hi = mpmath.mpf(root) - 1e-9, mpmath.mpf(root) + 1e-9
+                assert poly(lo) * poly(hi) < 0
+                want = mpmath.findroot(poly, (lo, hi), solver="illinois")
+                assert abs(root - want) <= 1e-13
+                assert abs(fraction - (1 - mpmath.polyval(g[::-1], want))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "degree,K",
+        [
+            (PoissonDegree(2.0), 20_000),
+            (EmpiricalDegree.from_degrees(DEGREES), 3),
+            (EmpiricalDegree.from_degrees(DEGREES), 25),
+        ],
+        ids=["poisson2-K20000", "empirical-K3", "empirical-K25"],
+    )
+    def test_polynomial_degree_is_min_of_K_and_largest_atom(self, monkeypatch, degree, K):
+        # D(t) <= min(D, K): coefficients beyond the largest atom would all be 0
+        lengths = []
+        horner = populations._horner
+        monkeypatch.setattr(populations, "_horner", lambda x, c: lengths.append(len(c)) or horner(x, c))
+        g_dt, hbar = CouponCollector(K).closed_forms(degree)[1:]
+        g_dt(0.5)
+        hbar(0.5)
+        assert lengths == [min(K, int(degree.atoms()[0].max())) + 1] * 3
 
 @functools.cache
 def zipf_sum(s, z):
