@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .populations import ROOT_RESIDUAL, DegreeSample, JointDegreeLaw, JointMoments
-from .special import _unique, weighted_sum
+from .special import weighted_sum
 
 __all__ = [
     "GenFnBundle",
@@ -60,8 +60,6 @@ _SCAN_GRID = np.concatenate(
         1.0 - 10.0 ** -(6.0 + np.arange(1, 61) / 10.0),
     ]
 )
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class RootBracketingError(RuntimeError):
@@ -115,7 +113,8 @@ def build_genfns(source) -> GenFnBundle:
     H = E[D] x^2 - E[D(r)] x - E[D(t) x^D] and H0 = E[D] x^2 - x G_D'(x).
     """
     if isinstance(source, DegreeSample):
-        return _bundle_from_pairs(*_sample_pairs(source))
+        d, t, counts = source.pairs
+        return _bundle_from_pairs(d, t, counts / len(source))
     if not isinstance(source, JointDegreeLaw):
         raise TypeError(f"cannot build generating functions from {type(source).__name__}")
     m_dt_xd, g_dt, hbar = source.transmission.closed_forms(source.degree)
@@ -130,21 +129,6 @@ def build_genfns(source) -> GenFnBundle:
         return mean_d * x * x - x * dg_d(x)
 
     return GenFnBundle(h=h, hbar=hbar, h0=h0, g_d=source.degree.pgf, g_dt=g_dt)
-
-
-def _sample_pairs(sample: DegreeSample):
-    """Distinct (d, t) rows of a sample with their relative frequencies."""
-    d, t = sample.degree, sample.transmitter_degree
-    base = int(t.max()) + 1
-    if int(d.max()) * base + base - 1 > _INT64_MAX:
-        raise ValueError(
-            f"degrees too large to group: the pair key degree*{base}+transmitter_degree "
-            f"overflows int64 at degree {int(d.max())}"
-        )
-    keys = d * base
-    keys += t
-    keys, counts = _unique(keys, return_counts=True)
-    return keys // base, keys % base, counts.astype(np.float64) / len(sample)
 
 
 def _bundle_from_pairs(d: np.ndarray, t: np.ndarray, w: np.ndarray) -> GenFnBundle:

@@ -75,36 +75,41 @@ class ConditionTest:
         return self.stat - self.z * self.stderr > 0.0
 
 
-def _mean_test(values: np.ndarray, z: float) -> ConditionTest:
-    n = values.size
+def _mean_test(values: np.ndarray, counts: np.ndarray, z: float) -> ConditionTest:
+    """One-sided test of the mean of integer ``values`` (an object array),
+    each occurring ``counts`` times.  The sums S1 = sum(c v) and
+    S2 = sum(c v^2) are exact ints, so stat = S1 / n and stderr =
+    sqrt(var / n), var = (n S2 - S1^2) / (n (n - 1)), are correctly rounded."""
+    n = int(counts.sum())
     if n < 2:
         raise ValueError("need at least two pioneers")
-    stderr = float(values.std(ddof=1)) / math.sqrt(n)
-    return ConditionTest(stat=float(values.mean()), stderr=stderr, z=z)
+    cv = counts.astype(object) * values
+    s1, s2 = int(cv.sum()), int((cv * values).sum())
+    return ConditionTest(stat=s1 / n, stderr=_sqrt_ratio(n * s2 - s1 * s1, n * n * (n - 1)), z=z)
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) correctly rounded, for ints num >= 0 and den > 0."""
+    # the integer root r of num * 4**k / den has at least 55 bits; rounded to
+    # odd (its last bit set when inexact), its one rounding to a float,
+    # r / 2**k, is the correct rounding of the true root
+    k = max(0, den.bit_length() - num.bit_length() + 112) // 2
+    num <<= 2 * k
+    r = math.isqrt(num // den)
+    return (r | (r * r * den != num)) / (1 << k)
 
 
 def fragmentation_test(sample: DegreeSample, z: float = DEFAULT_Z) -> ConditionTest:
     """Estimate E[D^2 - 2D] = E[D(D-2)] from the pioneer degrees."""
-    d = sample.degree
-    # d*d - 2d in one work array, as 2 (d*d/2 - d): halving and doubling
-    # are exact on integer-valued floats, so each row keeps its bits
-    w = np.multiply(d, d, dtype=np.float64)
-    w *= 0.5
-    w -= d
-    w *= 2.0
-    return _mean_test(w, z)
+    d, _, counts = sample.pairs
+    d = d.astype(object)
+    return _mean_test(d * (d - 2), counts, z)
 
 
 def effectiveness_test(sample: DegreeSample, z: float = DEFAULT_Z) -> ConditionTest:
     """Estimate E[D D(t) - D - D(t)], the viral-condition margin."""
-    # (d*t - d) - t in one work array; int64 d and t are cast to float64
-    # inside each ufunc loop, with no float copy held
-    d, t = sample.degree, sample.transmitter_degree
-    w = t.astype(np.float64)
-    w *= d
-    w -= d
-    w -= t
-    return _mean_test(w, z)
+    d, t, counts = (a.astype(object) for a in sample.pairs)
+    return _mean_test(d * t - d - t, counts, z)
 
 
 @dataclass(frozen=True)
@@ -195,6 +200,10 @@ def load_sample_csv(path) -> DegreeSample:
     other data line (a sign, a space, a quote, a non-ASCII digit, a value
     beyond int64) is rejected, as is a transmitter degree exceeding the
     degree; every rejected line is reported with its 1-based line number.
+    The sample is grouped into (d, t) pairs by the int64 key d*(T + 1) + t,
+    T the largest transmitter degree, so every evaluation needs
+    d*(T + 1) + T < 2**63 at the largest degree d, and fails naming the
+    degree otherwise.
 
     The data are read once, ``_READ_BYTES`` at a time, each chunk cut at
     its last LF and checked and decoded by numpy (``_parse_chunk``);

@@ -93,18 +93,27 @@ class DegreeSample:
     def __len__(self) -> int:
         return int(self.degree.size)
 
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct rows (d, t), ascending in the key d*(max t + 1) + t,
+        and how often each occurs (int64): the sample's one grouping."""
+        d, t = self.degree, self.transmitter_degree
+        base = int(t.max()) + 1
+        if int(d.max()) * base + base - 1 >= 2**63:
+            raise ValueError(
+                f"degrees too large to group: the pair key degree*{base}+transmitter_degree "
+                f"overflows int64 at degree {int(d.max())}"
+            )
+        keys = d * base
+        keys += t
+        keys, counts = _unique(keys, return_counts=True)
+        return keys // base, keys % base, counts
+
     def moments(self) -> "JointMoments":
-        # one float64 work array holds d, d*d, t and t*d in turn
-        w = self.degree.astype(np.float64)
-        mean_d = float(w.mean())
-        w *= w
-        mean_d2 = float(w.mean())
-        w[:] = self.transmitter_degree
-        mean_dt = float(w.mean())
-        w *= self.degree
-        return JointMoments(
-            mean_d=mean_d, mean_d2=mean_d2, mean_dt=mean_dt, mean_dt_d=float(w.mean())
-        )
+        """Exact sums over :attr:`pairs`, each mean correctly rounded."""
+        d, t, c = (a.astype(object) for a in self.pairs)
+        n = len(self)
+        return JointMoments(*(int((c * v).sum()) / n for v in (d, d * d, t, t * d)))
 
 
 @dataclass(frozen=True)

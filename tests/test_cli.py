@@ -824,6 +824,21 @@ class TestExitCodes:
         assert "line 3: value beyond int64" in capsys.readouterr().err
         assert not (tmp_path / "evaluation.json").exists()
 
+    # the (d, t) table is built before the first moment test, so a sample
+    # whose pair keys overflow int64 fails whichever verdict it would reach
+    @pytest.mark.parametrize(
+        "rows", ["4611686018427387904,3\n1,0\n2,1\n", "4611686018427387904,3\n" * 4], ids=["fragmented", "viable"]
+    )
+    def test_evaluate_ungroupable_sample_exits_2(self, tmp_path, capsys, rows):
+        path = tmp_path / "wide.csv"
+        path.write_text("degree,transmitter_degree\n" + rows)
+        rc = main(["evaluate", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: degrees too large to group: the pair key degree*4+transmitter_degree overflows int64"
+        )
+        assert not (tmp_path / "evaluation.json").exists()
+
     def test_evaluate_rejects_bad_z(self, tmp_path, capsys):
         csv_path = tmp_path / "pioneers.csv"
         law = JointDegreeLaw(PoissonDegree(2.0), BernoulliTransmission(0.8))

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from viralcm import estimators
+from viralcm import estimators, populations
 from viralcm.analytic import analyze, build_genfns
 from viralcm.estimators import (
     effectiveness_test,
@@ -86,9 +87,9 @@ class TestEffectiveness:
 
 
 @st.composite
-def wide_samples(draw):
-    """Pioneer samples with degrees up to 2**31, where float64 products round."""
-    degree = st.one_of(st.integers(0, 40), st.integers(0, 2**31))
+def wide_samples(draw, high=2**31):
+    """Pioneer samples with degrees up to ``high``; at 2**31 float64 products round."""
+    degree = st.one_of(st.integers(0, 40), st.integers(0, high))
     d = np.array(draw(st.lists(degree, min_size=2, max_size=40)), dtype=np.int64)
     t = np.array([draw(st.integers(0, int(v))) for v in d], dtype=np.int64)
     return DegreeSample(d, t)
@@ -98,27 +99,58 @@ def same_bits(a, b) -> bool:
     return np.array_equal(np.asarray(a, np.float64).view(np.uint64), np.asarray(b, np.float64).view(np.uint64))
 
 
-class TestInPlaceMoments:
-    # the per-row expressions as written before they were evaluated in
-    # place; every row, stat, stderr and moment must keep its bits
+def nearest_sqrt(q: Fraction) -> float:
+    """The float nearest sqrt(q): the midpoints to its two neighbours square to either side of q."""
+    y = math.sqrt(q)
+    while ((Fraction(y) + Fraction(math.nextafter(y, math.inf))) / 2) ** 2 < q:
+        y = math.nextafter(y, math.inf)
+    while ((Fraction(y) + Fraction(math.nextafter(y, 0.0))) / 2) ** 2 > q:
+        y = math.nextafter(y, 0.0)
+    return y
+
+
+def exact_statistics(s: DegreeSample) -> tuple[list[float], list[float]]:
+    """Row by row with Fractions: (stat, stderr) of the fragmentation and
+    effectiveness tests, then the four moments, each correctly rounded."""
+    d, t = s.degree.tolist(), s.transmitter_degree.tolist()
+    n = len(d)
+    tests = []
+    for values in ([a * (a - 2) for a in d], [a * b - a - b for a, b in zip(d, t)]):
+        mean = Fraction(sum(values), n)
+        var = sum((v - mean) ** 2 for v in values) / (n - 1)
+        tests += [float(mean), nearest_sqrt(var / n)]
+    sums = (sum(d), sum(a * a for a in d), sum(t), sum(a * b for a, b in zip(d, t)))
+    return tests, [float(Fraction(v, n)) for v in sums]
+
+
+def reported_statistics(s: DegreeSample) -> tuple[list[float], list[float]]:
+    frag, eff, mom = fragmentation_test(s), effectiveness_test(s), s.moments()
+    return [frag.stat, frag.stderr, eff.stat, eff.stderr], [
+        mom.mean_d, mom.mean_d2, mom.mean_dt, mom.mean_dt_d
+    ]
+
+
+class TestExactMoments:
+    # the statistics are summed exactly over the pair table: each is the
+    # correctly rounded value of its exact rational, here from a Fraction
+    # oracle over the rows
     @settings(max_examples=300, deadline=None)
     @given(s=wide_samples())
-    def test_same_bits_as_reference_expressions(self, s):
+    def test_same_bits_as_exact_values(self, s):
+        got, want = reported_statistics(s), exact_statistics(s)
+        assert same_bits(got[0], want[0])
+        assert same_bits(got[1], want[1])
+
+    # below 2**53 every float sum of integer rows is exact, so the stats and
+    # moments keep the bits of numpy's means of the row values
+    @settings(max_examples=300, deadline=None)
+    @given(s=wide_samples(high=2**20))
+    def test_numpy_bits_while_sums_stay_below_2_53(self, s):
         d, t = s.degree.astype(np.float64), s.transmitter_degree.astype(np.float64)
-        references = [d * d - 2.0 * d, s.degree * t - s.degree - t]
-        rows = []
-        real = estimators._mean_test
-        with mock.patch.object(estimators, "_mean_test", lambda v, z: rows.append(v.copy()) or real(v, z)):
-            results = [fragmentation_test(s), effectiveness_test(s)]
-        for got, ref, res in zip(rows, references, results):
-            assert same_bits(got, ref)
-            assert same_bits(res.stat, ref.mean())
-            assert same_bits(res.stderr, float(ref.std(ddof=1)) / math.sqrt(d.size))
-        mom = s.moments()
-        assert same_bits(
-            [mom.mean_d, mom.mean_d2, mom.mean_dt, mom.mean_dt_d],
-            [d.mean(), (d * d).mean(), t.mean(), (d * t).mean()],
-        )
+        rows = [d * d - 2.0 * d, d * t - d - t, d, d * d, t, d * t]
+        assert max(float(np.abs(r).sum()) for r in rows) < 2**53
+        (frag, _, eff, _), moments = reported_statistics(s)
+        assert same_bits([frag, eff, *moments], [r.mean() for r in rows])
 
 
 class TestEstimateFractions:
@@ -220,6 +252,17 @@ class TestEvaluateCampaign:
             1.0 - (1.0 - report.alpha_bar_hat) ** k
         )
         assert report.success_after == sorted(report.success_after)
+
+    def test_rows_grouped_once(self):
+        # the two moment tests, the moments and the plug-in bundle all read
+        # the one (d, t) count table
+        s = poisson_bernoulli(2.0, 0.8).sample(1000, seed=6)
+        sizes = []
+        real = populations._unique
+        with mock.patch.object(populations, "_unique", lambda k, **kw: sizes.append(k.size) or real(k, **kw)):
+            report = evaluate_campaign(s)
+        assert report.verdict == "viable"
+        assert sizes == [len(s)]
 
     def test_geometric_formula_quarter(self):
         # alpha_bar = 0.25 gives 4 expected tries and ~0.944 after ten
