@@ -76,14 +76,14 @@ class ConditionTest:
 
 
 def _mean_test(values: np.ndarray, counts: np.ndarray, z: float) -> ConditionTest:
-    """One-sided test of the mean of integer ``values`` (an object array),
-    each occurring ``counts`` times.  The sums S1 = sum(c v) and
-    S2 = sum(c v^2) are exact ints, so stat = S1 / n and stderr =
-    sqrt(var / n), var = (n S2 - S1^2) / (n (n - 1)), are correctly rounded."""
+    """One-sided test of the mean of ``values`` occurring ``counts`` times,
+    both object arrays of ints.  S1 = sum(c v) and S2 = sum(c v^2) are exact,
+    so stat = S1 / n and stderr = sqrt(var / n), with the sample variance
+    var = (n S2 - S1^2) / (n (n - 1)), are correctly rounded."""
     n = int(counts.sum())
     if n < 2:
         raise ValueError("need at least two pioneers")
-    cv = counts.astype(object) * values
+    cv = counts * values
     s1, s2 = int(cv.sum()), int((cv * values).sum())
     return ConditionTest(stat=s1 / n, stderr=_sqrt_ratio(n * s2 - s1 * s1, n * n * (n - 1)), z=z)
 
@@ -101,8 +101,7 @@ def _sqrt_ratio(num: int, den: int) -> float:
 
 def fragmentation_test(sample: DegreeSample, z: float = DEFAULT_Z) -> ConditionTest:
     """Estimate E[D^2 - 2D] = E[D(D-2)] from the pioneer degrees."""
-    d, _, counts = sample.pairs
-    d = d.astype(object)
+    d, _, counts = (a.astype(object) for a in sample.pairs)
     return _mean_test(d * (d - 2), counts, z)
 
 
@@ -200,10 +199,9 @@ def load_sample_csv(path) -> DegreeSample:
     other data line (a sign, a space, a quote, a non-ASCII digit, a value
     beyond int64) is rejected, as is a transmitter degree exceeding the
     degree; every rejected line is reported with its 1-based line number.
-    The sample is grouped into (d, t) pairs by the int64 key d*(T + 1) + t,
-    T the largest transmitter degree, so every evaluation needs
-    d*(T + 1) + T < 2**63 at the largest degree d, and fails naming the
-    degree otherwise.
+    Grouping the rows into (d, t) pairs by the int64 key d*(T + 1) + t, T
+    the largest transmitter degree, needs d*(T + 1) + T < 2**63 at the
+    largest degree d; an evaluation past that fails naming the degree.
 
     The data are read once, ``_READ_BYTES`` at a time, each chunk cut at
     its last LF and checked and decoded by numpy (``_parse_chunk``);

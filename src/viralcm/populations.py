@@ -112,8 +112,7 @@ class DegreeSample:
     def moments(self) -> "JointMoments":
         """Exact sums over :attr:`pairs`, each mean correctly rounded."""
         d, t, c = (a.astype(object) for a in self.pairs)
-        n = len(self)
-        return JointMoments(*(int((c * v).sum()) / n for v in (d, d * d, t, t * d)))
+        return JointMoments(*(int((c * v).sum()) / len(self) for v in (d, d * d, t, t * d)))
 
 
 @dataclass(frozen=True)
