@@ -160,17 +160,18 @@ def find_root(f: Callable[[float], float], kind: str = "") -> Optional[float]:
     """Certified unique zero of ``f`` in (0, 1), or ``None`` without a sign change.
 
     Evaluates ``f`` once, on the whole ``_SCAN_GRID`` (up to 1 - 1e-12),
-    and refines its one sign change with Brent's method on scalar calls
-    (:func:`_brentq`, a port of scipy's ``brentq``, handed the scan's values
-    at the bracket ends) until |f(root)| <= ``ROOT_RESIDUAL``; a grid value
-    of exactly 0 ends the bracket and is returned.  No abscissa is
-    evaluated twice.  The functions handled here vanish at both
-    endpoints, so only an interior sign change counts.  Above ``_SCAN_HI``
-    they are differences of O(1) terms that cancel toward the zero at 1, so
-    a value there counts only if it exceeds ``ROOT_RESIDUAL`` in magnitude:
-    smaller ones can be rounding noise, whose sign changes would pass for
-    roots.  More than one sign change contradicts the uniqueness of the
-    zero and raises :class:`RootBracketingError`.
+    and refines its one sign change on scalar calls (:func:`_refine`,
+    handed the scan's values at the bracket ends) down to two adjacent
+    floats whose values have opposite signs, or to a value of exactly 0.
+    It returns the final end with the smaller |f| and raises
+    :class:`RootBracketingError` if that |f| exceeds ``ROOT_RESIDUAL``.
+    No abscissa is evaluated twice.  The functions handled here vanish at
+    both endpoints, so only an interior sign change counts.  Above
+    ``_SCAN_HI`` they are differences of O(1) terms that cancel toward the
+    zero at 1, so a value there counts only if it exceeds ``ROOT_RESIDUAL``
+    in magnitude: smaller ones can be rounding noise, whose sign changes
+    would pass for roots.  More than one sign change contradicts the
+    uniqueness of the zero and raises :class:`RootBracketingError`.
     """
     fx = np.asarray(f(_SCAN_GRID))
     kept = np.flatnonzero((_SCAN_GRID <= _SCAN_HI) | (np.abs(fx) > ROOT_RESIDUAL))
@@ -182,8 +183,8 @@ def find_root(f: Callable[[float], float], kind: str = "") -> Optional[float]:
         raise RootBracketingError(
             f"{kind or 'root'} zero not unique: {flips.size} sign changes on the root scan"
         )
-    i, j = kept[flips[0]], kept[flips[0] + 1]
-    root, froot = _brentq(f, _SCAN_GRID[i], _SCAN_GRID[j], fx[i], fx[j])
+    ends = kept[flips[0] : flips[0] + 2]
+    root, froot = _refine(f, kind, _SCAN_GRID[ends].tolist(), fx[ends].tolist())
     res = abs(froot)
     if res > ROOT_RESIDUAL:
         raise RootBracketingError(
@@ -192,65 +193,45 @@ def find_root(f: Callable[[float], float], kind: str = "") -> Optional[float]:
     return root
 
 
-def _brentq(
-    f: Callable[[float], float], xa: float, xb: float, fa: float, fb: float
-) -> tuple[float, float]:
-    """Zero of ``f`` in the bracket [xa, xb], given fa = f(xa) and fb = f(xb),
-    by Brent's method; returns the zero and ``f`` there.
+def _ordinal(x: float) -> int:
+    """Rank of ``x`` among the floats: adjacent floats differ by 1, and -0.0 and 0.0 are 0."""
+    n = int(np.float64(x).view(np.int64))
+    return n if n >= 0 else -(1 << 63) - n
 
-    A line-for-line port of scipy's ``optimize/Zeros/brentq.c`` (after
-    Brent, "Algorithms for Minimization without Derivatives", 1973), called
-    as ``brentq(f, xa, xb, xtol=1e-15, rtol=8.9e-16, maxiter=200)``: after
-    scipy's two endpoint calls, which ``fa`` and ``fb`` stand for, it takes
-    the same steps and returns the same float.  Like scipy it raises
-    ``ValueError`` on a NaN value of ``f`` or a bracket without a sign
-    change; running out of iterations raises :class:`RootBracketingError`.
+
+def _refine(f: Callable[[float], float], kind: str, x: list, fx: list) -> tuple[float, float]:
+    """Shrink the bracket x[0] < x[1], with fx = f(x) of opposite signs, to a zero of ``f``.
+
+    Regula falsi with the Illinois rule (Dowell and Jarratt, BIT 11, 1971):
+    each step evaluates ``f`` at one float strictly inside the bracket and
+    replaces the end of the same sign; when one end is replaced twice in a
+    row, the other end's weight in the secant is halved.  A step bisects the
+    bracket's floats (by :func:`_ordinal`) instead when the secant point is
+    not inside or when the three steps before it each failed to halve the
+    count of floats spanned.  So one step in every four at least halves
+    that count, which starts below 2**64: at most 256 steps, and 248 on a
+    bracket in [0, 1].  Stops at a value of exactly 0 or when no float lies
+    strictly inside, and returns the end with the smaller |f| and that
+    value.  A NaN value raises ValueError naming ``kind``.
     """
-    xtol, rtol = 1e-15, 8.9e-16
-
-    def checked(x, fx):
-        fx = float(fx)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = checked(xpre, fa), checked(xcur, fb)
-    if fpre == 0:
-        return xpre, fpre
-    if fcur == 0:
-        return xcur, fcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(200):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, fcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = checked(xcur, f(xcur))
-    raise RootBracketingError(f"Brent refinement did not converge in 200 iterations (at x={xcur})")
+    g, last, stalls = list(fx), None, 0
+    while True:
+        if math.isnan(fx[0]) or math.isnan(fx[1]):
+            raise ValueError(f"{kind or 'root'} is NaN on the bracket [{x[0]!r}, {x[1]!r}]")
+        lo, hi = _ordinal(x[0]), _ordinal(x[1])
+        if fx[0] == 0 or fx[1] == 0 or hi - lo < 2:
+            i = int(abs(fx[1]) < abs(fx[0]))
+            return x[i], fx[i]
+        c = x[0] - g[0] * (x[1] - x[0]) / (g[1] - g[0])
+        if stalls == 3 or not x[0] < c < x[1]:
+            mid = (lo + hi) // 2
+            c = float(np.int64(mid if mid >= 0 else -(1 << 63) - mid).view(np.float64))
+        fc = float(f(c))
+        i = int((fc < 0) != (fx[0] < 0))
+        if i == last:
+            g[1 - i] /= 2
+        x[i], fx[i], g[i], last = c, fc, fc, i
+        stalls = 0 if 2 * (_ordinal(x[1]) - _ordinal(x[0])) <= hi - lo + 1 else stalls + 1
 
 
 @dataclass(frozen=True)

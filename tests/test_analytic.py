@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from viralcm import analytic, populations, special
 from viralcm.analytic import (
@@ -54,6 +53,28 @@ def er_giant_fraction(lam, tol=1e-14):
             break
         a = nxt
     return a
+
+
+def poisson_bernoulli_roots(lam, p):
+    """60-digit (xi, xi_bar, xi0) of Poisson(lam) under Bernoulli(p), lam p > 1.
+
+    The zeros in (0, 1) of H, Hbar and H0 are the fixed points
+    xi = 1 - p + p e^(-lam (1 - xi)), xi_bar = e^(-lam p (1 - xi_bar)) and
+    xi0 = e^(-lam (1 - xi0)).  x = -W(-c e^-c) / c, on the principal branch
+    of Lambert's W, is the fixed point of x = e^(-c (1 - x)) below 1, and
+    1 - xi = p (1 - xi_bar); each is checked against its own equation.
+    """
+    with mpmath.workdps(60):
+        lam, p = mpmath.mpf(lam), mpmath.mpf(p)
+        xi_bar, xi0 = (-mpmath.lambertw(-c * mpmath.exp(-c)).real / c for c in (lam * p, lam))
+        xi = 1 - p + p * xi_bar
+        for x, fixed in (
+            (xi, 1 - p + p * mpmath.exp(-lam * (1 - xi))),
+            (xi_bar, mpmath.exp(-lam * p * (1 - xi_bar))),
+            (xi0, mpmath.exp(-lam * (1 - xi0))),
+        ):
+            assert abs(x - fixed) <= mpmath.mpf(10) ** -55 * x
+        return xi, xi_bar, xi0
 
 
 class TestConditions:
@@ -398,15 +419,40 @@ class TestFindRoot:
         res = analyze(poisson_bernoulli(lam, p))
         assert res.xi_bar == pytest.approx(float(xi_bar), abs=1e-10)
 
-    @pytest.mark.parametrize("lam", [25.0, 100.0])
+    @pytest.mark.parametrize("lam", [25.0, 40.0, 60.0, 100.0, 200.0])
     def test_dense_poisson_giant_root_below_1e_9(self, tmp_path, lam):
-        # xi0 = exp(-lam (1 - xi0)): 1.4e-11 at lam = 25, 3.7e-44 at 100
+        # xi0 = exp(-lam (1 - xi0)): 1.4e-11 at lam = 25, 3.7e-44 at 100,
+        # 1.4e-87 at 200; xi_bar solves the same with lam p, p = 0.8
         assert main(["analytic", "--lambda", repr(lam), "--out", str(tmp_path)]) == 0
-        xi0 = json.loads((tmp_path / "analysis.json").read_text())["result"]["xi0"]
-        with mpmath.workdps(50):
-            ref = mpmath.findroot(lambda x: x - mpmath.exp(-lam * (1 - x)), mpmath.exp(-lam))
-        assert 0.0 < xi0 < 1e-9
-        assert abs(xi0 - float(ref)) <= 1e-15
+        result = json.loads((tmp_path / "analysis.json").read_text())["result"]
+        _, xi_bar, xi0 = poisson_bernoulli_roots(lam, 0.8)
+        assert 0.0 < result["xi0"] < 1e-9
+        assert result["xi0"] == pytest.approx(float(xi0), rel=1e-14, abs=0)
+        assert result["xi_bar"] == pytest.approx(float(xi_bar), rel=1e-14, abs=0)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(log_lam=st.floats(math.log(1.5), math.log(200.0)), u=st.floats(0.0, 1.0))
+    def test_poisson_bernoulli_roots_match_mpmath(self, log_lam, u):
+        # lam log-uniform in [1.5, 200], p uniform in [1.2 p_c, 1], p_c = 1 / lam.
+        # xi gets an absolute 2**-52 beside its relative 1e-13: H's coefficient
+        # E[D(r)] = E[D] - E[D(t)] rounds 1 - p by up to 2**-53, which moves
+        # a zero near 1 - p by as much.  Each fraction 1 - G(root) is checked
+        # at the root found: G' reaches lam there, so a root's last-bit noise
+        # alone moves a fraction by more than 1e-14 near p_c at large lam.
+        lam = math.exp(log_lam)
+        p = min(1.0, 1.2 / lam + u * (1.0 - 1.2 / lam))
+        res = analyze(poisson_bernoulli(lam, p))
+        xi, xi_bar, xi0 = poisson_bernoulli_roots(lam, p)
+        assert res.xi == pytest.approx(float(xi), rel=1e-13, abs=2.0**-52)
+        assert res.xi_bar == pytest.approx(float(xi_bar), rel=1e-13, abs=0)
+        assert res.xi0 == pytest.approx(float(xi0), rel=1e-13, abs=0)
+        with mpmath.workdps(60):
+            alphas = [
+                1 - mpmath.exp(c * (mpmath.mpf(root) - 1))
+                for c, root in ((lam, res.xi), (mpmath.mpf(lam) * p, res.xi_bar), (lam, res.xi0))
+            ]
+        for got, want in zip((res.alpha, res.alpha_bar, res.alpha0), alphas):
+            assert abs(got - float(want)) <= 1e-14
 
     @pytest.mark.parametrize(
         "law",
@@ -964,15 +1010,6 @@ class TestZipfClosedFormOracle:
                 assert abs(getattr(bundle, name)(x) - float(want)) <= 1e-12, (name, x)
 
 
-def scipy_brentq(f, a, b):
-    return brentq(f, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-
-
-def port_brentq(f, a, b):
-    """``_brentq`` called as scipy's: the endpoint values first, then the refinement."""
-    return analytic._brentq(f, a, b, f(a), f(b))[0]
-
-
 _law_grid = [
     JointDegreeLaw(deg, tr)
     for deg in (
@@ -991,28 +1028,66 @@ _law_grid = [
 ]
 
 
-class TestBrentPort:
-    """``_brentq`` against ``scipy.optimize.brentq`` at the same settings."""
+def refined(f, a, b, kind="H", refine=analytic._refine):
+    """``refine`` (``_refine`` as imported) on [a, b] handed f(a) and f(b),
+    with its steps logged.
 
-    def test_find_root_brackets_match_scipy(self, monkeypatch):
+    Checks that each step lies strictly inside the bracket of its time, and
+    returns (root, f(root), final bracket, number of steps).  The final end
+    of each sign is the last point of that sign: a or b, or a step.
+    """
+    ends = [a, b]
+    values = [f(a), f(b)]
+    steps = []
+
+    def logged(x):
+        assert ends[0] < x < ends[1]
+        v = f(x)
+        steps.append(x)
+        if v != 0:
+            ends[int((v < 0) != (values[0] < 0))] = x
+        return v
+
+    root, froot = refine(logged, kind, [a, b], values)
+    return root, froot, ends, len(steps)
+
+
+def assert_adjacent_bracket(f, root, froot, ends):
+    """The refinement's contract: a value of exactly 0, or adjacent floats
+    whose values have opposite signs; the end with the smaller |f| returned."""
+    assert froot == f(root)
+    if froot == 0:
+        return
+    lo, hi = ends
+    assert math.nextafter(lo, math.inf) == hi
+    assert (f(lo) < 0) != (f(hi) < 0)
+    assert root in ends
+    assert abs(froot) == min(abs(f(lo)), abs(f(hi)))
+
+
+class TestRefine:
+    """``_refine``: Illinois steps inside the bracket, down to adjacent floats."""
+
+    def test_analyze_brackets_end_on_adjacent_floats(self, monkeypatch):
         # every bracket find_root refines on the law grid, with H, Hbar and
-        # H0 from analyze; the scan's values at the bracket ends are the
-        # values scipy computes there
-        port = analytic._brentq
+        # H0 from analyze, handed the scan's values at its ends
         seen = []
+        refine = analytic._refine
 
-        def checked(f, a, b, fa, fb):
-            assert (fa, fb) == (f(a), f(b))
-            root, froot = port(f, a, b, fa, fb)
-            assert root.hex() == float(scipy_brentq(f, a, b)).hex(), (a, b)
-            assert froot == f(root)
-            seen.append((a, b))
+        def checked(f, kind, x, fx):
+            assert fx == [f(x[0]), f(x[1])]
+            root, froot, ends, steps = refined(f, x[0], x[1], kind, refine)
+            assert_adjacent_bracket(f, root, froot, ends)
+            assert steps <= 248
+            seen.append(steps)
             return root, froot
 
-        monkeypatch.setattr(analytic, "_brentq", checked)
+        monkeypatch.setattr(analytic, "_refine", checked)
         for law in _law_grid:
             analyze(law)
         assert len(seen) >= 100
+        # 752 steps with the Illinois rule; 1 042 without it (plain regula falsi)
+        assert sum(seen) <= 800
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(
@@ -1021,62 +1096,49 @@ class TestBrentPort:
         a=st.floats(-3.0, 3.0),
         width=st.floats(1e-6, 6.0),
     )
-    def test_polynomials_match_scipy(self, roots, scale, a, width):
+    def test_polynomials_end_on_adjacent_floats(self, roots, scale, a, width):
         def f(x):
             return scale * math.prod(x - r for r in roots)
 
         b = a + width
         assume(f(a) * f(b) < 0)
-        iterates = ([], [])
+        root, froot, ends, steps = refined(f, a, b)
+        assert_adjacent_bracket(f, root, froot, ends)
+        assert steps <= 256
 
-        def logged(i):
-            return lambda x: iterates[i].append(x) or f(x)
+    def test_zero_value_is_returned(self):
+        # at a bracket end, with no step taken, and at the first secant point
+        assert refined(lambda x: x - 0.25, 0.25, 1.0)[:2] == (0.25, 0.0)
+        assert refined(lambda x: x - 1.0, 0.25, 1.0)[:2] == (1.0, 0.0)
+        assert refined(lambda x: x - 0.5, 0.0, 1.0) == (0.5, 0.0, [0.0, 1.0], 1)
 
-        # rounding noise at a multiple root can keep both from converging
-        try:
-            root, froot = analytic._brentq(logged(0), a, b, f(a), f(b))
-            assert froot == f(root)
-            got = root.hex()
-        except RootBracketingError:
-            got = "no convergence"
-        try:
-            want = float(scipy_brentq(logged(1), a, b)).hex()
-        except RuntimeError:
-            want = "no convergence"
-        assert got == want
-        # scipy first evaluates the two endpoints, which the port is handed
-        assert iterates[1][:2] == [a, b]
-        assert iterates[0] == iterates[1][2:]
-
-    def test_zero_endpoint_is_returned(self):
-        assert analytic._brentq(lambda x: x - 0.25, 0.25, 1.0, 0.0, 0.75) == (0.25, 0.0)
-        assert analytic._brentq(lambda x: x - 1.0, 0.25, 1.0, -0.75, 0.0) == (1.0, 0.0)
-
-    def test_same_sign_bracket_raises(self):
-        for solve in (scipy_brentq, port_brentq):
-            with pytest.raises(ValueError, match="different signs"):
-                solve(lambda x: x * x + 1.0, -1.0, 1.0)
-
-    def test_nan_value_raises(self):
-        # at an endpoint, and at the first secant point
+    def test_nan_value_raises_naming_the_function(self):
+        # at a bracket end, and at the first secant point
         for f in (
             lambda x: math.nan if x > 0.3 else -1.0,
             lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5,
         ):
-            for solve in (scipy_brentq, port_brentq):
-                with pytest.raises(ValueError, match="NaN"):
-                    solve(f, 0.0, 1.0)
+            with pytest.raises(ValueError, match="Hbar is NaN"):
+                analytic._refine(f, "Hbar", [0.0, 1.0], [f(0.0), f(1.0)])
 
-    def test_running_out_of_iterations_raises(self):
-        # a step has no slope to interpolate, so every step bisects, and a
-        # bracket 2e300 wide needs about 1000 halvings to reach 1e-15
-        def step(x):
-            return 1.0 if x > 0.125 else -1.0
-
-        with pytest.raises(RuntimeError, match="converge"):
-            scipy_brentq(step, -1e300, 1e300)
-        with pytest.raises(RootBracketingError):
-            port_brentq(step, -1e300, 1e300)
+    @pytest.mark.parametrize(
+        "f,a,b",
+        [
+            (lambda x: 1.0 if x > 0.125 else -1.0, -1e300, 1e300),
+            (lambda x: (x - 0.3) ** 3, 0.0, 1.0),
+            (lambda x: 1e300 if x > 0.5 else -1.0, 0.0, 1.0),
+            (lambda x: x - 1e307, -1.7e308, 1.7e308),
+        ],
+        ids=["step", "flat-cubic", "lopsided-step", "overflowing-width"],
+    )
+    def test_hard_brackets_stop_within_the_bound(self, f, a, b):
+        # a step gives the secant no slope; the cubic is flat at its zero;
+        # the lopsided step keeps plain Illinois steps near 0 for about a
+        # thousand halvings of the large end's weight; the last bracket's
+        # width overflows.  Forced bisections bound every bracket by 256.
+        root, froot, ends, steps = refined(f, a, b)
+        assert_adjacent_bracket(f, root, froot, ends)
+        assert steps <= 256
 
 
 class TestRootEvaluations:
@@ -1096,6 +1158,20 @@ class TestRootEvaluations:
             assert all(np.ndim(x) == 0 for x in scalars)
             assert len(set(scalars)) == len(scalars)
             assert not set(scalars) & set(_SCAN_GRID.tolist())
+
+    def test_refinement_calls_on_benchmark_laws(self, monkeypatch):
+        # the four laws of the analytic-powerlaw benchmark workload: 12
+        # brackets refined in 73 scalar calls (50 with Brent's method)
+        calls = []
+        refine = analytic._refine
+
+        def counted(f, kind, x, fx):
+            return refine(lambda c: calls.append(c) or f(c), kind, x, fx)
+
+        monkeypatch.setattr(analytic, "_refine", counted)
+        for tr in (BernoulliTransmission(0.1), BernoulliTransmission(0.3), NodePercolation(0.3), CouponCollector(3)):
+            analyze(JointDegreeLaw(PowerLawDegree(2.45), tr))
+        assert len(calls) <= 80
 
     def test_analytic_scans_hbar_once(self, tmp_path, monkeypatch):
         scans = []

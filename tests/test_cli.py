@@ -468,7 +468,7 @@ class TestSweep:
             ["0.01564102564102564", "0.26", "0.0", "0.0"],
             ["0.19543859649122805", "0.19", "0.0", "0.0"],
             ["0.42346224677716393", "0.6033333333333334"]
-            + ["0.44670497029273215", "0.6660984172523159"],
+            + ["0.4467049702927324", "0.6660984172523159"],
             ["0.6150837138508372", "0.73", "0.5583530589114497", "0.7033057985436442"],
         ]
 
