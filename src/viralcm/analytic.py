@@ -19,6 +19,7 @@ degree law, a sample's from its weighted (degree, transmitter degree) table.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -195,7 +196,7 @@ def find_root(f: Callable[[float], float], kind: str = "") -> Optional[float]:
 
 def _ordinal(x: float) -> int:
     """Rank of ``x`` among the floats: adjacent floats differ by 1, and -0.0 and 0.0 are 0."""
-    n = int(np.float64(x).view(np.int64))
+    n = struct.unpack("<q", struct.pack("<d", x))[0]
     return n if n >= 0 else -(1 << 63) - n
 
 
@@ -214,24 +215,25 @@ def _refine(f: Callable[[float], float], kind: str, x: list, fx: list) -> tuple[
     strictly inside, and returns the end with the smaller |f| and that
     value.  A NaN value raises ValueError naming ``kind``.
     """
-    g, last, stalls = list(fx), None, 0
+    g, last, stalls, span = list(fx), None, 0, math.inf
     while True:
         if math.isnan(fx[0]) or math.isnan(fx[1]):
             raise ValueError(f"{kind or 'root'} is NaN on the bracket [{x[0]!r}, {x[1]!r}]")
         lo, hi = _ordinal(x[0]), _ordinal(x[1])
-        if fx[0] == 0 or fx[1] == 0 or hi - lo < 2:
+        stalls = 0 if 2 * (hi - lo) <= span + 1 else stalls + 1
+        span = hi - lo
+        if fx[0] == 0 or fx[1] == 0 or span < 2:
             i = int(abs(fx[1]) < abs(fx[0]))
             return x[i], fx[i]
         c = x[0] - g[0] * (x[1] - x[0]) / (g[1] - g[0])
         if stalls == 3 or not x[0] < c < x[1]:
             mid = (lo + hi) // 2
-            c = float(np.int64(mid if mid >= 0 else -(1 << 63) - mid).view(np.float64))
+            c = struct.unpack("<d", struct.pack("<q", mid if mid >= 0 else -(1 << 63) - mid))[0]
         fc = float(f(c))
         i = int((fc < 0) != (fx[0] < 0))
         if i == last:
             g[1 - i] /= 2
         x[i], fx[i], g[i], last = c, fc, fc, i
-        stalls = 0 if 2 * (_ordinal(x[1]) - _ordinal(x[0])) <= hi - lo + 1 else stalls + 1
 
 
 @dataclass(frozen=True)

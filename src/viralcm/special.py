@@ -58,7 +58,7 @@ def polylog(beta: float, x):
     1e-8 off them included, at x up to 1 - 1e-12).  At ``x == 1`` this is
     ``zeta(beta)``, for beta > 1.
     """
-    if isinstance(x, float):  # Brent's steps: no array plumbing
+    if isinstance(x, float):  # the refinement's scalar steps: no array plumbing
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"polylog requires x in [0, 1] (got x={x})")
         if x == 1.0:

@@ -1161,7 +1161,7 @@ class TestRootEvaluations:
 
     def test_refinement_calls_on_benchmark_laws(self, monkeypatch):
         # the four laws of the analytic-powerlaw benchmark workload: 12
-        # brackets refined in 73 scalar calls (50 with Brent's method)
+        # brackets refined in 73 scalar calls
         calls = []
         refine = analytic._refine
 
