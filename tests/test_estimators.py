@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from viralcm import estimators, populations
@@ -100,12 +100,18 @@ def same_bits(a, b) -> bool:
 
 
 def nearest_sqrt(q: Fraction) -> float:
-    """The float nearest sqrt(q): the midpoints to its two neighbours square to either side of q."""
+    """The float nearest sqrt(q), ties to even: the midpoints to its two
+    neighbours square to either side of q, and a midpoint whose square is q
+    is the root itself, which float() rounds to even."""
     y = math.sqrt(q)
     while ((Fraction(y) + Fraction(math.nextafter(y, math.inf))) / 2) ** 2 < q:
         y = math.nextafter(y, math.inf)
     while ((Fraction(y) + Fraction(math.nextafter(y, 0.0))) / 2) ** 2 > q:
         y = math.nextafter(y, 0.0)
+    for neighbour in (math.nextafter(y, math.inf), math.nextafter(y, 0.0)):
+        mid = (Fraction(y) + Fraction(neighbour)) / 2
+        if mid * mid == q:
+            return float(mid)
     return y
 
 
@@ -136,6 +142,9 @@ class TestExactMoments:
     # oracle over the rows
     @settings(max_examples=300, deadline=None)
     @given(s=wide_samples())
+    # stderr = (d2 (d2 - 2) - d1 (d1 - 2)) / 2 = 93323715775666616 exactly,
+    # the midpoint of two floats: it rounds to the even one
+    @example(s=DegreeSample(np.array([328, 432027120]), np.array([0, 0])))
     def test_same_bits_as_exact_values(self, s):
         got, want = reported_statistics(s), exact_statistics(s)
         assert same_bits(got[0], want[0])
