@@ -227,7 +227,7 @@ def _refine(f: Callable[[float], float], kind: str, x: list, fx: list) -> tuple[
             return x[i], fx[i]
         c = x[0] - g[0] * (x[1] - x[0]) / (g[1] - g[0])
         if stalls == 3 or not x[0] < c < x[1]:
-            mid = (lo + hi) // 2
+            mid = (lo + hi) // 2  # _ordinal's map from the bits is its own inverse
             c = struct.unpack("<d", struct.pack("<q", mid if mid >= 0 else -(1 << 63) - mid))[0]
         fc = float(f(c))
         i = int((fc < 0) != (fx[0] < 0))
