@@ -13,7 +13,7 @@ alpha0 = 1 - G_D(xi0) (the giant component of the undirected graph, which
 exists iff E[D(D-2)] > 0).  All of this works both for a parametric
 population law and for the plug-in estimators built from a degree sample:
 a law's functions come from its transmission model's closed forms on its
-degree law, a sample's from its weighted (degree, transmitter degree) table.
+degree law, a sample's from its (degree, transmitter degree) counts by d or by t.
 """
 
 from __future__ import annotations
@@ -107,15 +107,14 @@ def _is_critical(margin: float) -> bool:
 def build_genfns(source) -> GenFnBundle:
     """Generating-function bundle from a JointDegreeLaw or a DegreeSample.
 
-    A sample goes through its weighted (degree, transmitter degree) table
-    (:func:`_bundle_from_pairs`).  A law goes through its transmission
-    model's closed forms E[D(t) x^D], G_Dt and Hbar on its degree law,
-    completed with the two functions common to every model:
+    A sample sums its (degree, transmitter degree) count table over the
+    distinct d or t (:func:`_bundle_from_pairs`).  A law goes through its
+    transmission model's closed forms E[D(t) x^D], G_Dt and Hbar on its
+    degree law, completed with the two functions common to every model:
     H = E[D] x^2 - E[D(r)] x - E[D(t) x^D] and H0 = E[D] x^2 - x G_D'(x).
     """
     if isinstance(source, DegreeSample):
-        d, t, counts = source.pairs
-        return _bundle_from_pairs(d, t, counts / len(source))
+        return _bundle_from_pairs(*source.pairs)
     if not isinstance(source, JointDegreeLaw):
         raise TypeError(f"cannot build generating functions from {type(source).__name__}")
     m_dt_xd, g_dt, hbar = source.transmission.closed_forms(source.degree)
@@ -132,23 +131,26 @@ def build_genfns(source) -> GenFnBundle:
     return GenFnBundle(h=h, hbar=hbar, h0=h0, g_d=source.degree.pgf, g_dt=g_dt)
 
 
-def _bundle_from_pairs(d: np.ndarray, t: np.ndarray, w: np.ndarray) -> GenFnBundle:
-    """Bundle of a weighted (d, t, w) table.
-
-    H/Hbar/H0 are summed per row: each row term vanishes exactly at x = 1
-    in float arithmetic, so H(1) = Hbar(1) = H0(1) = 0 identically, not
-    just to rounding.
-    """
-    d = d.astype(np.float64)
-    t = t.astype(np.float64)
+def _bundle_from_pairs(d: np.ndarray, t: np.ndarray, counts: np.ndarray) -> GenFnBundle:
+    """Bundle of a (d, t) count table, summed over its distinct d (H, H0, G_D)
+    or its distinct t (Hbar, G_Dt).  A group's term is the row term with the
+    group's row sums as coefficients, in floats (exact integers below 2**53):
+    d n_d x^2 - R_d x - S_d x^d in H, R_d = sum(d - t), S_d = d n_d - R_d;
+    B_t x^2 - t n_t x^t - Q_t x^(t+1) in Hbar, B_t = sum(d), Q_t = B_t - t n_t.
+    Each term vanishes exactly at x = 1, so H(1) = Hbar(1) = H0(1) = 0, and
+    a group whose rows all have t = d gives H no x term."""
+    c, d, t = (a.astype(np.float64) for a in (counts, d, t))
+    (dk, by_d), (tk, by_t) = (np.unique(k, return_inverse=True) for k in (d, t))
+    n_d, r_d = np.bincount(by_d, c), np.bincount(by_d, c * (d - t))
+    n_t, b_t = np.bincount(by_t, c), np.bincount(by_t, c * d)
+    n, dn_d, tn_t = c.sum(), dk * n_d, tk * n_t
+    s_d, q_t, w_d, w_t = dn_d - r_d, b_t - tn_t, np.full(dk.size, 1.0 / n), np.full(tk.size, 1.0 / n)
     return GenFnBundle(
-        h=partial(weighted_sum, w=w, terms=lambda c: d * c * c - (d - t) * c - t * c**d),
-        hbar=partial(
-            weighted_sum, w=w, terms=lambda c: d * c * c - t * c**t - (d - t) * c ** (t + 1.0)
-        ),
-        h0=partial(weighted_sum, w=w, terms=lambda c: d * c * c - d * c**d),
-        g_d=partial(weighted_sum, w=w, terms=lambda c: c**d),
-        g_dt=partial(weighted_sum, w=w, terms=lambda c: c**t),
+        h=partial(weighted_sum, w=w_d, terms=lambda x: dn_d * x * x - r_d * x - s_d * x**dk),
+        hbar=partial(weighted_sum, w=w_t, terms=lambda x: b_t * x * x - tn_t * x**tk - q_t * x ** (tk + 1)),
+        h0=partial(weighted_sum, w=dn_d / n, terms=lambda x: x * x - x**dk),
+        g_d=partial(weighted_sum, w=n_d / n, terms=lambda x: x**dk),
+        g_dt=partial(weighted_sum, w=n_t / n, terms=lambda x: x**tk),
     )
 
 
@@ -186,10 +188,9 @@ def find_root(f: Callable[[float], float], kind: str = "") -> Optional[float]:
         )
     ends = kept[flips[0] : flips[0] + 2]
     root, froot = _refine(f, kind, _SCAN_GRID[ends].tolist(), fx[ends].tolist())
-    res = abs(froot)
-    if res > ROOT_RESIDUAL:
+    if abs(froot) > ROOT_RESIDUAL:
         raise RootBracketingError(
-            f"{kind or 'root'} refinement stalled: residual {res:.3g} exceeds {ROOT_RESIDUAL:.3g}"
+            f"{kind or 'root'} refinement stalled: residual {abs(froot):.3g} exceeds {ROOT_RESIDUAL:.3g}"
         )
     return root
 
@@ -270,8 +271,7 @@ def analyze(source) -> AnalyticResult:
     strict = not isinstance(source, DegreeSample)
     mom = source.moments()
     bundle = build_genfns(source)
-    mv = viral_margin(mom)
-    mg = giant_margin(mom)
+    mv, mg = viral_margin(mom), giant_margin(mom)
     critical = _is_critical(mv)
     viral = mv > 0 and not critical
     giant = mg > 0 and not _is_critical(mg)

@@ -232,7 +232,8 @@ def test_criterion_10_estimator_zero_at_one():
         bundle = build_genfns(DegreeSample(d, t))
         ok &= bundle.h(1.0) == 0.0
         ok &= bundle.hbar(1.0) == 0.0
-    report(10, "plug-in H(1) and Hbar(1) vanish exactly (1000 samples)", ok)
+        ok &= bundle.h0(1.0) == 0.0
+    report(10, "plug-in H(1), Hbar(1) and H0(1) vanish exactly (1000 samples)", ok)
 
 
 def test_criterion_11_reach_concentration():

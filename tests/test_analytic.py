@@ -779,6 +779,25 @@ class TestAnalyzeSample:
             res = analyze(s)
             assert 0.0 <= res.alpha <= 1.0
 
+    def test_full_transmission_above_degree_two_has_no_h_zero(self):
+        # with t = d >= 2 on every row, H = sum d n_d (x^2 - x^d) / n has no
+        # x term and is positive inside (0, 1): its zero is x = 0, not a
+        # point that the scan can bracket, although the viral condition holds
+        d = 2 + np.random.default_rng(4).poisson(2.0, 5000)
+        res = analyze(DegreeSample(d, d))
+        assert res.viral_condition
+        assert res.xi is None and res.xi_bar is None
+
+    def test_node_percolation_roots_within_two_ulps(self):
+        # under node percolation every row has t = 0 or t = d, so H and Hbar
+        # are the same function; H is summed over the distinct d and Hbar
+        # over the distinct t, so their zeros may differ by rounding
+        law = JointDegreeLaw(PoissonDegree(3.0), NodePercolation(0.7))
+        for seed in range(30):
+            res = analyze(law.sample(2000, seed=seed))
+            assert res.xi is not None
+            assert abs(res.xi - res.xi_bar) <= 2 * np.spacing(res.xi), seed
+
 
 def brute_bundle(law, x):
     """Oracle: H, Hbar, H0, G_D, G_Dt as double sums over atoms x conditional pmf."""
@@ -807,15 +826,65 @@ _transmissions = st.one_of(
 )
 
 
+def exact_sample_bundle(d, t, x):
+    """Oracle: H, Hbar, H0, G_D, G_Dt of a sample at x, summed row by row
+    at 50 digits from the definitions (mpmath keeps x**d for d = 2**62)."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        sums = [mpmath.mpf(0)] * 5
+        for di, ti in zip(d, t):
+            row = (
+                di * x**2 - (di - ti) * x - ti * x**di,
+                di * x**2 - ti * x**ti - (di - ti) * x ** (ti + 1),
+                di * x**2 - di * x**di,
+                x**di,
+                x**ti,
+            )
+            sums = [a + b for a, b in zip(sums, row)]
+        return [float(v / len(d)) for v in sums]
+
+
+@st.composite
+def _pair_tables(draw):
+    """2-200 rows with t <= d <= 40: t drawn per row, or t = d, or t = 0 on every row."""
+    d = draw(st.lists(st.integers(0, 40), min_size=2, max_size=200))
+    kind = draw(st.sampled_from(["drawn", "t = d", "t = 0"]))
+    t = {"t = d": d, "t = 0": [0] * len(d)}.get(kind) or [draw(st.integers(0, k)) for k in d]
+    return d, t
+
+
+_BUNDLE_NAMES = ("h", "hbar", "h0", "g_d", "g_dt")
+
+
 class TestBundleOracle:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(degree=_degrees, tr=_transmissions, x=st.floats(0.0, 1.0))
     def test_bundle_matches_definition(self, degree, tr, x):
         law = JointDegreeLaw(degree, tr)
         bundle = build_genfns(law)
-        names = ("h", "hbar", "h0", "g_d", "g_dt")
-        for name, oracle in zip(names, brute_bundle(law, x)):
+        for name, oracle in zip(_BUNDLE_NAMES, brute_bundle(law, x)):
             assert getattr(bundle, name)(x) == pytest.approx(oracle, abs=1e-10), name
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(table=_pair_tables(), x=st.floats(0.0, 1.0))
+    def test_sample_bundle_matches_rows(self, table, x):
+        # each function, summed over the distinct d or t, against its
+        # definition summed over the rows
+        d, t = table
+        bundle = build_genfns(DegreeSample(np.array(d), np.array(t)))
+        for name, oracle in zip(_BUNDLE_NAMES, exact_sample_bundle(d, t, x)):
+            assert getattr(bundle, name)(x) == pytest.approx(oracle, rel=1e-13, abs=1e-14), name
+
+    def test_huge_degrees_do_not_wrap(self):
+        # 3 * 2**62 overflows int64: the group sums are formed in floats
+        d = [2**62] * 3 + [0, 1, 2, 5]
+        t = [0] * len(d)
+        bundle = build_genfns(DegreeSample(np.array(d), np.array(t)))
+        for name in ("h", "hbar", "h0"):
+            assert getattr(bundle, name)(1.0) == 0.0, name
+        for x in (0.25, 0.5, 0.999):
+            for name, oracle in zip(_BUNDLE_NAMES, exact_sample_bundle(d, t, x)):
+                assert getattr(bundle, name)(x) == pytest.approx(oracle, rel=1e-13, abs=1e-14), name
 
 
 

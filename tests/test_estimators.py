@@ -191,6 +191,7 @@ class TestEstimateFractions:
             bundle = build_genfns(DegreeSample(d, t))
             assert bundle.h(1.0) == 0.0
             assert bundle.hbar(1.0) == 0.0
+            assert bundle.h0(1.0) == 0.0
 
     def test_order_invariance(self):
         law = poisson_bernoulli(2.0, 0.8)
@@ -264,14 +265,19 @@ class TestEvaluateCampaign:
 
     def test_rows_grouped_once(self):
         # the two moment tests, the moments and the plug-in bundle all read
-        # the one (d, t) count table
+        # the one (d, t) count table; the bundle groups that table's rows
+        # once by d and once by t
         s = poisson_bernoulli(2.0, 0.8).sample(1000, seed=6)
-        sizes = []
-        real = populations._unique
-        with mock.patch.object(populations, "_unique", lambda k, **kw: sizes.append(k.size) or real(k, **kw)):
+        sizes, table_sizes = [], []
+        real, real_table = populations._unique, np.unique
+        with (
+            mock.patch.object(populations, "_unique", lambda k, **kw: sizes.append(k.size) or real(k, **kw)),
+            mock.patch.object(np, "unique", lambda k, **kw: table_sizes.append(k.size) or real_table(k, **kw)),
+        ):
             report = evaluate_campaign(s)
         assert report.verdict == "viable"
         assert sizes == [len(s)]
+        assert table_sizes == [s.pairs[0].size] * 2 and s.pairs[0].size < len(s)
 
     def test_geometric_formula_quarter(self):
         # alpha_bar = 0.25 gives 4 expected tries and ~0.944 after ten
