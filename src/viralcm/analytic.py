@@ -120,13 +120,12 @@ def build_genfns(source) -> GenFnBundle:
     m_dt_xd, g_dt, hbar = source.transmission.closed_forms(source.degree)
     mom = source.moments()
     mean_d, mean_dr = mom.mean_d, mom.mean_d - mom.mean_dt
-    dg_d = source.degree.pgf_prime
 
     def h(x):
         return mean_d * x * x - mean_dr * x - m_dt_xd(x)
 
     def h0(x):
-        return mean_d * x * x - x * dg_d(x)
+        return mean_d * x * x - x * source.degree.pgf_prime(x)
 
     return GenFnBundle(h=h, hbar=hbar, h0=h0, g_d=source.degree.pgf, g_dt=g_dt)
 
@@ -271,7 +270,8 @@ def analyze(source) -> AnalyticResult:
     strict = not isinstance(source, DegreeSample)
     mom = source.moments()
     bundle = build_genfns(source)
-    mv, mg = viral_margin(mom), giant_margin(mom)
+    mv = viral_margin(mom)
+    mg = giant_margin(mom)
     critical = _is_critical(mv)
     viral = mv > 0 and not critical
     giant = mg > 0 and not _is_critical(mg)
