@@ -849,8 +849,11 @@ def _pair_tables(draw):
     """2-200 rows with t <= d <= 40: t drawn per row, or t = d, or t = 0 on every row."""
     d = draw(st.lists(st.integers(0, 40), min_size=2, max_size=200))
     kind = draw(st.sampled_from(["drawn", "t = d", "t = 0"]))
-    t = {"t = d": d, "t = 0": [0] * len(d)}.get(kind) or [draw(st.integers(0, k)) for k in d]
-    return d, t
+    if kind == "t = d":
+        return d, d
+    if kind == "t = 0":
+        return d, [0] * len(d)
+    return d, [draw(st.integers(0, k)) for k in d]
 
 
 _BUNDLE_NAMES = ("h", "hbar", "h0", "g_d", "g_dt")
