@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EnhancedGraph, index_dtype
-from .special import _unique
+from .graph import EnhancedGraph
+from .special import _unique, index_dtype
 
 __all__ = [
     "DiffusionOutcome",

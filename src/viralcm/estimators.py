@@ -44,19 +44,17 @@ SUCCESS_HORIZON = 10
 CSV_HEADER = ["degree", "transmitter_degree"]
 
 _BOM = b"\xef\xbb\xbf"
-#: The only bytes a data line may hold; a file holding any other byte is
-#: checked line by line.
-_DATA_BYTES = b"0123456789,\r\n"
 _DATA_ROW = re.compile(rb"([0-9]+),([0-9]+)")
 _INT64_MAX = np.iinfo(np.int64).max
 #: Bytes read at a time by the parser.  A chunk's largest temporaries hold
-#: 8 bytes per separator, up to 4 bytes per chunk byte (rows "0,0"): 96 KiB
-#: here, under glibc malloc's 128 KiB mmap and trim thresholds, so they are
-#: reused from the heap.  Larger chunks are mapped, unmapped and faulted in
-#: afresh every time: at 1e6 rows, 17 000-21 000 minor faults from 40 KiB to
-#: 256 KiB, against 1 700 here.
+#: 8 bytes per separator, up to 4 bytes per chunk byte on data lines (rows
+#: "0,0", CRLF read as LF): 96 KiB here, under glibc malloc's 128 KiB mmap
+#: and trim thresholds, so they are reused from the heap; only empty LF
+#: lines, a separator each, go past it.  Larger chunks are mapped, unmapped
+#: and faulted in afresh every time: at 1e6 rows, 17 000-21 000 minor faults
+#: from 40 KiB to 256 KiB, against 1 700 here.
 _READ_BYTES = 24 << 10
-#: Longest first line read as the header.
+#: Longest header line, its BOM and line end included.
 _HEADER_BYTES = 1 << 10
 #: Rows formatted per ``write`` call by ``write_sample_csv``.
 _WRITE_ROWS = 1 << 16
@@ -192,7 +190,8 @@ def load_sample_csv(path) -> DegreeSample:
     """Read pioneer rows from a "degree,transmitter_degree" CSV.
 
     The accepted grammar, in bytes: an optional UTF-8 byte-order mark; a
-    header line whose comma-separated names, stripped of spaces, are
+    header line of at most ``_HEADER_BYTES`` bytes, its LF included, whose
+    comma-separated names, stripped of spaces, are
     ``degree`` and ``transmitter_degree``; then data lines
     ``[0-9]+,[0-9]+`` whose values fit in int64.  Every line ends in LF or
     CRLF; the last line's end is optional.  Empty lines are skipped.  Any
@@ -212,10 +211,12 @@ def load_sample_csv(path) -> DegreeSample:
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror}") from None
     with fh:
-        header = fh.readline(_HEADER_BYTES).removeprefix(_BOM)
-        header = header.removesuffix(b"\n").removesuffix(b"\r")
+        line = fh.readline(_HEADER_BYTES)
+        header = line.removeprefix(_BOM).removesuffix(b"\n").removesuffix(b"\r")
         if b"\r" in header:
             raise ValueError(f"{path}: lone CR line ends are not supported; use LF or CRLF")
+        if len(line) == _HEADER_BYTES and not line.endswith(b"\n"):
+            raise ValueError(f"{path}: header line longer than {_HEADER_BYTES} bytes")
         names = header.decode("utf-8", "replace").split(",")
         if [c.strip() for c in names] != CSV_HEADER:
             got = header[:60].decode("utf-8", "replace")
@@ -241,33 +242,39 @@ def load_sample_csv(path) -> DegreeSample:
 def _parse_chunk(chunk: bytearray) -> Optional[np.ndarray]:
     """The rows of ``chunk``, whole data lines ending in LF; None when a
     line is outside the grammar, holds a value beyond int64 or has t > d."""
-    if chunk.translate(None, _DATA_BYTES):
-        return None
+    if b"\r" in chunk:  # memchr; a search for CRLF costs as much as the replace
+        chunk = chunk.replace(b"\r\n", b"\n")
     a = np.frombuffer(chunk, np.uint8)
-    sep = np.flatnonzero(a < 48)  # ',' CR LF
+    sep = np.flatnonzero(a - 48 > 9)  # every byte but a digit (below '0' wraps)
     kind = a[sep]
     comma = kind == 44
-    gap = np.diff(sep, prepend=-1)  # one more than the digits before each separator
-    field = gap > 1
-    after_comma = np.roll(comma, 1)  # the last separator, an LF, wraps to the front
-    # a digit run ends at each comma and at the separator after it, and
-    # nowhere else; no comma follows a comma; a CR is followed by LF
+    lens = np.empty_like(sep)  # the digits before each separator
+    lens[0] = sep[0]
+    np.subtract(sep[1:], sep[:-1] + 1, out=lens[1:])
+    after_comma = np.zeros_like(comma)
+    after_comma[1:] = comma[:-1]
+    field = lens > 0
+    # only commas and LFs (no CR is left); a digit run ends at each comma
+    # and at the separator after it, and nowhere else; no comma follows a comma
     bad = (field != (comma | after_comma)) | (comma & after_comma)
-    if bad.any() or (a[sep[kind == 13] + 1] != 10).any():
+    if bad.any() or not (comma | (kind == 10)).all():
         return None
-    ends, lens = sep[field], gap[field] - 1
+    ends, lens = (sep, lens) if field.all() else (sep[field], lens[field])
     value = (a[ends - 1] - 48).astype(np.uint64)
-    for place in range(1, min(lens.max(initial=1), 19)):
+    top = lens.max(initial=1)
+    for place in range(1, min(top, 19)):
         live = np.flatnonzero(lens > place)
         # widened first: numpy < 2 keeps uint8 * np.uint64(100) in uint8
         value[live] += (a[ends[live] - 1 - place] - 48).astype(np.uint64) * np.uint64(10**place)
-    # places 19 and up may hold leading zeros only; 19 digits stay below
-    # 2**64, and beyond INT64_MAX the int64 view is negative
-    high = np.flatnonzero(lens > 19)
-    bounds = np.stack([ends[high] - lens[high], ends[high] - 19], axis=1).ravel()
     rows = value.view(np.int64).reshape(-1, 2)
-    beyond = (np.maximum.reduceat(a, bounds)[::2] > 48).any() or (rows < 0).any()
-    if beyond or (rows[:, 1] > rows[:, 0]).any():
+    # 18 digits stay below 2**63; places 19 and up may hold leading zeros only,
+    # 19 digits stay below 2**64, and beyond INT64_MAX the int64 view is negative
+    if top >= 19:
+        high = np.flatnonzero(lens > 19)
+        bounds = np.stack([ends[high] - lens[high], ends[high] - 19], axis=1).ravel()
+        if (np.maximum.reduceat(a, bounds)[::2] > 48).any() or (rows < 0).any():
+            return None
+    if (rows[:, 1] > rows[:, 0]).any():
         return None
     # narrow parts, widened once by the caller (int64 parts: +7-15 MB VmHWM at 1e6 rows)
     return rows.astype(np.min_scalar_type(-rows.max(initial=0) - 1))

@@ -18,16 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .populations import DegreeSample
+from .special import index_dtype
 
 __all__ = ["EnhancedGraph", "HalfEdgeMemoryError", "build", "index_dtype", "write_edgelist"]
 
 #: Arcs formatted per ``write`` call by ``write_edgelist``.
 _WRITE_ARCS = 1 << 16
-
-
-def index_dtype(count: int) -> type:
-    """Integer dtype for ids below ``count`` and sums up to it (int32 below 2**31)."""
-    return np.int32 if count < 2**31 else np.int64
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .special import (
     DiscretePmf,
     _horner,
     _unique,
+    index_dtype,
     poisson_pmf,
     stirling2_row,
     zeta,
@@ -99,15 +100,17 @@ class DegreeSample:
         and how often each occurs (int64): the sample's one grouping."""
         d, t = self.degree, self.transmitter_degree
         base = int(t.max()) + 1
-        if int(d.max()) * base + base - 1 >= 2**63:
+        top = int(d.max()) * base + base - 1
+        if top >= 2**63:
             raise ValueError(
                 f"degrees too large to group: the pair key degree*{base}+transmitter_degree "
                 f"overflows int64 at degree {int(d.max())}"
             )
-        keys = d * base
+        keys = d.astype(index_dtype(top))  # int32 for any realistic sample: sorts in half the time
+        keys *= base
         keys += t
         keys, counts = _unique(keys, return_counts=True)
-        return keys // base, keys % base, counts
+        return (*divmod(keys.astype(np.int64), base), counts)
 
     def moments(self) -> "JointMoments":
         """Exact sums over :attr:`pairs`, each mean correctly rounded."""

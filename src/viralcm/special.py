@@ -157,6 +157,11 @@ def weighted_sum(x, w: np.ndarray, terms):
     return out if out.ndim else float(out)
 
 
+def index_dtype(count: int) -> type:
+    """Integer dtype for ids below ``count`` and sums up to it (int32 below 2**31)."""
+    return np.int32 if count < 2**31 else np.int64
+
+
 def _unique(keys: np.ndarray, return_counts: bool = False):
     """``np.unique(keys, return_counts=...)`` of a 1-d integer array: its
     distinct values, ascending, and how often each occurs.  ``keys`` is

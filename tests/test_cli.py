@@ -631,6 +631,13 @@ class TestEvaluate:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_one_row_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("degree,transmitter_degree\n3,1\n")
+        assert main(["evaluate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: need at least two pioneers\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestGoldenOutputs:
     # each case runs from its own directory with relative paths, so the

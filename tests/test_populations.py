@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from viralcm import populations
 from viralcm.populations import (
     BernoulliTransmission,
     CouponCollector,
@@ -349,6 +350,37 @@ class TestDegreeSample:
             assert s.degree.dtype == s.transmitter_degree.dtype == np.int64
             assert s.degree.tolist() == [3, 2] and s.transmitter_degree.tolist() == [1, 2]
         assert DegreeSample([3.0, 2], [1, 1]).degree.tolist() == [3, 2]
+
+    # the pair keys d*(T + 1) + t are sorted as int32 while the largest
+    # possible key, at the largest d and t = T, fits in int32
+    @pytest.mark.parametrize(
+        "dmax, tmax, key_dtype",
+        [
+            (2**31 - 1, 0, np.int32),
+            (2**31, 0, np.int64),
+            (2**30 - 1, 1, np.int32),
+            (2**30, 1, np.int64),
+            (46339, 46339, np.int32),
+            (46340, 46340, np.int64),
+        ],
+    )
+    def test_pairs_on_both_key_dtypes(self, monkeypatch, dmax, tmax, key_dtype):
+        rng = np.random.default_rng(dmax)
+        d = np.concatenate([[dmax, dmax, tmax], rng.integers(tmax, dmax, 200, endpoint=True)])
+        t = np.minimum(rng.integers(0, tmax, d.size, endpoint=True), d)
+        t[:2] = tmax  # the largest key itself, twice
+        sorted_dtypes, unique_ = [], populations._unique
+
+        def unique(keys, return_counts):
+            sorted_dtypes.append(keys.dtype)
+            return unique_(keys, return_counts)
+
+        monkeypatch.setattr(populations, "_unique", unique)
+        got = DegreeSample(d, t).pairs
+        rows, counts = np.unique(np.stack([d, t], 1), axis=0, return_counts=True)
+        assert sorted_dtypes == [key_dtype]
+        assert [a.dtype for a in got] == [np.int64] * 3
+        assert np.array_equal(np.stack(got[:2], 1), rows) and np.array_equal(got[2], counts)
 
     def test_moments_match_numpy(self):
         s = DegreeSample(np.array([3, 1, 4]), np.array([1, 0, 2]))
