@@ -414,34 +414,19 @@ class CouponCollector:
 
     The conditional law of D(t) given D = d is the occupancy distribution
     P{k} = d!/(d-k)! * {K over k} / d**K (an isolated member, d = 0, has
-    D(t) = 0 for any K).  The row of {K over k} that the calls so far have
-    needed is kept on the instance, grown by doubling up to k = K, so the
-    conditional pmfs of many degrees share one row.
+    D(t) = 0 for any K), from :func:`_occupancy`.  The model keeps no state
+    but K.
     """
 
     def __init__(self, K: int):
         if not (K >= 0 and K % 1 == 0):
             raise ValueError(f"K: message count must be a non-negative integer, got {K}")
         self.K = int(K)
-        self._stirling_row: list[int] = []
 
     def conditional_pmf(self, d: int) -> DiscretePmf:
         if d < 0:
             raise ValueError("degree must be non-negative")
-        if d == 0 or self.K == 0:
-            return DiscretePmf(np.array([0]), np.array([1.0]))
-        kmax = min(d, self.K)
-        if len(self._stirling_row) <= kmax:
-            grown = min(self.K, max(kmax, 2 * len(self._stirling_row)))
-            self._stirling_row = stirling2_row(self.K, grown)
-        ks = np.arange(1, kmax + 1)
-        den = d**self.K  # exact integers; one rounding at the division
-        weights = np.empty(kmax, dtype=np.float64)
-        falling = 1
-        for k in range(1, kmax + 1):
-            falling *= d - (k - 1)
-            weights[k - 1] = (falling * self._stirling_row[k]) / den
-        return DiscretePmf(ks, weights)
+        return DiscretePmf(*_occupancy(d, self.K, stirling2_row(self.K, min(d, self.K))))
 
     def sample_given(self, d: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         out = np.zeros(d.size, dtype=np.int64)
@@ -487,11 +472,11 @@ class CouponCollector:
         b_k = E[D 1{D(t)=k}].  On a power law, a_k, b_k and E[D(t) x^D] =
         sum_j c_j Li_{beta+j-1}(x) / zeta(beta) come from
         :func:`_coupon_expansion`.  On a law with atoms, a_k and b_k are
-        summed once over the atoms' conditional pmfs, for k up to min(K,
-        largest atom); E[D(t) x^D] sums E[D(t) | D=d] x^d over the atoms; and
-        Hbar's E[D] is the atoms' own, sum_k b_k, so Hbar(1) cancels to
-        rounding.  :meth:`mean_t` checks K first: no Stirling row is built
-        for a K that the moments reject.
+        summed once over the atoms' occupancy weights, which share one
+        Stirling row for k up to min(K, largest atom); E[D(t) x^D] sums
+        E[D(t) | D=d] x^d over the atoms; and Hbar's E[D] is the atoms' own,
+        sum_k b_k, so Hbar(1) cancels to rounding.  :meth:`mean_t` checks K
+        first: no Stirling row is built for a K that the moments reject.
         """
         if isinstance(deg, PowerLawDegree):
             cs, a, b = _coupon_expansion(deg.beta, self.K)[2:]
@@ -503,12 +488,12 @@ class CouponCollector:
         else:
             support, weights = deg.atoms()
             m_dt_xd = partial(weighted_sum, w=weights * self.mean_t(support), terms=lambda c: c**support)
-            a = np.zeros(min(self.K, int(support[-1])) + 1)
-            b = np.zeros_like(a)
+            row = stirling2_row(self.K, min(self.K, int(support[-1])))
+            a, b = np.zeros(len(row)), np.zeros(len(row))
             for d, w in zip(support.tolist(), weights.tolist()):
-                cpmf = self.conditional_pmf(d)
-                a[cpmf.support] += w * cpmf.weights
-                b[cpmf.support] += w * d * cpmf.weights
+                ks, p = _occupancy(d, self.K, row)
+                a[ks] += w * p
+                b[ks] += w * d * p
             mean_d = float(b.sum())
         karr = np.arange(a.size, dtype=np.float64)
         a_k, ka_k, b_ka_k = a.tolist(), (a * karr).tolist(), (b - a * karr).tolist()
@@ -523,6 +508,20 @@ class CouponCollector:
 
     def __repr__(self):
         return f"CouponCollector(K={self.K})"
+
+
+def _occupancy(d: int, K: int, row: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(k, P{D(t)=k | D=d}) for k = 1..min(d, K) of K coupons among d
+    friends, given ``row`` of {K over k} up to at least k = min(d, K); the
+    single atom 0 at d = 0 or K = 0.  Each weight is d!/(d-k)! {K over k}
+    over d**K in exact integers, rounded once at the division."""
+    if d == 0 or K == 0:
+        return np.array([0]), np.array([1.0])
+    den, falling, weights = d**K, 1, np.empty(min(d, K))
+    for k in range(1, weights.size + 1):
+        falling *= d - (k - 1)
+        weights[k - 1] = (falling * row[k]) / den
+    return np.arange(1, weights.size + 1), weights
 
 
 @cache
