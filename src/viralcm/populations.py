@@ -367,13 +367,13 @@ class BernoulliTransmission(_Thinning):
         y = 1 - p(1 - x): E[D(t) x^D] = p x G_D'(x), E[x^D(t)] = G_D(y),
         E[D(t) x^D(t)] = p x G_D'(y) and E[D(r) x^D(t)] = (1-p) G_D'(y), so
         Hbar = E[D] x^2 - x G_D'(y)."""
-        p, mean_d, g_d, dg_d = self.p, deg.mean, deg.pgf, deg.pgf_prime
+        p, mean_d = self.p, deg.mean
 
         def g_dt(x):
-            return g_d(1.0 - p * (1.0 - x))
+            return deg.pgf(1.0 - p * (1.0 - x))
 
         def hbar(x):
-            return mean_d * x * x - x * dg_d(1.0 - p * (1.0 - x))
+            return mean_d * x * x - x * deg.pgf_prime(1.0 - p * (1.0 - x))
 
         return self._m_dt_xd(deg), g_dt, hbar
 
@@ -398,13 +398,13 @@ class NodePercolation(_Thinning):
         """(E[D(t) x^D], G_Dt, Hbar) as functions of x on the degree law
         ``deg``.  D(t) is 0 or D: E[D(t) x^D] = E[D(t) x^D(t)] = p x G_D'(x),
         E[x^D(t)] = (1-p) + p G_D(x) and E[D(r) x^D(t)] = (1-p) E[D]."""
-        p, mean_d, g_d, dg_d = self.p, deg.mean, deg.pgf, deg.pgf_prime
+        p, mean_d = self.p, deg.mean
 
         def g_dt(x):
-            return (1.0 - p) + p * g_d(x)
+            return (1.0 - p) + p * deg.pgf(x)
 
         def hbar(x):
-            return mean_d * x * x - p * x * dg_d(x) - (1.0 - p) * mean_d * x
+            return mean_d * x * x - p * x * deg.pgf_prime(x) - (1.0 - p) * mean_d * x
 
         return self._m_dt_xd(deg), g_dt, hbar
 
@@ -426,7 +426,7 @@ class CouponCollector:
     def conditional_pmf(self, d: int) -> DiscretePmf:
         if d < 0:
             raise ValueError("degree must be non-negative")
-        return DiscretePmf(*_occupancy(d, self.K, stirling2_row(self.K, min(d, self.K))))
+        return DiscretePmf(*_occupancy(d, self.K, _occupancy_row(self.K, [d])))
 
     def sample_given(self, d: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         out = np.zeros(d.size, dtype=np.int64)
@@ -488,7 +488,7 @@ class CouponCollector:
         else:
             support, weights = deg.atoms()
             m_dt_xd = partial(weighted_sum, w=weights * self.mean_t(support), terms=lambda c: c**support)
-            row = stirling2_row(self.K, min(self.K, int(support[-1])))
+            row = _occupancy_row(self.K, support)
             a, b = np.zeros(len(row)), np.zeros(len(row))
             for d, w in zip(support.tolist(), weights.tolist()):
                 ks, p = _occupancy(d, self.K, row)
@@ -508,6 +508,42 @@ class CouponCollector:
 
     def __repr__(self):
         return f"CouponCollector(K={self.K})"
+
+
+#: Most bit operations, as :func:`_occupancy_work` counts them, that a coupon
+#: model's exact occupancy arithmetic may take: about a second on 2 cores.
+OCCUPANCY_BUDGET = 4e9
+
+
+def _occupancy_work(K: int, support) -> float:
+    """Bit operations, roughly, to build {K over k} for k up to kmax =
+    min(K, largest of ``support``) and the occupancy weights of every degree
+    d in ``support``.  The m = min(d, K) weights of d cost 2 500 each for
+    the interpreter, K log2 d for the quotient and, for the product of
+    (d)_k and {K over k}, K log2 d * m log2 m / 1 400 more; the row's
+    kmax**2 / 2 differences of K log2 kmax bits cost a quarter bit each; and
+    each power d**K, and j**K for j <= kmax, costs (K log2 d)**1.585 / 43 by
+    Karatsuba.  Fitted to timings on 2 cores from K = 50 at Poisson(1e4) to
+    K = 3e6 on one atom, within a factor of 1.5."""
+    K = _float("K", K)
+    d = np.asarray(support, dtype=np.float64)
+    kmax = min(K, float(d.max()))
+    with np.errstate(over="ignore"):  # an inf count is refused like any other
+        m, bits, top = np.minimum(d, K), K * np.log2(np.maximum(d, 1.0)), K * np.log2(max(kmax, 1.0))
+        weights = np.dot(m, 2500.0 + bits * (1.0 + m * np.log2(np.maximum(m, 1.0)) / 1400))
+        return float(weights + kmax * kmax * top / 8 + (np.sum(bits**1.585) + kmax * top**1.585) / 43)
+
+
+def _occupancy_row(K: int, support) -> list[int]:
+    """{K over k} for k up to min(K, largest of ``support``), once the exact
+    occupancy work over ``support`` is within ``OCCUPANCY_BUDGET``."""
+    work, largest = _occupancy_work(K, support), int(np.max(support))
+    if work > OCCUPANCY_BUDGET:
+        raise ValueError(
+            f"K: {K} needs about {work:.2g} bit operations of exact occupancy arithmetic on "
+            f"degrees up to {largest}, more than the {OCCUPANCY_BUDGET:.2g} allowed"
+        )
+    return stirling2_row(K, min(K, largest))
 
 
 def _occupancy(d: int, K: int, row: list[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -312,6 +312,57 @@ class TestBundles:
             with pytest.raises(ValueError, match=rf"^K: {10**400} is too large for a float$"):
                 call(law)
 
+    @pytest.mark.parametrize(
+        "degree,K",
+        [(PoissonDegree(2.0), 10**7), (PoissonDegree(1e4), 1000), (EmpiricalDegree.from_degrees([0, 1, 3, 3, 8]), 10**8)],
+        ids=["poisson2-K1e7", "poisson1e4-K1000", "empirical-K1e8"],
+    )
+    def test_materialized_coupon_K_beyond_work_budget_rejected_before_any_stirling_row(self, monkeypatch, degree, K):
+        # the exact occupancy arithmetic of these laws runs for minutes, so
+        # its estimate is refused before any row of {K over k} is started
+        def no_row(*args):
+            raise AssertionError("a Stirling row was built for a rejected K")
+
+        monkeypatch.setattr(populations, "stirling2_row", no_row)
+        law = JointDegreeLaw(degree, CouponCollector(K))
+        largest = int(degree.atoms()[0].max())
+        message = (
+            rf"^K: {K} needs about [0-9.e+]+ bit operations of exact occupancy arithmetic on degrees "
+            rf"up to {largest}, more than the 4e\+09 allowed$"
+        )
+        for call in (build_genfns, analyze):
+            with pytest.raises(ValueError, match=message):
+                call(law)
+
+    def test_coupon_conditional_pmf_checks_its_work(self, monkeypatch):
+        # one degree's pmf is held to the same budget: 2**(10**7) and its
+        # quotients are refused, while one friend needs no arithmetic at all
+        coupon = CouponCollector(10**7)
+        assert coupon.conditional_pmf(1) == DiscretePmf(np.array([1]), np.array([1.0]))
+        monkeypatch.setattr(populations, "stirling2_row", lambda *a: pytest.fail("a row was started"))
+        with pytest.raises(ValueError, match=rf"^K: {10**7} needs about .* on degrees up to 2, more than"):
+            coupon.conditional_pmf(2)
+
+    @pytest.mark.parametrize(
+        "degree", [PoissonDegree(2.0), EmpiricalDegree.from_degrees(DEGREES)], ids=["poisson2", "golden-empirical"]
+    )
+    def test_coupon_closed_forms_build_one_row_and_keep_no_state(self, monkeypatch, degree):
+        # the closed forms on atoms build one row of {K over k}, for k up to
+        # min(K, largest atom), and no pmf per atom; nothing is kept but K
+        K, largest = 25, int(degree.atoms()[0].max())
+        coupon, rows, pmfs = CouponCollector(K), [], []
+        monkeypatch.setattr(populations, "stirling2_row", lambda *a: rows.append(a) or stirling2_row(*a))
+        monkeypatch.setattr(populations, "DiscretePmf", lambda *a: pmfs.append(a) or DiscretePmf(*a))
+        coupon.closed_forms(degree)
+        assert rows == [(K, min(K, largest))]
+        assert pmfs == []
+        law = JointDegreeLaw(degree, coupon)
+        coupon.conditional_pmf(largest)
+        law.moments()
+        build_genfns(law)
+        analyze(law)
+        assert vars(coupon) == {"K": K}
+
     def test_pair_key_overflow_rejected(self):
         # samples group rows by the key degree * (max t + 1) + t
         big = DegreeSample(np.array([2**62, 1]), np.array([3, 0]))
@@ -379,6 +430,27 @@ class TestFindRoot:
     def test_two_sign_changes_raise(self):
         with pytest.raises(RootBracketingError, match="Hbar zero not unique: 2 sign changes"):
             find_root(lambda x: (x - 0.3) * (x - 0.7), "Hbar")
+
+    def test_step_function_refinement_stalls(self):
+        # the bracket closes on two adjacent floats around 0.3 where the
+        # values are -1 and +1: a sign change that is no zero
+        def step(x):
+            return np.where(np.asarray(x) < 0.3, -1.0, 1.0)
+
+        with pytest.raises(RootBracketingError, match=r"^H refinement stalled: residual 1 exceeds 1e-12$"):
+            find_root(step, "H")
+
+    def test_unbracketed_giant_zero_raises_for_a_law_only(self, monkeypatch):
+        # when the giant condition holds but no H0 zero is found, a law
+        # raises and a sample reports xi0 absent
+        scan = analytic.find_root
+        monkeypatch.setattr(analytic, "find_root", lambda f, kind="": None if kind == "H0" else scan(f, kind))
+        law = poisson_bernoulli(2.0, 0.8)
+        with pytest.raises(RootBracketingError, match=r"^giant condition holds \(margin 2\) but no zero was bracketed$"):
+            analyze(law)
+        res = analyze(law.sample(2000, seed=1))
+        assert res.giant_condition and res.xi is not None
+        assert res.xi0 is None and res.alpha0 == 0.0
 
     def test_residual_bound_and_determinism(self):
         bundle = build_genfns(poisson_bernoulli(3.0, 0.7))
@@ -822,7 +894,7 @@ _degrees = st.one_of(
 _transmissions = st.one_of(
     st.floats(0.0, 1.0).map(BernoulliTransmission),
     st.floats(0.0, 1.0).map(NodePercolation),
-    st.integers(0, 6).map(CouponCollector),
+    st.integers(0, 40).map(CouponCollector),
 )
 
 

@@ -1115,6 +1115,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: K: {10**400} is too large for a float\n"
         assert not (tmp_path / "analysis.json").exists()
 
+    @pytest.mark.parametrize("lam,K", [("2", 10**7), ("1e4", 1000)])
+    def test_poisson_coupon_K_beyond_work_budget_exits_2(self, tmp_path, capsys, lam, K):
+        # the exact occupancy arithmetic would take minutes: refused at once
+        argv = ["analytic", "--lambda", lam, "--trans", "coupon", "--K", str(K), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: K: {K} needs about ")
+        assert not (tmp_path / "analysis.json").exists()
+
     @pytest.mark.parametrize("K", [10**400, 2**60], ids=["1e400", "2^60"])
     def test_coupon_draws_beyond_memory_exit_2(self, tmp_path, capsys, K):
         # numpy refuses both draw matrices before allocating: 10**400 is no
@@ -1132,8 +1140,9 @@ class TestExitCodes:
         [
             (["--degree", "powerlaw", "--trans", "coupon", "--grid", "0:10:1"], "error: K: 7 is too large"),
             (["--grid", "0:2:0.5"], "error: grid: transmission probabilities must lie in [0, 1]\n"),
+            (["--trans", "coupon", "--grid", "0:2:0.5"], "error: grid: coupon sweeps need non-negative integer K values\n"),
         ],
-        ids=["K", "p"],
+        ids=["K", "p", "K-fraction"],
     )
     def test_sweep_checks_every_point_before_simulating(self, tmp_path, capsys, monkeypatch, flags, message):
         def no_graph(*args):
