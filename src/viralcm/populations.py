@@ -476,7 +476,8 @@ class CouponCollector:
         Stirling row for k up to min(K, largest atom); E[D(t) x^D] sums
         E[D(t) | D=d] x^d over the atoms; and Hbar's E[D] is the atoms' own,
         sum_k b_k, so Hbar(1) cancels to rounding.  :meth:`mean_t` checks K
-        first: no Stirling row is built for a K that the moments reject.
+        first, then :func:`_occupancy_row` the exact work: no Stirling row is
+        built for a K that either rejects.
         """
         if isinstance(deg, PowerLawDegree):
             cs, a, b = _coupon_expansion(deg.beta, self.K)[2:]
@@ -523,8 +524,8 @@ def _occupancy_work(K: int, support) -> float:
     (d)_k and {K over k}, K log2 d * m log2 m / 1 400 more; the row's
     kmax**2 / 2 differences of K log2 kmax bits cost a quarter bit each; and
     each power d**K, and j**K for j <= kmax, costs (K log2 d)**1.585 / 43 by
-    Karatsuba.  Fitted to timings on 2 cores from K = 50 at Poisson(1e4) to
-    K = 3e6 on one atom, within a factor of 1.5."""
+    Karatsuba.  Fitted to timings on 2 cores from K = 20 at Poisson(1e4) to
+    K = 3e6 on one atom, each within a factor of 1.5."""
     K = _float("K", K)
     d = np.asarray(support, dtype=np.float64)
     kmax = min(K, float(d.max()))
