@@ -284,7 +284,9 @@ def analyze(source) -> AnalyticResult:
                 f"viral condition holds (margin {mv:.3g}) but no zero was bracketed"
             )
     if giant:
-        xi0 = find_root(bundle.h0, "H0")
+        # H0(x)/x is concave and -P{D=1} at 0: with no degree-1 member, the zero is x = 0
+        ones = source.degree.pgf_prime(0.0) if strict else np.any(source.pairs[0] == 1)
+        xi0 = find_root(bundle.h0, "H0") if ones else 0.0
         if strict and xi0 is None:
             raise RootBracketingError(
                 f"giant condition holds (margin {mg:.3g}) but no zero was bracketed"

@@ -26,6 +26,7 @@ import numpy as np
 
 from .analytic import analyze
 from .populations import DegreeSample
+from .special import _write_rows
 
 __all__ = [
     "ConditionTest",
@@ -56,8 +57,6 @@ _INT64_MAX = np.iinfo(np.int64).max
 _READ_BYTES = 24 << 10
 #: Longest header line, its BOM and line end included.
 _HEADER_BYTES = 1 << 10
-#: Rows formatted per ``write`` call by ``write_sample_csv``.
-_WRITE_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -304,9 +303,6 @@ def _rejected_rows(fh) -> list[str]:
 
 def write_sample_csv(sample: DegreeSample, path) -> None:
     """Write ``sample`` in the loader's grammar, with CRLF line ends."""
-    d, t = sample.degree, sample.transmitter_degree
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
-        for lo in range(0, d.size, _WRITE_ROWS):
-            hi = lo + _WRITE_ROWS
-            fh.write("".join(map("{},{}\r\n".format, d[lo:hi].tolist(), t[lo:hi].tolist())))
+        _write_rows(fh, "{},{}\r\n", sample.degree, sample.transmitter_degree)

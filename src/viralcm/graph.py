@@ -18,12 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .populations import DegreeSample
-from .special import index_dtype
+from .special import _write_rows, index_dtype
 
 __all__ = ["EnhancedGraph", "HalfEdgeMemoryError", "build", "index_dtype", "write_edgelist"]
-
-#: Arcs formatted per ``write`` call by ``write_edgelist``.
-_WRITE_ARCS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -104,9 +101,6 @@ def build(sample: DegreeSample, seed) -> EnhancedGraph:
 def write_edgelist(g: EnhancedGraph, path, seed) -> None:
     """Dump the influence digraph: a JSON header line naming ``seed``, then one arc per line."""
     header = json.dumps({"n": g.n, "seed": seed, "parity_fixed": g.parity_fixed}, sort_keys=True)
-    src, dst = g.arc_src, g.arc_dst
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for lo in range(0, src.size, _WRITE_ARCS):
-            hi = lo + _WRITE_ARCS
-            fh.write("".join(map("{} {}\n".format, src[lo:hi].tolist(), dst[lo:hi].tolist())))
+        _write_rows(fh, "{} {}\n", g.arc_src, g.arc_dst)

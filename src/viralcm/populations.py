@@ -15,6 +15,8 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -148,7 +150,7 @@ class PoissonDegree:
         return poisson_pmf(self.lam)
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Materialized (support, weights); tail mass below 1e-12."""
+        """Materialized (support, weights): the atoms of positive weight; tail mass below 1e-12."""
         return self._pmf.support, self._pmf.weights
 
     @property
@@ -414,8 +416,8 @@ class CouponCollector:
 
     The conditional law of D(t) given D = d is the occupancy distribution
     P{k} = d!/(d-k)! * {K over k} / d**K (an isolated member, d = 0, has
-    D(t) = 0 for any K), from :func:`_occupancy`.  The model keeps no state
-    but K.
+    D(t) = 0 for any K), from :func:`_occupancy`, which forms d**K as the
+    sum of the numerators.  The model keeps no state but K.
     """
 
     def __init__(self, K: int):
@@ -426,7 +428,7 @@ class CouponCollector:
     def conditional_pmf(self, d: int) -> DiscretePmf:
         if d < 0:
             raise ValueError("degree must be non-negative")
-        return DiscretePmf(*_occupancy(d, self.K, _occupancy_row(self.K, [d])))
+        return DiscretePmf(*next(_occupancy(self.K, [d])))
 
     def sample_given(self, d: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         out = np.zeros(d.size, dtype=np.int64)
@@ -472,12 +474,12 @@ class CouponCollector:
         b_k = E[D 1{D(t)=k}].  On a power law, a_k, b_k and E[D(t) x^D] =
         sum_j c_j Li_{beta+j-1}(x) / zeta(beta) come from
         :func:`_coupon_expansion`.  On a law with atoms, a_k and b_k are
-        summed once over the atoms' occupancy weights, which share one
-        Stirling row for k up to min(K, largest atom); E[D(t) x^D] sums
-        E[D(t) | D=d] x^d over the atoms; and Hbar's E[D] is the atoms' own,
-        sum_k b_k, so Hbar(1) cancels to rounding.  :meth:`mean_t` checks K
-        first, then :func:`_occupancy_row` the exact work: no Stirling row is
-        built for a K that either rejects.
+        summed once over the atoms' occupancy weights from
+        :func:`_occupancy`, which share one Stirling row for k up to min(K,
+        largest atom); E[D(t) x^D] sums E[D(t) | D=d] x^d over the atoms; and
+        Hbar's E[D] is the atoms' own, sum_k b_k, so Hbar(1) cancels to
+        rounding.  :meth:`mean_t` checks K first, then :func:`_occupancy` the
+        exact work: no Stirling row is built for a K that either rejects.
         """
         if isinstance(deg, PowerLawDegree):
             cs, a, b = _coupon_expansion(deg.beta, self.K)[2:]
@@ -489,10 +491,9 @@ class CouponCollector:
         else:
             support, weights = deg.atoms()
             m_dt_xd = partial(weighted_sum, w=weights * self.mean_t(support), terms=lambda c: c**support)
-            row = _occupancy_row(self.K, support)
-            a, b = np.zeros(len(row)), np.zeros(len(row))
-            for d, w in zip(support.tolist(), weights.tolist()):
-                ks, p = _occupancy(d, self.K, row)
+            occupancy = _occupancy(self.K, support.tolist())
+            a, b = np.zeros((2, min(self.K, int(support[-1])) + 1))
+            for d, w, (ks, p) in zip(support.tolist(), weights.tolist(), occupancy):
                 a[ks] += w * p
                 b[ks] += w * d * p
             mean_d = float(b.sum())
@@ -517,48 +518,45 @@ OCCUPANCY_BUDGET = 4e9
 
 
 def _occupancy_work(K: int, support) -> float:
-    """Bit operations, roughly, to build {K over k} for k up to kmax =
-    min(K, largest of ``support``) and the occupancy weights of every degree
-    d in ``support``.  The m = min(d, K) weights of d cost 2 500 each for
-    the interpreter, K log2 d for the quotient and, for the product of
-    (d)_k and {K over k}, K log2 d * m log2 m / 1 400 more; the row's
-    kmax**2 / 2 differences of K log2 kmax bits cost a quarter bit each; and
-    each power d**K, and j**K for j <= kmax, costs (K log2 d)**1.585 / 43 by
-    Karatsuba.  Fitted to timings on 2 cores from K = 20 at Poisson(1e4) to
-    K = 3e6 on one atom, each within a factor of 1.5."""
+    """Bit operations, roughly, to build {K over k} for k <= kmax = min(K,
+    largest of ``support``) and the occupancy weights of each d in it.  Each
+    of d's m = min(d, K) weights costs 2 500 for the interpreter, K log2 d for
+    the sum and the quotient and K log2 d * m log2 m / 1 400 for (d)_k {K over
+    k}; the row costs a quarter bit per bit of its kmax**2 / 2 differences of
+    K log2 kmax bits, and (K log2 kmax)**1.585 / 43 per power j**K (Karatsuba).
+    Against timings on 2 cores from K = 20 at Poisson(1e4) to K = 3.9e6 on
+    one atom, each estimate is 0.6 to 1.8 times the measured time."""
     K = _float("K", K)
     d = np.asarray(support, dtype=np.float64)
     kmax = min(K, float(d.max()))
     with np.errstate(over="ignore"):  # an inf count is refused like any other
         m, bits, top = np.minimum(d, K), K * np.log2(np.maximum(d, 1.0)), K * np.log2(max(kmax, 1.0))
         weights = np.dot(m, 2500.0 + bits * (1.0 + m * np.log2(np.maximum(m, 1.0)) / 1400))
-        return float(weights + kmax * kmax * top / 8 + (np.sum(bits**1.585) + kmax * top**1.585) / 43)
+        return float(weights + kmax * kmax * top / 8 + kmax * top**1.585 / 43)
 
 
-def _occupancy_row(K: int, support) -> list[int]:
-    """{K over k} for k up to min(K, largest of ``support``), once the exact
-    occupancy work over ``support`` is within ``OCCUPANCY_BUDGET``."""
-    work, largest = _occupancy_work(K, support), int(np.max(support))
+def _occupancy(K: int, support: list[int]):
+    """An iterator of (k, P{D(t)=k | D=d}) over the degrees d of ``support``:
+    k = 1..min(d, K), or the atom 0 at d = 0 or K = 0.  ``OCCUPANCY_BUDGET``
+    is checked first, then one row of {K over k}, k <= min(K, max degree), is
+    built.  A weight is the exact count (d)_k {K over k} of pick sequences
+    meeting k friends over the sum of d's counts, d**K, rounded once."""
+    work, largest = _occupancy_work(K, support), max(support)
     if work > OCCUPANCY_BUDGET:
         raise ValueError(
             f"K: {K} needs about {work:.2g} bit operations of exact occupancy arithmetic on "
             f"degrees up to {largest}, more than the {OCCUPANCY_BUDGET:.2g} allowed"
         )
-    return stirling2_row(K, min(K, largest))
+    row = stirling2_row(K, min(K, largest))[1:]
 
+    def pmf(d):
+        counts = [f * s for f, s in zip(accumulate(range(d, d - min(d, K), -1), mul), row)]
+        if not counts:  # d = 0 or K = 0
+            return np.array([0]), np.array([1.0])
+        den = sum(counts)
+        return np.arange(1, len(counts) + 1), np.array([c / den for c in counts])
 
-def _occupancy(d: int, K: int, row: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(k, P{D(t)=k | D=d}) for k = 1..min(d, K) of K coupons among d
-    friends, given ``row`` of {K over k} up to at least k = min(d, K); the
-    single atom 0 at d = 0 or K = 0.  Each weight is d!/(d-k)! {K over k}
-    over d**K in exact integers, rounded once at the division."""
-    if d == 0 or K == 0:
-        return np.array([0]), np.array([1.0])
-    den, falling, weights = d**K, 1, np.empty(min(d, K))
-    for k in range(1, weights.size + 1):
-        falling *= d - (k - 1)
-        weights[k - 1] = (falling * row[k]) / den
-    return np.arange(1, weights.size + 1), weights
+    return map(pmf, support)
 
 
 @cache

@@ -2,8 +2,8 @@
 
 Provides the Hurwitz zeta function, the polylogarithm on [0, 1] (scalar or
 array argument), weighted row sums over a pmf-like table, rows of Stirling
-numbers of the second kind (for occupancy laws), a finite discrete pmf, and
-the grouping of integer keys into distinct values and counts.
+numbers of the second kind (for occupancy laws), a finite discrete pmf, the
+grouping of integer keys into distinct values and counts, and chunked writes.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ DEFAULT_TAIL_MASS = 1e-12
 MAX_ATOMS = 20_000_000
 #: ``zeta`` takes arguments more than this above its pole at 1.
 ZETA_POLE_GAP = 1e-6
+#: Rows formatted per ``write`` call by :func:`_write_rows`.
+_WRITE_ROWS = 1 << 16
 
 
 def zeta(beta: float, q=1.0):
@@ -162,6 +164,12 @@ def index_dtype(count: int) -> type:
     return np.int32 if count < 2**31 else np.int64
 
 
+def _write_rows(fh, line: str, *columns: np.ndarray) -> None:
+    """Write ``line.format(*row)`` for each row of ``columns``, ``_WRITE_ROWS`` rows per write."""
+    for lo in range(0, columns[0].size, _WRITE_ROWS):
+        fh.write("".join(map(line.format, *(c[lo : lo + _WRITE_ROWS].tolist() for c in columns))))
+
+
 def _unique(keys: np.ndarray, return_counts: bool = False):
     """``np.unique(keys, return_counts=...)`` of a 1-d integer array: its
     distinct values, ascending, and how often each occurs.  ``keys`` is
@@ -237,7 +245,7 @@ class DiscretePmf:
 
 
 def poisson_pmf(lam: float) -> DiscretePmf:
-    """Poisson(``lam``) truncated so the dropped tail mass is <= ``DEFAULT_TAIL_MASS``."""
+    """Poisson(``lam``) cut at tail mass ``DEFAULT_TAIL_MASS``; atoms whose weight underflows to 0 are dropped."""
     if lam <= 0:
         raise ValueError("poisson_pmf requires lam > 0")
     # smallest k with P{X <= k} >= q, by the rule of scipy.stats.poisson.ppf
@@ -250,8 +258,9 @@ def poisson_pmf(lam: float) -> DiscretePmf:
     hi = (below if _sp.pdtr(below, lam) >= q else top) + 2
     _check_atoms(f"lam: poisson({lam})", hi + 1, DEFAULT_TAIL_MASS, MAX_ATOMS)
     support = np.arange(hi + 1)
+    weights = np.exp(_sp.xlogy(support, lam) - _sp.gammaln(support + 1) - lam)
     try:  # from about lam = 1.5e7 the rounding of xlogy and gammaln adds up beyond 1e-9
-        return DiscretePmf(support, np.exp(_sp.xlogy(support, lam) - _sp.gammaln(support + 1) - lam))
+        return DiscretePmf(support[weights > 0], weights[weights > 0])
     except ValueError as exc:
         raise ValueError(f"lam: poisson({lam}): {exc}") from None
 

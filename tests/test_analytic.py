@@ -860,6 +860,27 @@ class TestAnalyzeSample:
         assert res.viral_condition
         assert res.xi is None and res.xi_bar is None
 
+    def test_no_degree_one_puts_the_giant_zero_at_the_origin(self, monkeypatch):
+        # H0(x)/x is concave and tends to -P{D=1} at 0: with no member of
+        # degree 1 it is positive inside (0, 1), so xi0 = 0 and alpha0 is
+        # the share of members with a friend, with no H0 scan at all
+        scan = analytic.find_root
+        monkeypatch.setattr(analytic, "find_root", lambda f, kind="": pytest.fail() if kind == "H0" else scan(f, kind))
+        degrees = [0, 3, 3, 4]
+        law = JointDegreeLaw(EmpiricalDegree.from_degrees(degrees), BernoulliTransmission(0.8))
+        d = np.repeat(degrees, 500)
+        for source in (law, DegreeSample(d, d), DegreeSample(d, d // 2)):
+            res = analyze(source)
+            assert res.giant_condition and res.margin_giant == 3.5
+            assert res.xi0 == 0.0 and res.alpha0 == 0.75
+
+    def test_dense_poisson_giant_zero_underflows_to_zero(self):
+        # P{D=1} = 1000 e^-1000 underflows to 0, and so does xi0 ~ e^-1000
+        res = analyze(JointDegreeLaw(PoissonDegree(1000.0), CouponCollector(3)))
+        assert res.viral_condition and res.giant_condition
+        assert res.xi0 == 0.0 and res.alpha0 == 1.0
+        assert 0.0 < res.xi_bar < 1e-8 and 0.0 < res.xi < 1.0
+
     def test_node_percolation_roots_within_two_ulps(self):
         # under node percolation every row has t = 0 or t = d, so H and Hbar
         # are the same function; H is summed over the distinct d and Hbar

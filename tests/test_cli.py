@@ -20,6 +20,7 @@ from viralcm.analytic import analyze
 from viralcm.cli import (
     MAX_GRID_POINTS,
     RunConfig,
+    _json_value,
     _parse_grid,
     _split,
     main,
@@ -1098,6 +1099,32 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "analysis.json").exists()
+
+    def test_regular_law_has_its_giant_zero_at_the_origin(self, tmp_path):
+        # a 3-regular law has no member of degree 1, so xi0 = 0 and the giant
+        # component holds every member: H0 is never scanned
+        path = tmp_path / "regular.txt"
+        path.write_text("3\n3\n3\n")
+        argv = ["analytic", "--degree", "empirical", "--degree-file", str(path), "--trans", "bernoulli", "--p", "0.8"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        result = json.loads((tmp_path / "analysis.json").read_text())["result"]
+        want = {"xi": 0.25, "xi_bar": 0.0625, "xi0": 0.0, "alpha": 0.984375, "alpha_bar": 0.984375, "alpha0": 1.0}
+        for key, value in want.items():
+            assert result[key] == pytest.approx(value, rel=0, abs=1e-12), key
+
+    def test_dense_poisson_giant_zero_below_the_scan_exits_2(self, tmp_path, capsys):
+        # xi0 ~ e^-240 lies below the scan's 1e-100, while P{D=1} does not underflow
+        assert main(["analytic", "--lambda", "240", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: giant condition holds (margin 5.74e+04) but no zero was bracketed\n"
+        assert not (tmp_path / "analysis.json").exists()
+
+    def test_nan_has_no_json_spelling(self):
+        # every output goes through _json_value: a NaN is refused, naming its key
+        assert _json_value({"a": [math.inf, 1.0]}) == {"a": ["divergent", 1.0]}
+        for payload, key in [({"result": {"alpha": math.nan}}, "alpha"), ({"xs": [0.5, math.nan]}, "xs")]:
+            with pytest.raises(ValueError) as exc:
+                _json_value(payload)
+            assert str(exc.value) == f"{key}: NaN has no JSON spelling"
 
     @pytest.mark.parametrize("K", [7, 200, 10**400], ids=["7", "200", "1e400"])
     def test_powerlaw_coupon_K_beyond_bound_exits_2(self, tmp_path, capsys, K):

@@ -1,3 +1,4 @@
+import io
 import math
 
 import mpmath
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from viralcm import special
 from viralcm.populations import EmpiricalDegree
 from viralcm.special import (
     _WOOD_SWITCH,
@@ -269,6 +271,22 @@ def test_raise_paths(call, message):
     assert str(exc.value) == message
 
 
+def test_write_rows_across_chunks():
+    # one line per row, in order, whatever the number of write calls
+    a = np.arange(2 * special._WRITE_ROWS + 3)
+    fh = io.StringIO()
+    special._write_rows(fh, "{} {}\n", a, a[::-1])
+    assert fh.getvalue() == "".join(f"{x} {y}\n" for x, y in zip(a.tolist(), a[::-1].tolist()))
+
+
+def test_poisson_normalisation_failure_names_lam(monkeypatch):
+    # from about lam = 1.5e7 the weights miss 1 by more than 1e-9; a cut at
+    # tail mass 1e-3 provokes the same refusal on a table of a dozen atoms
+    monkeypatch.setattr(special, "DEFAULT_TAIL_MASS", 1e-3)
+    with pytest.raises(ValueError, match=r"^lam: poisson\(2\.0\): weights sum to 0\.99999[0-9]+, not 1 within 1e-9$"):
+        poisson_pmf(2.0)
+
+
 class TestDiscretePmf:
     def test_weights_must_normalize(self):
         with pytest.raises(ValueError):
@@ -294,6 +312,17 @@ class TestPoissonPmfOracle:
             support = np.arange(top + 1)
             assert np.array_equal(pmf.support, support), lam
             assert np.array_equal(pmf.weights, stats.poisson.pmf(support, lam)), lam
+
+    def test_dense_law_keeps_only_atoms_with_mass(self):
+        # from about lam = 745 the left tail underflows to exact zeros: those
+        # atoms are dropped, and every other weight keeps its bits
+        for lam, first in [(700.0, 0), (1e4, 6409)]:
+            pmf = poisson_pmf(lam)
+            full = np.arange(pmf.support[-1] + 1)
+            weights = np.exp(special._sp.xlogy(full, lam) - special._sp.gammaln(full + 1) - lam)
+            assert pmf.support[0] == first and pmf.weights.min() > 0.0
+            assert np.array_equal(pmf.support, np.flatnonzero(weights))
+            assert np.array_equal(pmf.weights, weights[first:])
 
 
 class TestPgfEval:
