@@ -72,7 +72,9 @@ class GenFnBundle:
     """H, Hbar, H0 and the two pgfs of one (D, D(t)) population.
 
     All callables take a scalar x in [0, 1] or an array of abscissae; an
-    array result equals the scalar results elementwise.  ``g_d`` and
+    array result equals the scalar results elementwise, bit for bit, so that
+    :func:`find_root`'s bisection on scalar calls brackets its zero where
+    one array call on every scan abscissa would.  ``g_d`` and
     ``g_dt`` are the generating functions of D and D(t); ``h``, ``hbar``
     and ``h0`` are the functions whose zeros give the limiting fractions
     (module docstring).
@@ -161,37 +163,73 @@ def _bundle_from_pairs(d: np.ndarray, t: np.ndarray, counts: np.ndarray) -> GenF
 def find_root(f: Callable[[float], float], kind: str = "") -> Optional[float]:
     """Certified unique zero of ``f`` in (0, 1), or ``None`` without a sign change.
 
-    Evaluates ``f`` once, on the whole ``_SCAN_GRID`` (up to 1 - 1e-12),
-    and refines its one sign change on scalar calls (:func:`_refine`,
-    handed the scan's values at the bracket ends) down to two adjacent
-    floats whose values have opposite signs, or to a value of exactly 0.
-    It returns the final end with the smaller |f| and raises
-    :class:`RootBracketingError` if that |f| exceeds ``ROOT_RESIDUAL``.
-    No abscissa is evaluated twice.  The functions handled here vanish at
-    both endpoints, so only an interior sign change counts.  Above
-    ``_SCAN_HI`` they are differences of O(1) terms that cancel toward the
-    zero at 1, so a value there counts only if it exceeds ``ROOT_RESIDUAL``
-    in magnitude: smaller ones can be rounding noise, whose sign changes
-    would pass for roots.  More than one sign change contradicts the
-    uniqueness of the zero and raises :class:`RootBracketingError`.
+    H/x, Hbar/x and H0/x are each E[D] x minus a power series with
+    non-negative coefficients, so each is concave on (0, 1] and vanishes at
+    1: the signs of H, Hbar and H0 on ``_SCAN_GRID`` are one run of - and
+    one of +.  If the grid's ends up to ``_SCAN_HI`` differ in sign, the
+    indices between them are bisected: 13 scalar calls at most, ends included.
+    Otherwise the 60 abscissae above, up to 1 - 1e-12, are evaluated as one
+    array; there the functions cancel toward their zero at 1, so a value
+    counts only if it exceeds ``ROOT_RESIDUAL`` in magnitude (smaller ones
+    can be rounding noise), and a second sign change among the kept values
+    and the prefix's upper end raises :class:`RootBracketingError`.  Since
+    an array entry equals its scalar call bit for bit (:class:`GenFnBundle`),
+    the bracket is the adjacent pair of grid points that a scan of every
+    abscissa finds.  An exact 0 at an evaluated abscissa is the zero; a NaN
+    raises ``ValueError`` naming ``kind``.  :func:`_refine`, handed the
+    bracket's end values, shrinks it to adjacent floats of opposite signs
+    or to an exact 0; the end with the smaller |f| is returned, and
+    :class:`RootBracketingError` is raised if that |f| exceeds
+    ``ROOT_RESIDUAL``.  No abscissa is evaluated twice.
     """
-    fx = np.asarray(f(_SCAN_GRID))
-    kept = np.flatnonzero((_SCAN_GRID <= _SCAN_HI) | (np.abs(fx) > ROOT_RESIDUAL))
-    sign = np.sign(fx[kept])
-    flips = np.flatnonzero(sign[1:] != sign[:-1])
-    if flips.size == 0:
-        return None
-    if flips.size > 1:
-        raise RootBracketingError(
-            f"{kind or 'root'} zero not unique: {flips.size} sign changes on the root scan"
-        )
-    ends = kept[flips[0] : flips[0] + 2]
-    root, froot = _refine(f, kind, _SCAN_GRID[ends].tolist(), fx[ends].tolist())
+    top = int(np.searchsorted(_SCAN_GRID, _SCAN_HI, side="right")) - 1
+    ends, values = [0, top], []
+    for i in ends:
+        values.append(_scan_value(f, kind, i))
+        if values[-1] == 0:
+            return float(_SCAN_GRID[i])
+    if (values[0] < 0) != (values[1] < 0):
+        while ends[1] - ends[0] > 1:
+            mid = (ends[0] + ends[1]) // 2
+            fmid = _scan_value(f, kind, mid)
+            if fmid == 0:
+                return float(_SCAN_GRID[mid])
+            side = int((fmid < 0) != (values[0] < 0))
+            ends[side], values[side] = mid, fmid
+    else:
+        tail = np.asarray(f(_SCAN_GRID[top + 1 :]))
+        if np.isnan(tail).any():
+            _raise_nan(kind, _SCAN_GRID[top + 1 + np.argmax(np.isnan(tail))])
+        kept = np.flatnonzero(np.abs(tail) > ROOT_RESIDUAL)
+        at, fx = np.concatenate([[top], top + 1 + kept]), np.concatenate([values[1:], tail[kept]])
+        sign = np.sign(fx)
+        flips = np.flatnonzero(sign[1:] != sign[:-1])
+        if flips.size == 0:
+            return None
+        if flips.size > 1:
+            raise RootBracketingError(
+                f"{kind or 'root'} zero not unique: {flips.size} sign changes on the root scan"
+            )
+        ends, values = at[flips[0] : flips[0] + 2], fx[flips[0] : flips[0] + 2].tolist()
+    root, froot = _refine(f, kind, _SCAN_GRID[ends].tolist(), values)
     if abs(froot) > ROOT_RESIDUAL:
         raise RootBracketingError(
             f"{kind or 'root'} refinement stalled: residual {abs(froot):.3g} exceeds {ROOT_RESIDUAL:.3g}"
         )
     return root
+
+
+def _scan_value(f: Callable[[float], float], kind: str, i: int) -> float:
+    """f at the i-th scan abscissa, a Python float, on a scalar call; NaN raises."""
+    x = float(_SCAN_GRID[i])
+    fx = float(f(x))
+    if math.isnan(fx):
+        _raise_nan(kind, x)
+    return fx
+
+
+def _raise_nan(kind: str, x: float):
+    raise ValueError(f"{kind or 'root'} is NaN at {float(x)!r} on the root scan")
 
 
 def _ordinal(x: float) -> int:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from viralcm import analytic, populations, special
 from viralcm.analytic import (
     _SCAN_GRID,
+    _SCAN_HI,
     RootBracketingError,
     analyze,
     bernoulli_threshold,
@@ -25,6 +26,7 @@ from viralcm.analytic import (
 )
 from viralcm.cli import main
 from viralcm.populations import (
+    ROOT_RESIDUAL,
     BernoulliTransmission,
     CouponCollector,
     DegreeSample,
@@ -179,14 +181,20 @@ class TestBundles:
         ],
     )
     def test_array_calls_equal_scalar_calls(self, source):
-        # find_root scans with one array call and refines with scalar
-        # calls; the two must agree bit for bit so the bracket's signs hold.
+        # find_root bisects the scan on scalar calls, wherever they land,
+        # evaluates the tail above _SCAN_HI as one array, and refines with
+        # scalar calls; all must agree bit for bit so that its bracket is the
+        # one a full array scan finds.  The root functions are checked on
+        # every scan abscissa, the pgfs on every 25th and the tail.
         bundle = build_genfns(source)
-        xs = np.concatenate([_SCAN_GRID[::25], _SCAN_GRID[-60:], [0.0, 1.0]])
-        for f in (bundle.h, bundle.hbar, bundle.h0, bundle.g_d, bundle.g_dt):
+        every = np.concatenate([_SCAN_GRID, [0.0, 1.0]])
+        some = np.concatenate([_SCAN_GRID[::25], _SCAN_GRID[-60:], [0.0, 1.0]])
+        for f, xs in zip(
+            (bundle.h, bundle.hbar, bundle.h0, bundle.g_d, bundle.g_dt), (every, every, every, some, some)
+        ):
             values = f(xs)
-            assert np.array_equal(values, [f(float(x)) for x in xs])
-            assert np.array_equal(values, [f(np.float64(x)) for x in xs])
+            assert np.array_equal(values, [f(x) for x in xs.tolist()])
+            assert np.array_equal(values, [f(x) for x in xs])
 
     def test_polylog_constants_built_once_per_order(self, monkeypatch):
         # an order's constants include Wood's coefficients zeta(s - k) / k!,
@@ -428,8 +436,58 @@ class TestFindRoot:
         assert xi == pytest.approx(1.0 - p * (1.0 - xi_bar), abs=1e-9)
 
     def test_two_sign_changes_raise(self):
-        with pytest.raises(RootBracketingError, match="Hbar zero not unique: 2 sign changes"):
-            find_root(lambda x: (x - 0.3) * (x - 0.7), "Hbar")
+        # negative up to _SCAN_HI, then +1 for 1 - x in (1e-10, 1e-8) and -1
+        # beyond: two sign changes in the tail, both above the noise rule
+        def f(x):
+            u = 1.0 - np.asarray(x)
+            return np.where((u > 1e-10) & (u < 1e-8), 1.0, -1.0)
+
+        with pytest.raises(RootBracketingError, match="^Hbar zero not unique: 2 sign changes on the root scan$"):
+            find_root(f, "Hbar")
+
+    def test_exact_zero_on_a_scan_abscissa_is_the_root(self):
+        # as in _refine: a value of exactly 0 ends the search there, whether
+        # the bisection lands on it or it is an end of the prefix
+        for i in (0, 600, int(np.searchsorted(_SCAN_GRID, _SCAN_HI))):
+            g = float(_SCAN_GRID[i])
+            assert find_root(lambda x: x - g, "H") == g
+
+    def test_bracket_across_the_prefix_end(self, monkeypatch):
+        # a zero between _SCAN_HI and the first tail abscissa: both prefix
+        # ends are negative, so the tail is evaluated, and _refine gets the
+        # prefix's upper end and the tail's first point with their values
+        handed = []
+        refine = analytic._refine
+
+        def logged(f, kind, x, fx):
+            handed.append((list(x), list(fx)))
+            return refine(f, kind, x, fx)
+
+        monkeypatch.setattr(analytic, "_refine", logged)
+        z = 1.0 - 9e-7
+        root = find_root(lambda x: x - z, "H")
+        first = float(_SCAN_GRID[_SCAN_GRID > _SCAN_HI][0])
+        assert handed == [([_SCAN_HI, first], [_SCAN_HI - z, first - z])]
+        assert root == z
+
+    @pytest.mark.parametrize(
+        "nan_on",
+        [(0.0, 1e-50), (0.4, 0.5), (_SCAN_HI, 1.0)],
+        ids=["prefix-end", "first-midpoint", "tail"],
+    )
+    def test_nan_on_the_scan_raises_naming_the_function(self, nan_on):
+        # a NaN at an evaluated abscissa is no sign: it raises ValueError
+        # naming the function, as _refine does.  The tail case is negative
+        # throughout the prefix, so the tail is evaluated
+        lo, hi = nan_on
+        shift = 0.5 if hi < 1.0 else 2.0
+
+        def f(x):
+            x = np.asarray(x)
+            return np.where((lo < x) & (x <= hi), math.nan, x - shift)
+
+        with pytest.raises(ValueError, match=r"^H is NaN at \S+ on the root scan$"):
+            find_root(f, "H")
 
     def test_step_function_refinement_stalls(self):
         # the bracket closes on two adjacent floats around 0.3 where the
@@ -1306,9 +1364,48 @@ class TestRefine:
         assert steps <= 256
 
 
+def full_scan_root(f, kind=""):
+    """Reference root search: every scan abscissa in one array call, the
+    noise rule above _SCAN_HI, one sign change refined.  Wherever the signs
+    are monotone, ``find_root`` must hand ``_refine`` the same bracket and
+    give the same root, None or error message."""
+    fx = np.asarray(f(_SCAN_GRID))
+    kept = np.flatnonzero((_SCAN_GRID <= _SCAN_HI) | (np.abs(fx) > ROOT_RESIDUAL))
+    sign = np.sign(fx[kept])
+    flips = np.flatnonzero(sign[1:] != sign[:-1])
+    if flips.size == 0:
+        return None
+    if flips.size > 1:
+        raise RootBracketingError(f"{kind} zero not unique: {flips.size} sign changes on the root scan")
+    ends = kept[flips[0] : flips[0] + 2]
+    root, froot = analytic._refine(f, kind, _SCAN_GRID[ends].tolist(), fx[ends].tolist())
+    if abs(froot) > ROOT_RESIDUAL:
+        raise RootBracketingError(f"{kind} refinement stalled: residual {abs(froot):.3g} exceeds {ROOT_RESIDUAL:.3g}")
+    return root
+
+
+def search_outcome(search, f, kind):
+    try:
+        return search(f, kind)
+    except (RootBracketingError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def near_critical_powerlaws():
+    for beta in (3.05, 3.1, 3.2, 3.3):
+        p_c = bernoulli_threshold(PowerLawDegree(beta))
+        for factor in (1.001, 1.01, 1.1, 1.5):
+            for tr in (BernoulliTransmission, NodePercolation):
+                yield JointDegreeLaw(PowerLawDegree(beta), tr(factor * p_c))
+
+
 class TestRootEvaluations:
     @pytest.mark.parametrize("law", _law_grid[::3])
     def test_each_abscissa_evaluated_once(self, law):
+        # the scan (scalar calls, and at most one array call, on the tail)
+        # and the refinement evaluate distinct abscissae; the scan's lie on
+        # _SCAN_GRID, so no refinement point repeats a scan point
+        tail = _SCAN_GRID[_SCAN_GRID > _SCAN_HI]
         bundle = build_genfns(law)
         for f in (bundle.h, bundle.hbar, bundle.h0):
             calls = []
@@ -1318,11 +1415,65 @@ class TestRootEvaluations:
                 return f(x)
 
             find_root(logged)
-            scan, scalars = calls[0], calls[1:]
-            assert scan is _SCAN_GRID
-            assert all(np.ndim(x) == 0 for x in scalars)
-            assert len(set(scalars)) == len(scalars)
-            assert not set(scalars) & set(_SCAN_GRID.tolist())
+            arrays = [x for x in calls if np.ndim(x)]
+            assert len(arrays) <= 1 and all(x.tolist() == tail.tolist() for x in arrays)
+            abscissae = [y for x in calls for y in np.ravel(x).tolist()]
+            assert len(set(abscissae)) == len(abscissae)
+
+    def test_prefix_bracket_costs_13_scalar_calls(self, monkeypatch):
+        # a sign change at or below _SCAN_HI is bracketed by the prefix's two
+        # ends and at most 11 midpoints (1 093 index steps), with no array call
+        scans = []
+        refine = analytic._refine
+
+        def before_refine(f, kind, x, fx):
+            scans.append((x[1], list(calls)))
+            return refine(f, kind, x, fx)
+
+        monkeypatch.setattr(analytic, "_refine", before_refine)
+        for law in _law_grid:
+            bundle = build_genfns(law)
+            for f in (bundle.h, bundle.hbar, bundle.h0):
+                calls = []
+                find_root(lambda x: calls.append(x) or f(x))
+        prefix = [c for hi, c in scans if hi <= _SCAN_HI]
+        assert len(prefix) >= 100
+        assert all(len(c) <= 13 and all(np.ndim(x) == 0 for x in c) for c in prefix)
+
+    def test_bracket_matches_the_full_scan(self, monkeypatch):
+        # same bracket and end values handed to _refine, and so the same
+        # root, None or error message, as the reference full scan on H, Hbar
+        # and H0 of every law and sample here
+        brackets = []
+        refine = analytic._refine
+
+        def logged(f, kind, x, fx):
+            brackets.append((list(x), list(fx)))
+            return refine(f, kind, x, fx)
+
+        monkeypatch.setattr(analytic, "_refine", logged)
+        sources = [
+            *_law_grid,
+            *near_critical_powerlaws(),
+            *(poisson_bernoulli(lam, 0.8) for lam in (1.2, 2.0, 5.0, 25.0, 60.0, 150.0, 200.0)),
+            *(JointDegreeLaw(PowerLawDegree(2.45), BernoulliTransmission(0.3)).sample(2000, seed=s) for s in (1, 2)),
+            *(poisson_bernoulli(3.0, 0.6).sample(2000, seed=s) for s in (1, 2)),
+            JointDegreeLaw(PoissonDegree(2.0), CouponCollector(3)).sample(2000, seed=1),
+            # H's refinement stalls at a residual of 2.3e-12 (E[D] = 6.1e5)
+            JointDegreeLaw(PowerLawDegree(2.000001), BernoulliTransmission(0.8)),
+        ]
+        outcomes = collections.Counter()
+        for source in sources:
+            bundle = build_genfns(source)
+            for kind, f in (("H", bundle.h), ("Hbar", bundle.hbar), ("H0", bundle.h0)):
+                want = search_outcome(full_scan_root, f, kind)
+                want_brackets = brackets[:]
+                brackets.clear()
+                assert search_outcome(find_root, f, kind) == want, (source, kind)
+                assert brackets == want_brackets, (source, kind)
+                brackets.clear()
+                outcomes[type(want)] += 1
+        assert outcomes[float] >= 150 and outcomes[type(None)] >= 50 and outcomes[tuple] >= 1, outcomes
 
     def test_refinement_calls_on_benchmark_laws(self, monkeypatch):
         # the four laws of the analytic-powerlaw benchmark workload: 12
@@ -1339,20 +1490,26 @@ class TestRootEvaluations:
         assert len(calls) <= 80
 
     def test_analytic_scans_hbar_once(self, tmp_path, monkeypatch):
-        scans = []
-        build = analytic.build_genfns
+        # one search for Hbar's root, whose abscissae are all distinct
+        searches, abscissae = [], []
+        build, search = analytic.build_genfns, analytic.find_root
 
         def counted(source):
             bundle = build(source)
 
             def hbar(x):
-                if np.ndim(x):
-                    scans.append(x)
+                abscissae.extend(np.ravel(x).tolist())
                 return bundle.hbar(x)
 
             return dataclasses.replace(bundle, hbar=hbar)
 
+        def logged(f, kind=""):
+            searches.append(kind)
+            return search(f, kind)
+
         monkeypatch.setattr(analytic, "build_genfns", counted)
+        monkeypatch.setattr(analytic, "find_root", logged)
         argv = ["analytic", "--degree", "powerlaw", "--beta", "2.45", "--trans", "coupon", "--K", "3"]
         assert main(argv + ["--out", str(tmp_path)]) == 0
-        assert len(scans) == 1
+        assert searches.count("Hbar") == 1
+        assert abscissae and len(set(abscissae)) == len(abscissae)
